@@ -35,6 +35,9 @@ from .pmf import Pmf, empirical_pmf, parse_counts, parse_pmf
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
 
+#: Rows per piece of a streamed replicate CSV.
+_CSV_CHUNK_ROWS = 4096
+
 
 class DataError(Exception):
     """Unreadable or invalid input data (exit code 2)."""
@@ -75,17 +78,27 @@ def _read_text(path: str, label: str) -> str:
         raise DataError(f"cannot read {label} file {path!r}: {exc.strerror}") from None
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write_chunks(path: str, chunks) -> None:
+    """Write the strings of `chunks` in turn to a temp file, then rename it
+    to `path`.  The file gets mode 0o666 less the umask, as open() would."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".monopmf-", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str) -> None:
+    _atomic_write_chunks(path, (text,))
 
 
 def _load_counts(path: str):
@@ -180,17 +193,25 @@ def _config_from_args(args) -> ExperimentConfig:
     )
 
 
+def _raw_csv_chunks(cfg: ExperimentConfig, raw):
+    """The replicate CSV in pieces of about _CSV_CHUNK_ROWS rows.  The bytes
+    equal csv.writer's: no field needs quoting and rows end in CR LF."""
+    yield "replicate,estimator,metric,value\r\n"
+    labels = [f"{est.value},{metric.label}," for est in cfg.estimators for metric in cfg.metrics]
+    step = max(1, _CSV_CHUNK_ROWS // len(labels))
+    for start in range(0, cfg.reps, step):
+        block = raw[start : start + step].reshape(-1, len(labels)).tolist()
+        yield "".join(
+            f"{i},{label}{v:.17g}\r\n"
+            for i, values in enumerate(block, start)
+            for label, v in zip(labels, values)
+        )
+
+
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     summary = run_experiment(cfg)
-    raw_buf = io.StringIO()
-    writer = csv.writer(raw_buf)
-    writer.writerow(["replicate", "estimator", "metric", "value"])
-    for i in range(cfg.reps):
-        for e, est in enumerate(cfg.estimators):
-            for m, metric in enumerate(cfg.metrics):
-                writer.writerow([i, est.value, metric.label, _MACHINE_FMT % summary.raw[i, e, m]])
-    _atomic_write(f"{args.out}_raw.csv", raw_buf.getvalue())
+    _atomic_write_chunks(f"{args.out}_raw.csv", _raw_csv_chunks(cfg, summary.raw))
 
     sum_buf = io.StringIO()
     writer = csv.writer(sum_buf)

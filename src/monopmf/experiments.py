@@ -5,6 +5,13 @@ replicate draws a sample, forms the requested estimators (of the pmf or of
 its mixing distribution), and records the requested distances from the
 truth.  Replicate i uses the seed mix_seed(cfg.seed, i), so results do not
 depend on execution order and identical configs produce identical output.
+
+Every Monte Carlo driver here runs on one chunked replicate pipeline
+(`_replicate_chunks`): a chunk of replicates is sampled into a count
+matrix, and the estimators and distances are computed on its rows at
+once.  A chunk's work arrays hold about `_CHUNK_ELEMENTS` values, so
+memory stays bounded in the replicate count, and each row has the same
+bits as the replicate computed on its own.
 """
 
 from __future__ import annotations
@@ -17,12 +24,16 @@ import numpy as np
 
 from .metrics import MetricKind, distance
 from .operators import gren, mixing_estimate, rear
-from .pmf import Counts, Pmf, empirical_pmf, geometric_pmf, mixture_of_uniforms, sample, uniform_pmf
+from .pmf import Counts, Pmf, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
 from .rng import mix_seed
 
 #: Slack for the replicate-wise monotone-estimator inequality check; the
 #: inequality is exact in real arithmetic.
 _INEQ_TOL = 1e-9
+
+#: Values per chunk of the replicate pipeline: a chunk holds
+#: max(1, _CHUNK_ELEMENTS // max(n, K+1)) replicates.
+_CHUNK_ELEMENTS = 4096
 
 
 class EstimatorKind(enum.Enum):
@@ -149,6 +160,15 @@ class ExperimentConfig:
             raise ValueError("estimator and metric sets must be non-empty")
         if self.target not in ("pmf", "mixing"):
             raise ValueError("target must be 'pmf' or 'mixing'")
+        if (
+            self.target == "mixing"
+            and EstimatorKind.EMPIRICAL in self.estimators
+            and any(m.name == "hellinger" for m in self.metrics)
+        ):
+            raise ValueError(
+                "the Hellinger distance is undefined for empirical mixing weights, "
+                "which can be negative; drop 'empirical' or 'hellinger' for target 'mixing'"
+            )
 
 
 @dataclass(frozen=True)
@@ -196,12 +216,62 @@ def _summarize(cfg: ExperimentConfig, raw: np.ndarray) -> ExperimentSummary:
     return ExperimentSummary(config=cfg, raw=raw, stats=stats)
 
 
-def _estimator_vector(kind: EstimatorKind, emp: np.ndarray) -> np.ndarray:
+def _gren_rows(emp: np.ndarray) -> np.ndarray:
+    """Grenander estimate of each row; non-increasing rows pass unchanged."""
+    out = emp.copy()
+    for i in np.flatnonzero(np.any(np.diff(emp, axis=1) > 0, axis=1)):
+        out[i] = gren(emp[i])
+    return out
+
+
+def _estimator_rows(kind: EstimatorKind, emp: np.ndarray) -> np.ndarray:
     if kind is EstimatorKind.EMPIRICAL:
         return emp
     if kind is EstimatorKind.REARRANGEMENT:
         return rear(emp)
-    return gren(emp)
+    return _gren_rows(emp)
+
+
+def _replicate_chunks(truth: Pmf, n: int, reps: int, seed: int, kinds, first: Counts | None = None):
+    """Yield (start, estimates) for consecutive chunks of replicates.
+
+    `estimates[kind]` is a (rows, width) array whose row j is that
+    estimator for replicate start + j, computed from the sample keyed by
+    mix_seed(seed, start + j) and zero-padded to the truth's K+1 points.
+    `first`, when given, replaces the sample of replicate 0 and forms a
+    chunk of its own, as wide as its counts.
+    """
+    lo = 0
+    if first is not None:
+        emp = first.counts[None, :] / float(first.n)
+        yield 0, {kind: _estimator_rows(kind, emp) for kind in kinds}
+        lo = 1
+    rows = max(1, _CHUNK_ELEMENTS // max(n, truth.support_size))
+    for start in range(lo, reps, rows):
+        seeds = [mix_seed(seed, i) for i in range(start, min(start + rows, reps))]
+        emp = sample_counts(truth, n, seeds) / float(n)
+        yield start, {kind: _estimator_rows(kind, emp) for kind in kinds}
+
+
+def _check_inequality(cfg: ExperimentConfig, start: int, dists: np.ndarray) -> None:
+    """Raise if rear or gren is farther from the truth than empirical.
+
+    `dists` is the (rows, estimators, metrics) block of replicates
+    start, start+1, ...; the first violation in replicate, metric,
+    estimator order is reported.
+    """
+    est = list(cfg.estimators)
+    kinds = [k for k in (EstimatorKind.REARRANGEMENT, EstimatorKind.GRENANDER) if k in est]
+    emp = dists[:, est.index(EstimatorKind.EMPIRICAL), :]
+    other = dists[:, [est.index(k) for k in kinds], :]  # (rows, kinds, metrics)
+    bad = np.flatnonzero(other.transpose(0, 2, 1) > (emp + _INEQ_TOL)[:, :, None])
+    if bad.size:
+        row, m, k = np.unravel_index(bad[0], (dists.shape[0], len(cfg.metrics), len(kinds)))
+        raise RuntimeError(
+            f"monotone-estimator inequality violated at replicate {start + row}: "
+            f"{kinds[k].value} {cfg.metrics[m].label} distance {float(other[row, k, m])!r} exceeds "
+            f"empirical {float(emp[row, m])!r}"
+        )
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
@@ -218,31 +288,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         reference = mixing_estimate(truth).weights
     else:
         reference = truth.probs
+    check = cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators
     raw = np.empty((cfg.reps, len(cfg.estimators), len(cfg.metrics)))
-    for i in range(cfg.reps):
-        if i == 0 and cfg.counts_override is not None:
-            counts = cfg.counts_override
-        else:
-            counts = sample(truth, cfg.n, mix_seed(cfg.seed, i))
-        emp = empirical_pmf(counts).probs
-        vectors = {kind: _estimator_vector(kind, emp) for kind in cfg.estimators}
+    chunks = _replicate_chunks(truth, cfg.n, cfg.reps, cfg.seed, cfg.estimators, cfg.counts_override)
+    for start, estimates in chunks:
+        vectors = np.stack([estimates[kind] for kind in cfg.estimators], axis=1)
         if cfg.target == "mixing":
-            vectors = {kind: mixing_estimate(vec).weights for kind, vec in vectors.items()}
+            vectors = mixing_estimate(vectors).weights
+        block = raw[start : start + vectors.shape[0]]
         for m, metric in enumerate(cfg.metrics):
-            dists = {
-                kind: distance(vec, reference, metric) for kind, vec in vectors.items()
-            }
-            for e, kind in enumerate(cfg.estimators):
-                raw[i, e, m] = dists[kind]
-            if cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in dists:
-                bound = dists[EstimatorKind.EMPIRICAL] + _INEQ_TOL
-                for kind in (EstimatorKind.REARRANGEMENT, EstimatorKind.GRENANDER):
-                    if kind in dists and dists[kind] > bound:
-                        raise RuntimeError(
-                            f"monotone-estimator inequality violated at replicate {i}: "
-                            f"{kind.value} {metric.label} distance {dists[kind]!r} exceeds "
-                            f"empirical {dists[EstimatorKind.EMPIRICAL]!r}"
-                        )
+            block[:, :, m] = distance(vectors, reference, metric)
+        if check:
+            _check_inequality(cfg, start, block)
     return _summarize(cfg, raw)
 
 
@@ -273,16 +330,11 @@ def estimate_risk(
     if not (k >= 1.0):
         raise ValueError("loss order k must satisfy k >= 1")
     ref = truth.probs
-    size = ref.size
     losses = np.empty(reps)
-    for i in range(reps):
-        counts = sample(truth, n, mix_seed(seed, i))
-        emp = empirical_pmf(counts).probs
-        vec = _estimator_vector(est, emp)
-        if vec.size < size:
-            vec = np.concatenate((vec, np.zeros(size - vec.size)))
-        diff = np.abs(vec - ref)
-        losses[i] = diff.max() if math.isinf(k) else float(np.sum(diff**k))
+    for start, estimates in _replicate_chunks(truth, n, reps, seed, (est,)):
+        diff = np.abs(estimates[est] - ref)
+        loss = diff.max(axis=1) if math.isinf(k) else np.sum(diff**k, axis=1)
+        losses[start : start + loss.size] = loss
     return RiskEstimate(
         value=float(losses.mean()),
         se=float(losses.std(ddof=1) / math.sqrt(reps)),
@@ -318,12 +370,9 @@ def fluctuation_cdf(
     root_n = math.sqrt(n)
     px = float(truth.probs[x])
     vals = np.empty(reps)
-    for i in range(reps):
-        counts = sample(truth, n, mix_seed(seed, i))
-        emp = empirical_pmf(counts).probs
-        vec = _estimator_vector(est, emp)
-        est_x = float(vec[x]) if x < vec.size else 0.0
-        vals[i] = root_n * (est_x - px)
+    for start, estimates in _replicate_chunks(truth, n, reps, seed, (est,)):
+        col = estimates[est][:, x]
+        vals[start : start + col.size] = root_n * (col - px)
     vals.sort()
     levels = np.arange(1, reps + 1) / float(reps)
     return FluctuationCdf(values=vals, levels=levels, x=int(x), n=int(n), estimator=est)

@@ -21,9 +21,6 @@ from .operators import constancy_blocks, gren, pool_segments
 from .pmf import Pmf
 from .rng import make_generator
 
-#: Absolute tolerance for hull-contact detection.
-CONTACT_TOL = 1e-12
-
 _CHUNK = 1 << 15
 
 
@@ -122,23 +119,15 @@ def touch_count(z) -> int:
 
     The walk starts at (0, 0); contacts are counted over j = 1..k (the
     endpoint always touches).  Hull segments come from the same pooling
-    routine as `gren`; contact is |hull_j - S_j| <= 1e-12.
+    routine as `gren`.  Equal slopes are never pooled, so every segment
+    ends at a contact and no interior point of a segment touches: the
+    count is the number of segments, with no tolerance and no dependence
+    on the scale of z.
     """
     v = np.asarray(z, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("touch_count requires a non-empty 1-D sequence")
-    sums = np.concatenate(([0.0], np.cumsum(v)))
-    _, lengths = pool_segments(v)
-    count = 0
-    start = 0  # walk index of the current segment's left vertex
-    for c in lengths:
-        end = start + c
-        slope = (sums[end] - sums[start]) / c
-        for j in range(start + 1, end + 1):
-            if abs(sums[start] + slope * (j - start) - sums[j]) <= CONTACT_TOL:
-                count += 1
-        start = end
-    return count
+    return len(pool_segments(v)[1])
 
 
 def sparre_andersen_expectation(k: int) -> float:

@@ -66,33 +66,43 @@ class MetricKind:
 def _padded(a, b) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("distance expects 1-D sequences")
-    n = max(x.size, y.size)
-    if x.size < n:
-        x = np.concatenate((x, np.zeros(n - x.size)))
-    if y.size < n:
-        y = np.concatenate((y, np.zeros(n - y.size)))
+    if x.ndim == 0 or y.ndim == 0:
+        raise ValueError("distance expects sequences")
+    n = max(x.shape[-1], y.shape[-1])
+    if x.shape[-1] < n:
+        x = np.concatenate((x, np.zeros(x.shape[:-1] + (n - x.shape[-1],))), axis=-1)
+    if y.shape[-1] < n:
+        y = np.concatenate((y, np.zeros(y.shape[:-1] + (n - y.shape[-1],))), axis=-1)
     return x, y
 
 
-def distance(a, b, m: MetricKind) -> float:
+def distance(a, b, m: MetricKind):
     """Distance between sequences a and b under metric m.
 
     Hellinger returns H with H^2 = (1/2) * sum (sqrt(a) - sqrt(b))^2 and
     requires non-negative entries; ell(k) returns the k-norm of a - b and
-    ell(inf) the sup norm.
+    ell(inf) the sup norm.  Stacks of sequences (shape (..., L)) are
+    compared along the last axis with broadcasting over the leading axes,
+    giving an array of distances; two plain sequences give a float.  Each
+    distance has the same bits as the one of the two rows taken alone.
     """
     x, y = _padded(a, b)
     if m.name == "hellinger":
         if np.any(x < 0) or np.any(y < 0):
             raise ValueError("Hellinger distance requires non-negative entries")
-        return float(math.sqrt(0.5 * np.sum((np.sqrt(x) - np.sqrt(y)) ** 2)))
-    diff = np.abs(x - y)
-    if math.isinf(m.k):
-        return float(diff.max())
-    if m.k == 1.0:
-        return float(diff.sum())
-    if m.k == 2.0:
-        return float(math.sqrt(np.sum(diff * diff)))
-    return float(np.sum(diff**m.k) ** (1.0 / m.k))
+        d = np.sqrt(0.5 * np.sum((np.sqrt(x) - np.sqrt(y)) ** 2, axis=-1))
+    else:
+        diff = np.abs(x - y)
+        if math.isinf(m.k):
+            d = diff.max(axis=-1)
+        elif m.k == 1.0:
+            d = diff.sum(axis=-1)
+        elif m.k == 2.0:
+            d = np.sqrt(np.sum(diff * diff, axis=-1))
+        else:
+            # the root is taken per element as a scalar pow: numpy's
+            # vectorised pow differs from it in the last bit on some inputs
+            sums = np.sum(diff**m.k, axis=-1)
+            root = 1.0 / m.k
+            d = np.reshape([s**root for s in np.ravel(sums).tolist()], sums.shape)
+    return float(d) if d.ndim == 0 else d

@@ -18,11 +18,15 @@ FLAT_TOL = 1e-12
 
 
 def rear(w) -> np.ndarray:
-    """Values of w reordered to be non-increasing."""
+    """Values of w reordered to be non-increasing.
+
+    A stack of sequences (shape (..., L)) is rearranged row by row along
+    its last axis.
+    """
     v = np.asarray(w, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("rear requires a non-empty 1-D sequence")
-    return np.sort(v)[::-1].copy()
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("rear requires a non-empty sequence")
+    return np.sort(v, axis=-1)[..., ::-1].copy()
 
 
 def pool_segments(values) -> tuple[list[float], list[int]]:
@@ -60,13 +64,11 @@ def gren(w) -> np.ndarray:
     v = np.asarray(w, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("gren requires a non-empty 1-D sequence")
-    totals, lengths = pool_segments(v)
-    out = np.empty_like(v)
+    totals, lengths = pool_segments(v.tolist())
+    out = v.copy()  # untouched segments keep the exact input value
     pos = 0
     for t, c in zip(totals, lengths):
-        if c == 1:
-            out[pos] = v[pos]  # untouched segment: keep the exact input value
-        else:
+        if c > 1:
             out[pos : pos + c] = t / c
         pos += c
     return out
@@ -149,11 +151,13 @@ def mixing_estimate(p) -> MixingWeights:
 
     weights[x] = -(x+1) * (p[x+1] - p[x]) with p[K+1] = 0.  The weights
     telescope to sum(p) = 1; they are non-negative exactly when p is
-    non-increasing, so the raw empirical plug-in may go negative.
+    non-increasing, so the raw empirical plug-in may go negative.  A stack
+    of sequences (shape (..., K+1)) gives a stack of weights, row by row.
     """
     probs = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ValueError("expected a non-empty 1-D sequence")
-    shifted = np.concatenate((probs[1:], [0.0]))
-    weights = -(np.arange(probs.size) + 1.0) * (shifted - probs)
+    if probs.ndim == 0 or probs.shape[-1] == 0:
+        raise ValueError("expected a non-empty sequence")
+    shifted = np.zeros_like(probs)
+    shifted[..., :-1] = probs[..., 1:]
+    weights = -(np.arange(probs.shape[-1]) + 1.0) * (shifted - probs)
     return MixingWeights(weights)

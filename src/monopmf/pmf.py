@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import make_generator
+from .rng import keyed_generators
 
 #: Absolute tolerance for "sums to one" checks on probability vectors.
 SUM_TOL = 1e-12
@@ -95,17 +95,22 @@ class MixingWeights:
     """Weights of the uniform-mixture representation of a pmf.
 
     Entries sum to one by telescoping; they may be negative when derived
-    from a non-monotone (raw empirical) pmf.
+    from a non-monotone (raw empirical) pmf.  A stack of pmfs gives a
+    stack of weight vectors along the last axis, each summing to one.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = _as_readonly(self.weights)
+        weights = np.array(self.weights, dtype=float)
+        if weights.ndim == 0 or weights.shape[-1] == 0:
+            raise ValueError("expected a non-empty sequence")
+        weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        total = float(weights.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"mixing weights must sum to 1, got {total!r}")
+        totals = np.ravel(weights.sum(axis=-1))
+        bad = np.flatnonzero(np.abs(totals - 1.0) > SUM_TOL)
+        if bad.size:
+            raise ValueError(f"mixing weights must sum to 1, got {float(totals[bad[0]])!r}")
 
 
 def uniform_pmf(y: int) -> Pmf:
@@ -162,19 +167,35 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
     return Pmf(probs, monotone=True)
 
 
+def sample_counts(p: Pmf, n: int, seeds) -> np.ndarray:
+    """Count matrix of one sample of size n per seed.
+
+    Row i tabulates n draws from p on a generator keyed by seeds[i]
+    (inverse-CDF sampling, the stream of make_generator(seeds[i])), over
+    all K+1 support points, so rows may end in zeros.  The work arrays
+    hold len(seeds) * n values.
+    """
+    if n < 1:
+        raise ValueError("sample size n must be positive")
+    seeds = list(seeds)
+    size = p.support_size
+    u = np.empty((len(seeds), int(n)))
+    for row, rng in zip(u, keyed_generators(seeds)):
+        rng.random(out=row)
+    cum = np.cumsum(p.probs)
+    cum[-1] = 1.0  # guard against float shortfall; uniforms are < 1
+    idx = np.searchsorted(cum, u, side="right")
+    idx += np.arange(len(seeds))[:, None] * size
+    return np.bincount(idx.ravel(), minlength=len(seeds) * size).reshape(len(seeds), size)
+
+
 def sample(p: Pmf, n: int, seed: int) -> Counts:
     """Draw n i.i.d. observations from p and tabulate them.
 
     Inverse-CDF sampling on a counter-based generator: identical
     (p, n, seed) triples produce identical counts on every platform.
     """
-    if n < 1:
-        raise ValueError("sample size n must be positive")
-    rng = make_generator(seed)
-    cum = np.cumsum(p.probs)
-    cum[-1] = 1.0  # guard against float shortfall; uniforms are < 1
-    idx = np.searchsorted(cum, rng.random(int(n)), side="right")
-    counts = np.bincount(idx, minlength=p.support_size)
+    counts = sample_counts(p, n, (seed,))[0]
     k_obs = int(np.nonzero(counts)[0][-1])
     return Counts(counts[: k_obs + 1], n=int(n))
 

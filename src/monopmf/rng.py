@@ -13,11 +13,38 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def make_generator(seed: int) -> np.random.Generator:
-    """Philox generator keyed by a 64-bit unsigned seed."""
+def _check_seed(seed: int) -> int:
     if not 0 <= int(seed) <= _MASK64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return int(seed)
+
+
+def make_generator(seed: int) -> np.random.Generator:
+    """Philox generator keyed by a 64-bit unsigned seed."""
+    return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+
+
+def keyed_generators(seeds):
+    """Yield, for each seed in turn, a generator whose stream equals
+    make_generator(seed)'s.
+
+    One Philox is re-keyed in place through its state setter (key
+    [seed, 0], counter 0, empty buffer), which is several times cheaper
+    than building a new generator per seed.  Each yielded generator is
+    the same object, valid until the next one is requested.
+    """
+    bit_gen = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_gen)
+    for seed in seeds:
+        bit_gen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([_check_seed(seed), 0], np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def mix_seed(seed: int, index: int) -> int:

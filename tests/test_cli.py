@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -134,6 +136,14 @@ class TestSimulate:
         meta = json.loads((tmp_path / "c_meta.json").read_text())
         assert meta["estimators"] == ["empirical", "grenander"]
 
+    def test_mixing_empirical_hellinger_exits_1_before_any_replicate(self, tmp_path, capsys):
+        code = main(["simulate", "--truth", "uniform:5", "--n", "20", "--reps", "50",
+                     "--target", "mixing", "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Hellinger" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_truth_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--truth", "zipf:2", "--out", str(tmp_path / "x")])
@@ -224,3 +234,18 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert "empirical" in proc.stdout
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_outputs_honour_umask(self, umask, counts_file, tmp_path):
+        old = os.umask(umask)
+        try:
+            assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "5",
+                         "--out", str(tmp_path / "run")]) == 0
+            assert main(["estimate", "--counts", str(counts_file), "--estimator", "gren",
+                         "--out", str(tmp_path / "fit.pmf")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("run_raw.csv", "run_summary.csv", "run_meta.json", "fit.pmf"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name

@@ -194,6 +194,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(truth=TruthSpec("uniform", y=3), n=5, reps=5, seed=1, target="cdf")
 
+    def test_mixing_empirical_hellinger_rejected_up_front(self):
+        # empirical mixing weights can be negative, where Hellinger is undefined
+        with pytest.raises(ValueError, match="Hellinger"):
+            ExperimentConfig(truth=TruthSpec("uniform", y=5), n=20, reps=50, seed=1, target="mixing")
+        for estimators, metrics in (((REAR, GREN), (HELL,)), ((EMP,), (L1, L2))):
+            ExperimentConfig(
+                truth=TruthSpec("uniform", y=5), n=20, reps=50, seed=1,
+                estimators=estimators, metrics=metrics, target="mixing",
+            )
+
 
 class TestEstimateRisk:
     def test_empirical_l2_risk_identity(self):

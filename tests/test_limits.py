@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
@@ -172,6 +174,21 @@ class TestTouchCount:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             touch_count([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=12),
+        st.sampled_from([1e-9, 1e-3, 0.5, 3.0, 1e6, 1e12]),
+    )
+    def test_scale_invariant(self, z, scale):
+        # contact is structural (segment ends), not an absolute tolerance
+        z = np.array(z)
+        assert touch_count(scale * z) == touch_count(z)
+
+    def test_scaled_draws_agree_with_hull_segments(self):
+        rng = np.random.Generator(np.random.Philox(key=99))
+        for row in rng.standard_normal((2000, 6)):
+            assert touch_count(1e6 * row) == touch_count(row)
 
     def test_harmonic_mean_small_k(self):
         reps = 4 * 10**4

@@ -1,0 +1,265 @@
+"""The chunked replicate pipeline writes the same bytes as one replicate at a time.
+
+Each driver (run_experiment, estimate_risk, fluctuation_cdf) is compared
+bit for bit with a reference loop written here from the one-sample
+functions: sample, empirical_pmf, rear, gren, mixing_estimate, distance.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monopmf import (
+    Counts,
+    EstimatorKind,
+    ExperimentConfig,
+    MetricKind,
+    Pmf,
+    TruthSpec,
+    distance,
+    empirical_pmf,
+    estimate_risk,
+    fluctuation_cdf,
+    gren,
+    mix_seed,
+    mixing_estimate,
+    rear,
+    run_experiment,
+    sample,
+    uniform_pmf,
+)
+from monopmf import experiments
+from monopmf.cli import main
+from monopmf.pmf import sample_counts
+from monopmf.rng import keyed_generators, make_generator
+
+EMP = EstimatorKind.EMPIRICAL
+REAR = EstimatorKind.REARRANGEMENT
+GREN = EstimatorKind.GRENANDER
+ALL_METRICS = tuple(MetricKind.parse(m) for m in ("hellinger", "l1", "l2", "linf", "l3"))
+L_METRICS = ALL_METRICS[1:]
+
+TRUTHS = ("uniform:5", "geometric:0.75", "mixture:0.2:3,0.8:7", "uniform:40")
+
+
+def reference_vectors(counts: Counts) -> dict:
+    emp = empirical_pmf(counts).probs
+    return {EMP: emp, REAR: rear(emp), GREN: gren(emp)}
+
+
+def reference_raw(cfg: ExperimentConfig) -> np.ndarray:
+    truth = cfg.truth.to_pmf()
+    ref = mixing_estimate(truth).weights if cfg.target == "mixing" else truth.probs
+    raw = np.empty((cfg.reps, len(cfg.estimators), len(cfg.metrics)))
+    for i in range(cfg.reps):
+        if i == 0 and cfg.counts_override is not None:
+            counts = cfg.counts_override
+        else:
+            counts = sample(truth, cfg.n, mix_seed(cfg.seed, i))
+        vectors = reference_vectors(counts)
+        for e, kind in enumerate(cfg.estimators):
+            vec = vectors[kind]
+            if cfg.target == "mixing":
+                vec = mixing_estimate(vec).weights
+            for m, metric in enumerate(cfg.metrics):
+                raw[i, e, m] = distance(vec, ref, metric)
+    return raw
+
+
+class TestCountRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        probs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=30),
+        n=st.one_of(st.integers(1, 40), st.integers(4090, 4200)),
+        seed=st.integers(0, 2**64 - 1),
+        rows=st.integers(1, 4),
+    )
+    def test_rows_equal_padded_samples(self, probs, n, seed, rows):
+        probs = np.array(probs) / sum(probs)
+        probs[-1] = 1.0 - probs[:-1].sum()
+        if probs[-1] <= 0:
+            return
+        truth = Pmf(probs)
+        matrix = sample_counts(truth, n, [mix_seed(seed, i) for i in range(rows)])
+        assert matrix.shape == (rows, truth.support_size)
+        for i in range(rows):
+            counts = sample(truth, n, mix_seed(seed, i)).counts
+            padded = np.zeros(truth.support_size, dtype=counts.dtype)
+            padded[: counts.size] = counts
+            assert matrix[i].tobytes() == padded.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+    def test_keyed_generators_match_make_generator(self, seeds):
+        streams = [rng.random(9).tobytes() for rng in keyed_generators(seeds)]
+        assert streams == [make_generator(s).random(9).tobytes() for s in seeds]
+
+    def test_bad_seed_rejected(self):
+        with pytest.raises(ValueError):
+            sample(uniform_pmf(3), 10, seed=-1)
+        with pytest.raises(ValueError):
+            sample(uniform_pmf(3), 10, seed=2**64)
+
+
+class TestRunExperimentBytes:
+    @pytest.mark.parametrize("truth", TRUTHS)
+    @pytest.mark.parametrize("n", [3, 100, 5000])
+    def test_pmf_target(self, truth, n):
+        cfg = ExperimentConfig(TruthSpec.parse(truth), n=n, reps=97, seed=5, metrics=ALL_METRICS)
+        assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
+
+    @pytest.mark.parametrize("truth", TRUTHS)
+    @pytest.mark.parametrize("n", [3, 60])
+    def test_mixing_target(self, truth, n):
+        spec = TruthSpec.parse(truth)
+        for estimators, metrics in (((REAR, GREN), ALL_METRICS), ((EMP, REAR, GREN), L_METRICS)):
+            cfg = ExperimentConfig(spec, n=n, reps=90, seed=8, estimators=estimators, metrics=metrics, target="mixing")
+            assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 250])
+    def test_chunk_boundaries(self, chunk, monkeypatch):
+        monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", chunk)
+        cfg = ExperimentConfig(TruthSpec.parse("mixture:0.2:3,0.8:7"), n=20, reps=45, seed=2, metrics=ALL_METRICS)
+        assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
+
+    def test_estimator_order_and_repeats(self):
+        cfg = ExperimentConfig(
+            TruthSpec.parse("uniform:6"), n=30, reps=50, seed=3, estimators=(GREN, EMP, GREN, REAR), metrics=ALL_METRICS
+        )
+        assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
+
+    @pytest.mark.parametrize("target", ["pmf", "mixing"])
+    def test_counts_override(self, target):
+        # the override reaches past the truth's support, which the distances pad
+        override = Counts(np.array([20, 14, 11, 22, 15, 18, 0, 3]), n=103)
+        metrics = L_METRICS if target == "mixing" else ALL_METRICS
+        cfg = ExperimentConfig(
+            TruthSpec.parse("uniform:5"), n=100, reps=60, seed=4, metrics=metrics, target=target,
+            counts_override=override,
+        )
+        assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
+
+    def test_inequality_violation_names_first_replicate(self, monkeypatch):
+        # a broken rearrangement that inflates a large first frequency must be
+        # caught at the same replicate, metric and values as a
+        # one-replicate-at-a-time check
+        def broken(emp):
+            out = emp.copy()
+            out[..., 0] = np.where(emp[..., 0] > 0.65, 1.2 * emp[..., 0], emp[..., 0])
+            return out
+
+        monkeypatch.setattr(experiments, "rear", broken)
+        cfg = ExperimentConfig(TruthSpec.parse("geometric:0.5"), n=50, reps=200, seed=3, metrics=ALL_METRICS)
+        truth = cfg.truth.to_pmf()
+        expected = None
+        for i in range(cfg.reps):
+            emp = empirical_pmf(sample(truth, cfg.n, mix_seed(cfg.seed, i))).probs
+            for metric in cfg.metrics:
+                d_emp = distance(emp, truth.probs, metric)
+                d_bad = distance(broken(emp), truth.probs, metric)
+                if d_bad > d_emp + 1e-9:
+                    expected = (
+                        f"monotone-estimator inequality violated at replicate {i}: "
+                        f"rearrangement {metric.label} distance {d_bad!r} exceeds empirical {d_emp!r}"
+                    )
+                    break
+            if expected:
+                break
+        assert expected is not None and "replicate 0:" not in expected
+        with pytest.raises(RuntimeError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == expected
+
+
+class TestBatchedDistance:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        width=st.integers(1, 40),
+        k=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 7.0, math.inf]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_rows_match_one_dimensional(self, rows, width, k, seed):
+        # l3 and friends take the root per element: numpy's vectorised pow
+        # differs from the scalar one in the last bit on some inputs
+        rng = np.random.default_rng(seed)
+        a = rng.random((rows, 3, width))
+        b = rng.random(width + 2)
+        for metric in (MetricKind.hellinger(), MetricKind.ell(k)):
+            batched = distance(a, b, metric)
+            assert batched.shape == (rows, 3)
+            for i in range(rows):
+                for j in range(3):
+                    assert batched[i, j].tobytes() == np.float64(distance(a[i, j], b, metric)).tobytes()
+
+    def test_hellinger_rejects_negative_rows(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            distance(np.array([[0.5, 0.5], [1.2, -0.2]]), [0.5, 0.5], MetricKind.hellinger())
+
+
+class TestOtherDrivers:
+    @pytest.mark.parametrize("k", [2, math.inf])
+    @pytest.mark.parametrize("est", list(EstimatorKind))
+    @pytest.mark.parametrize("truth,n", [("mixture:0.2:3,0.8:7", 100), ("uniform:30", 10), ("geometric:0.9", 6000)])
+    def test_estimate_risk(self, k, est, truth, n):
+        truth = TruthSpec.parse(truth).to_pmf()
+        reps, seed = 70, 12
+        losses = np.empty(reps)
+        for i in range(reps):
+            vec = reference_vectors(sample(truth, n, mix_seed(seed, i)))[est]
+            vec = np.concatenate((vec, np.zeros(truth.support_size - vec.size)))
+            diff = np.abs(vec - truth.probs)
+            losses[i] = diff.max() if math.isinf(k) else float(np.sum(diff ** float(k)))
+        r = estimate_risk(truth, n, k, est, reps, seed)
+        assert (r.value, r.se) == (float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(reps)))
+
+    @pytest.mark.parametrize("est", list(EstimatorKind))
+    @pytest.mark.parametrize("x,n", [(0, 100), (7, 9), (3, 5000)])
+    def test_fluctuation_cdf(self, est, x, n):
+        truth = uniform_pmf(7)
+        reps, seed = 80, 21
+        vals = np.empty(reps)
+        for i in range(reps):
+            vec = reference_vectors(sample(truth, n, mix_seed(seed, i)))[est]
+            est_x = float(vec[x]) if x < vec.size else 0.0
+            vals[i] = math.sqrt(n) * (est_x - float(truth.probs[x]))
+        vals.sort()
+        table = fluctuation_cdf(truth, x, n, reps, seed, est)
+        assert table.values.tobytes() == vals.tobytes()
+
+
+# sha256 of each output file of two small `simulate` runs, recorded with
+# the one-replicate-at-a-time implementation that preceded the pipeline
+GOLDEN = {
+    "pmf": (
+        ["--truth", "mixture:0.2:3,0.8:7", "--n", "100", "--reps", "300", "--seed", "7",
+         "--metrics", "hellinger,l1,l2,linf,l3"],
+        {
+            "_raw.csv": "3f872cfb360813f33ac12fa5af4713fc35b1c66543aa842f554f3747fa13ce96",
+            "_summary.csv": "3ba609c4bba2b37567fa25629c81c3652497b901cd15e1260282dfb6a5aff5c9",
+            "_meta.json": "0f5bffcadd91ddae86d26b57d9149ff0ea327f148e7ca85cd4d9c8e7248424e4",
+        },
+    ),
+    "mixing": (
+        ["--truth", "geometric:0.75", "--n", "30", "--reps", "200", "--seed", "3",
+         "--target", "mixing", "--estimators", "rear,gren"],
+        {
+            "_raw.csv": "bca356002940bb4ffc5512c13ed61b90a35d1b54547bc4848669ee2e3c91ae41",
+            "_summary.csv": "9596497977c6c18db5cc3c9242d231d2a5f44bff610ba5a3f6605daf3d453ea7",
+            "_meta.json": "9bbcdeed9149535a56be50982133612929c87ccf2e34c1701124b984223d3a21",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_simulate_golden_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the meta file records no paths, only the config
+    args, digests = GOLDEN[name]
+    assert main(["simulate", *args, "--out", name]) == 0
+    for suffix, digest in digests.items():
+        assert hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest() == digest, suffix
