@@ -3,18 +3,19 @@
 
 For each study truth and sample size, draws `reps` samples, computes the
 empirical, rearranged, and Grenander estimates, and records Hellinger, l1,
-and l2 distances from the truth.  Writes one raw CSV and one summary CSV
-per (truth, n) pair; the raw files carry the data behind box plots.
+and l2 distances from the truth.  Writes the files of `monopmf simulate`
+(a raw CSV, a summary CSV and a JSON config record) per (truth, n) pair;
+the raw files carry the data behind box plots.
 
 Usage:
   python3 scripts/estimator_comparison.py --outdir results --reps 1000
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 from monopmf import ExperimentConfig, TruthSpec, run_experiment
+from monopmf.cli import write_experiment
 
 STUDY_TRUTHS = [
     TruthSpec.parse("uniform:5"),
@@ -44,24 +45,8 @@ def main() -> int:
             cfg = ExperimentConfig(truth=spec, n=n, reps=args.reps, seed=args.seed)
             summary = run_experiment(cfg)
             base = args.outdir / f"compare_{slug(spec.label)}_n{n}"
-            with open(f"{base}_raw.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["replicate", "estimator", "metric", "value"])
-                for i in range(cfg.reps):
-                    for e, est in enumerate(cfg.estimators):
-                        for m, metric in enumerate(cfg.metrics):
-                            w.writerow([i, est.value, metric.label, f"{summary.raw[i, e, m]:.17g}"])
-            with open(f"{base}_summary.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["estimator", "metric", "mean", "std", "min", "q1", "median", "q3", "max"])
-                for est in cfg.estimators:
-                    for metric in cfg.metrics:
-                        s = summary.stat(est, metric)
-                        w.writerow(
-                            [est.value, metric.label]
-                            + [f"{v:.17g}" for v in (s.mean, s.std, s.min, s.q1, s.median, s.q3, s.max)]
-                        )
-            print(f"{spec.label} n={n}: wrote {base}_raw.csv / _summary.csv")
+            write_experiment(str(base), summary)
+            print(f"{spec.label} n={n}: wrote {base}_raw.csv / _summary.csv / _meta.json")
             for metric in cfg.metrics:
                 row = ", ".join(
                     f"{est.value} {summary.stat(est, metric).mean:.4f}" for est in cfg.estimators

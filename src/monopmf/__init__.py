@@ -29,7 +29,6 @@ from .limits import (
     flat_block_gren_reference,
     gren_zero_probability,
     harmonic,
-    sparre_andersen_expectation,
     touch_count,
 )
 from .metrics import MetricKind, distance
@@ -98,7 +97,6 @@ __all__ = [
     "rear",
     "run_experiment",
     "sample",
-    "sparre_andersen_expectation",
     "touch_count",
     "uniform_pmf",
 ]

@@ -9,13 +9,13 @@ written atomically (temp file + rename) and machine-readable numbers carry
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from . import __version__
 from .experiments import (
@@ -23,20 +23,25 @@ from .experiments import (
     DEFAULT_METRICS,
     EstimatorKind,
     ExperimentConfig,
+    ExperimentSummary,
     TruthSpec,
+    estimate,
     estimate_risk,
     run_experiment,
 )
 from .limits import asymptotics, draw_limit_batch
 from .metrics import MetricKind, distance
-from .operators import constancy_blocks, gren, mixing_estimate, rear
+from .operators import constancy_blocks, mixing_estimate
 from .pmf import Pmf, empirical_pmf, parse_counts, parse_pmf
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
 
-#: Rows per piece of a streamed replicate CSV.
+#: Lines per piece of a streamed CSV file.
 _CSV_CHUNK_ROWS = 4096
+
+#: Estimator names of the estimate and mixing commands, in output order.
+_ESTIMATOR_NAMES = ("empirical", "rear", "gren")
 
 
 class DataError(Exception):
@@ -115,13 +120,6 @@ def _load_pmf(path: str, monotone: bool = False) -> Pmf:
         raise DataError(f"invalid pmf file {path!r}: {exc}") from None
 
 
-_ESTIMATE_FNS = {
-    "empirical": lambda emp: emp,
-    "rear": rear,
-    "gren": gren,
-}
-
-
 def _format_sequence(values) -> str:
     return "".join(f"{x}\t{_MACHINE_FMT % v}\n" for x, v in enumerate(values))
 
@@ -140,18 +138,27 @@ def _suffixed(path: str, name: str) -> str:
     return f"{stem}.{name}{ext}"
 
 
-def _cmd_estimate(args) -> int:
-    counts = _load_counts(args.counts)
-    emp = empirical_pmf(counts).probs
-    names = list(_ESTIMATE_FNS) if args.estimator == "all" else [args.estimator]
-    estimates = {name: _ESTIMATE_FNS[name](emp) for name in names}
-    for name, values in estimates.items():
-        text = _format_sequence(_trim_trailing_zeros(values))
-        if args.out is None:
+def _estimates(args) -> dict:
+    """The estimates of args.estimator ("all" for each) from args.counts."""
+    emp = empirical_pmf(_load_counts(args.counts)).probs
+    names = _ESTIMATOR_NAMES if args.estimator == "all" else (args.estimator,)
+    return {name: estimate(EstimatorKind.parse(name), emp) for name in names}
+
+
+def _emit_sequences(sequences: dict, out) -> None:
+    """Write each named sequence to stdout under a '# name' line, or to
+    `out` (with the name inserted when there are several)."""
+    for name, values in sequences.items():
+        text = _format_sequence(values)
+        if out is None:
             sys.stdout.write(f"# {name}\n{text}")
         else:
-            target = _suffixed(args.out, name) if len(names) > 1 else args.out
-            _atomic_write(target, text)
+            _atomic_write(_suffixed(out, name) if len(sequences) > 1 else out, text)
+
+
+def _cmd_estimate(args) -> int:
+    estimates = _estimates(args)
+    _emit_sequences({name: _trim_trailing_zeros(v) for name, v in estimates.items()}, args.out)
     if args.truth is not None:
         truth = _load_pmf(args.truth)
         metrics = [MetricKind.hellinger(), MetricKind.ell(1), MetricKind.ell(2), MetricKind.ell(math.inf)]
@@ -193,37 +200,41 @@ def _config_from_args(args) -> ExperimentConfig:
     )
 
 
-def _raw_csv_chunks(cfg: ExperimentConfig, raw):
-    """The replicate CSV in pieces of about _CSV_CHUNK_ROWS rows.  The bytes
-    equal csv.writer's: no field needs quoting and rows end in CR LF."""
-    yield "replicate,estimator,metric,value\r\n"
+def _csv_pieces(header: str, lines_per_record: int, records: int, piece):
+    """A CSV file in pieces of about _CSV_CHUNK_ROWS lines: `header`, then
+    piece(start, stop) for consecutive ranges of records.  Every CSV the
+    CLI writes ends its lines in CR LF and has no field that needs quoting,
+    so its bytes equal csv.writer's."""
+    yield header
+    step = max(1, _CSV_CHUNK_ROWS // lines_per_record)
+    for start in range(0, records, step):
+        yield piece(start, min(start + step, records))
+
+
+def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
+    """Write `prefix`_raw.csv (one line per replicate, estimator and metric),
+    `prefix`_summary.csv (the statistics) and `prefix`_meta.json (the config)."""
+    cfg = summary.config
     labels = [f"{est.value},{metric.label}," for est in cfg.estimators for metric in cfg.metrics]
-    step = max(1, _CSV_CHUNK_ROWS // len(labels))
-    for start in range(0, cfg.reps, step):
-        block = raw[start : start + step].reshape(-1, len(labels)).tolist()
-        yield "".join(
+    raw = summary.raw.reshape(cfg.reps, len(labels))
+
+    def raw_lines(start, stop):
+        return "".join(
             f"{i},{label}{v:.17g}\r\n"
-            for i, values in enumerate(block, start)
+            for i, values in enumerate(raw[start:stop].tolist(), start)
             for label, v in zip(labels, values)
         )
 
+    header = "replicate,estimator,metric,value\r\n"
+    _atomic_write_chunks(f"{prefix}_raw.csv", _csv_pieces(header, len(labels), cfg.reps, raw_lines))
 
-def _cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
-    summary = run_experiment(cfg)
-    _atomic_write_chunks(f"{args.out}_raw.csv", _raw_csv_chunks(cfg, summary.raw))
-
-    sum_buf = io.StringIO()
-    writer = csv.writer(sum_buf)
-    writer.writerow(["estimator", "metric", "mean", "std", "min", "q1", "median", "q3", "max"])
+    text = "estimator,metric,mean,std,min,q1,median,q3,max\r\n"
     for est in cfg.estimators:
         for metric in cfg.metrics:
             s = summary.stat(est, metric)
-            writer.writerow(
-                [est.value, metric.label]
-                + [_MACHINE_FMT % v for v in (s.mean, s.std, s.min, s.q1, s.median, s.q3, s.max)]
-            )
-    _atomic_write(f"{args.out}_summary.csv", sum_buf.getvalue())
+            values = ",".join(_MACHINE_FMT % v for v in (s.mean, s.std, s.min, s.q1, s.median, s.q3, s.max))
+            text += f"{est.value},{metric.label},{values}\r\n"
+    _atomic_write(f"{prefix}_summary.csv", text)
 
     meta = {
         "version": __version__,
@@ -236,7 +247,11 @@ def _cmd_simulate(args) -> int:
         "target": cfg.target,
         "quantile_method": "median_unbiased",
     }
-    _atomic_write(f"{args.out}_meta.json", json.dumps(meta, indent=2) + "\n")
+    _atomic_write(f"{prefix}_meta.json", json.dumps(meta, indent=2) + "\n")
+
+
+def _cmd_simulate(args) -> int:
+    write_experiment(args.out, run_experiment(_config_from_args(args)))
     return 0
 
 
@@ -260,39 +275,24 @@ def _cmd_risk(args) -> int:
 def _cmd_limits(args) -> int:
     truth = args.truth.to_pmf()
     y, y_rear, y_gren = draw_limit_batch(truth, args.reps, args.seed)
-    raw_buf = io.StringIO()
-    writer = csv.writer(raw_buf)
-    writer.writerow(["draw", "x", "y", "y_rear", "y_gren"])
-    for i in range(args.reps):
-        for x in range(truth.support_size):
-            writer.writerow(
-                [i, x] + [_MACHINE_FMT % v for v in (y[i, x], y_rear[i, x], y_gren[i, x])]
-            )
-    _atomic_write(f"{args.out}_draws.csv", raw_buf.getvalue())
 
-    agg_buf = io.StringIO()
-    writer = csv.writer(agg_buf)
-    writer.writerow(
-        ["x", "mean_y", "mean_y_rear", "mean_y_gren", "mean_sq_y", "mean_sq_y_rear", "mean_sq_y_gren", "var_limit"]
-    )
-    for x in range(truth.support_size):
-        px = truth.probs[x]
-        writer.writerow(
-            [x]
-            + [
-                _MACHINE_FMT % v
-                for v in (
-                    y[:, x].mean(),
-                    y_rear[:, x].mean(),
-                    y_gren[:, x].mean(),
-                    (y[:, x] ** 2).mean(),
-                    (y_rear[:, x] ** 2).mean(),
-                    (y_gren[:, x] ** 2).mean(),
-                    px * (1.0 - px),
-                )
-            ]
+    def draw_lines(start, stop):
+        rows = np.stack((y[start:stop], y_rear[start:stop], y_gren[start:stop]), axis=-1).tolist()
+        return "".join(
+            f"{i},{x},{a:.17g},{b:.17g},{c:.17g}\r\n"
+            for i, row in enumerate(rows, start)
+            for x, (a, b, c) in enumerate(row)
         )
-    _atomic_write(f"{args.out}_aggregate.csv", agg_buf.getvalue())
+
+    header = "draw,x,y,y_rear,y_gren\r\n"
+    _atomic_write_chunks(f"{args.out}_draws.csv", _csv_pieces(header, truth.support_size, args.reps, draw_lines))
+
+    text = "x,mean_y,mean_y_rear,mean_y_gren,mean_sq_y,mean_sq_y_rear,mean_sq_y_gren,var_limit\r\n"
+    for x, px in enumerate(truth.probs):
+        columns = (y[:, x], y_rear[:, x], y_gren[:, x])
+        values = [c.mean() for c in columns] + [(c**2).mean() for c in columns] + [px * (1.0 - px)]
+        text += f"{x}," + ",".join(_MACHINE_FMT % v for v in values) + "\r\n"
+    _atomic_write(f"{args.out}_aggregate.csv", text)
     return 0
 
 
@@ -312,21 +312,10 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_mixing(args) -> int:
     if args.pmf is not None:
-        probs = _load_pmf(args.pmf).probs
-        sources = {"pmf": probs}
+        sources = {"pmf": _load_pmf(args.pmf).probs}
     else:
-        counts = _load_counts(args.counts)
-        emp = empirical_pmf(counts).probs
-        names = list(_ESTIMATE_FNS) if args.estimator == "all" else [args.estimator]
-        sources = {name: _ESTIMATE_FNS[name](emp) for name in names}
-    for name, values in sources.items():
-        weights = mixing_estimate(values).weights
-        text = _format_sequence(weights)
-        if args.out is None:
-            sys.stdout.write(f"# {name}\n{text}")
-        else:
-            target = _suffixed(args.out, name) if len(sources) > 1 else args.out
-            _atomic_write(target, text)
+        sources = _estimates(args)
+    _emit_sequences({name: mixing_estimate(v).weights for name, v in sources.items()}, args.out)
     return 0
 
 
@@ -337,7 +326,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate a pmf from a counts file")
     p.add_argument("--counts", required=True, help="counts file, lines 'x<TAB>count'")
-    p.add_argument("--estimator", default="all", choices=["empirical", "rear", "gren", "all"])
+    p.add_argument("--estimator", default="all", choices=[*_ESTIMATOR_NAMES, "all"])
     p.add_argument("--out", help="output pmf file (estimator name inserted when several)")
     p.add_argument("--truth", help="pmf file; prints a distance table when given")
     p.set_defaults(fn=_cmd_estimate)
@@ -378,7 +367,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--counts", help="counts file, estimator applied first")
     group.add_argument("--pmf", help="pmf file, weights computed directly")
-    p.add_argument("--estimator", default="all", choices=["empirical", "rear", "gren", "all"])
+    p.add_argument("--estimator", default="all", choices=[*_ESTIMATOR_NAMES, "all"])
     p.add_argument("--out", help="output weights file")
     p.set_defaults(fn=_cmd_mixing)
     return parser

@@ -8,10 +8,11 @@ depend on execution order and identical configs produce identical output.
 
 Every Monte Carlo driver here runs on one chunked replicate pipeline
 (`_replicate_chunks`): a chunk of replicates is sampled into a count
-matrix, and the estimators and distances are computed on its rows at
-once.  A chunk's work arrays hold about `_CHUNK_ELEMENTS` values, so
-memory stays bounded in the replicate count, and each row has the same
-bits as the replicate computed on its own.
+matrix, and the estimators (`estimate`, the one map from an estimator
+kind to its operator) and distances (`replicate_distances`) are computed
+on its rows at once.  A chunk's work arrays hold about `_CHUNK_ELEMENTS`
+values, so memory stays bounded in the replicate count, and each row has
+the same bits as the replicate computed on its own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .metrics import MetricKind, distance
 from .operators import gren, mixing_estimate, rear
-from .pmf import Counts, Pmf, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
+from .pmf import Pmf, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
 from .rng import mix_seed
 
 #: Slack for the replicate-wise monotone-estimator inequality check; the
@@ -151,7 +152,6 @@ class ExperimentConfig:
     estimators: tuple[EstimatorKind, ...] = DEFAULT_ESTIMATORS
     metrics: tuple[MetricKind, ...] = DEFAULT_METRICS
     target: str = "pmf"  # "pmf" or "mixing"
-    counts_override: Counts | None = None  # test hook: fixed counts for replicate 0
 
     def __post_init__(self):
         if self.n < 1 or self.reps < 1:
@@ -216,41 +216,44 @@ def _summarize(cfg: ExperimentConfig, raw: np.ndarray) -> ExperimentSummary:
     return ExperimentSummary(config=cfg, raw=raw, stats=stats)
 
 
-def _gren_rows(emp: np.ndarray) -> np.ndarray:
-    """Grenander estimate of each row; non-increasing rows pass unchanged."""
-    out = emp.copy()
-    for i in np.flatnonzero(np.any(np.diff(emp, axis=1) > 0, axis=1)):
-        out[i] = gren(emp[i])
-    return out
-
-
-def _estimator_rows(kind: EstimatorKind, emp: np.ndarray) -> np.ndarray:
+def estimate(kind: EstimatorKind, emp):
+    """Estimator `kind` of the empirical pmf `emp`, row by row on a stack."""
     if kind is EstimatorKind.EMPIRICAL:
         return emp
     if kind is EstimatorKind.REARRANGEMENT:
         return rear(emp)
-    return _gren_rows(emp)
+    return gren(emp)
 
 
-def _replicate_chunks(truth: Pmf, n: int, reps: int, seed: int, kinds, first: Counts | None = None):
-    """Yield (start, estimates) for consecutive chunks of replicates.
+def _replicate_chunks(truth: Pmf, n: int, reps: int, seed: int):
+    """Yield (start, emp) for consecutive chunks of replicates.
 
-    `estimates[kind]` is a (rows, width) array whose row j is that
-    estimator for replicate start + j, computed from the sample keyed by
-    mix_seed(seed, start + j) and zero-padded to the truth's K+1 points.
-    `first`, when given, replaces the sample of replicate 0 and forms a
-    chunk of its own, as wide as its counts.
+    Row j of the (rows, K+1) array `emp` is the empirical pmf of the
+    sample keyed by mix_seed(seed, start + j), zero-padded to the truth's
+    K+1 points.
     """
-    lo = 0
-    if first is not None:
-        emp = first.counts[None, :] / float(first.n)
-        yield 0, {kind: _estimator_rows(kind, emp) for kind in kinds}
-        lo = 1
     rows = max(1, _CHUNK_ELEMENTS // max(n, truth.support_size))
-    for start in range(lo, reps, rows):
+    for start in range(0, reps, rows):
         seeds = [mix_seed(seed, i) for i in range(start, min(start + rows, reps))]
-        emp = sample_counts(truth, n, seeds) / float(n)
-        yield start, {kind: _estimator_rows(kind, emp) for kind in kinds}
+        yield start, sample_counts(truth, n, seeds) / float(n)
+
+
+def replicate_distances(cfg: ExperimentConfig, truth: Pmf, emp: np.ndarray) -> np.ndarray:
+    """Distances from the truth of each estimator of each empirical pmf row.
+
+    `emp` has shape (rows, width); rows narrower or wider than the truth
+    are compared as if zero-padded.  Returns a (rows, estimators, metrics)
+    array in config order, for target "mixing" between mixing weights.
+    """
+    vectors = np.stack([estimate(kind, emp) for kind in cfg.estimators], axis=1)
+    reference = truth.probs
+    if cfg.target == "mixing":
+        vectors = mixing_estimate(vectors).weights
+        reference = mixing_estimate(truth).weights
+    out = np.empty(vectors.shape[:2] + (len(cfg.metrics),))
+    for m, metric in enumerate(cfg.metrics):
+        out[:, :, m] = distance(vectors, reference, metric)
+    return out
 
 
 def _check_inequality(cfg: ExperimentConfig, start: int, dists: np.ndarray) -> None:
@@ -284,20 +287,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     from the truth than the empirical one.
     """
     truth = cfg.truth.to_pmf()
-    if cfg.target == "mixing":
-        reference = mixing_estimate(truth).weights
-    else:
-        reference = truth.probs
     check = cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators
     raw = np.empty((cfg.reps, len(cfg.estimators), len(cfg.metrics)))
-    chunks = _replicate_chunks(truth, cfg.n, cfg.reps, cfg.seed, cfg.estimators, cfg.counts_override)
-    for start, estimates in chunks:
-        vectors = np.stack([estimates[kind] for kind in cfg.estimators], axis=1)
-        if cfg.target == "mixing":
-            vectors = mixing_estimate(vectors).weights
-        block = raw[start : start + vectors.shape[0]]
-        for m, metric in enumerate(cfg.metrics):
-            block[:, :, m] = distance(vectors, reference, metric)
+    for start, emp in _replicate_chunks(truth, cfg.n, cfg.reps, cfg.seed):
+        block = replicate_distances(cfg, truth, emp)
+        raw[start : start + block.shape[0]] = block
         if check:
             _check_inequality(cfg, start, block)
     return _summarize(cfg, raw)
@@ -331,8 +325,8 @@ def estimate_risk(
         raise ValueError("loss order k must satisfy k >= 1")
     ref = truth.probs
     losses = np.empty(reps)
-    for start, estimates in _replicate_chunks(truth, n, reps, seed, (est,)):
-        diff = np.abs(estimates[est] - ref)
+    for start, emp in _replicate_chunks(truth, n, reps, seed):
+        diff = np.abs(estimate(est, emp) - ref)
         loss = diff.max(axis=1) if math.isinf(k) else np.sum(diff**k, axis=1)
         losses[start : start + loss.size] = loss
     return RiskEstimate(
@@ -370,8 +364,8 @@ def fluctuation_cdf(
     root_n = math.sqrt(n)
     px = float(truth.probs[x])
     vals = np.empty(reps)
-    for start, estimates in _replicate_chunks(truth, n, reps, seed, (est,)):
-        col = estimates[est][:, x]
+    for start, emp in _replicate_chunks(truth, n, reps, seed):
+        col = estimate(est, emp)[:, x]
         vals[start : start + col.size] = root_n * (col - px)
     vals.sort()
     levels = np.arange(1, reps + 1) / float(reps)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import constancy_blocks, gren, pool_segments
+from .operators import constancy_blocks, gren, limit_transform, pool_segments
 from .pmf import Pmf
 from .rng import make_generator
 
@@ -66,22 +66,21 @@ def draw_limit_batch(p: Pmf, reps: int, seed: int):
     if reps < 1:
         raise ValueError("reps must be positive")
     probs = p.probs
-    blocks = constancy_blocks(p)
     rng = make_generator(seed)
     w = rng.standard_normal((int(reps), probs.size)) * np.sqrt(probs)
     y = w - probs * w.sum(axis=1, keepdims=True)
-    y_rear = y.copy()
-    y_gren = y.copy()
-    for r, s in blocks:
-        if s > r:
-            seg = y[:, r : s + 1]
-            y_rear[:, r : s + 1] = -np.sort(-seg, axis=1)
-            y_gren[:, r : s + 1] = [gren(row) for row in seg]
+    y_rear, y_gren = limit_transform(y, constancy_blocks(p))
     return y, y_rear, y_gren
 
 
 def harmonic(k: int) -> float:
-    """H_k = sum_{i=1}^{k} 1/i."""
+    """H_k = sum_{i=1}^{k} 1/i.
+
+    Also the expected number of contacts (`touch_count`, endpoint
+    included) between a walk of k i.i.d. continuous increments and its
+    least concave majorant (Sparre Andersen); the interior contacts alone
+    have mean H_k - 1.
+    """
     return float(sum(1.0 / i for i in range(1, int(k) + 1)))
 
 
@@ -130,17 +129,6 @@ def touch_count(z) -> int:
     return len(pool_segments(v)[1])
 
 
-def sparre_andersen_expectation(k: int) -> float:
-    """Expected touchpoint count for k i.i.d. increments: H_k.
-
-    Counts contacts over j = 1..k including the endpoint; the interior
-    contacts j = 1..k-1 alone have mean H_k - 1.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return harmonic(k)
-
-
 def gren_zero_probability(y: int, reps: int, seed: int) -> float:
     """Monte Carlo estimate of P(gren(Y) == 0) under uniform truth on {0..y}.
 
@@ -187,6 +175,6 @@ def flat_block_gren_reference(theta: float, tau: int, reps: int, seed: int) -> n
     z = rng.standard_normal(int(reps))
     w = rng.standard_normal((int(reps), tau)) / math.sqrt(tau)
     centered = w - w.mean(axis=1, keepdims=True)
-    pooled = np.array([gren(row) for row in centered])
+    pooled = gren(centered)
     slack = math.sqrt(max(1.0 - theta * tau, 0.0))
     return math.sqrt(theta / tau) * (slack * z[:, None] + tau * pooled)

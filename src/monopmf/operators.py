@@ -4,7 +4,9 @@ Both operators map an arbitrary real sequence to a non-increasing one with
 the same total sum.  `rear` sorts; `gren` returns the left slopes of the
 least concave majorant of the cumulative-sum graph anchored at (-1, 0),
 computed with a single-pass monotone stack of hull segments (the pooled
-form of the hull is exactly the pool-adjacent-violators fit).
+form of the hull is exactly the pool-adjacent-violators fit).  Both, like
+`limit_transform` and `mixing_estimate`, accept a stack of sequences
+(shape (..., L)) and work row by row along the last axis.
 """
 
 from __future__ import annotations
@@ -12,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .pmf import MixingWeights, Pmf
-
-#: Absolute tolerance used to detect equal values / hull contact.
-FLAT_TOL = 1e-12
-
 
 def rear(w) -> np.ndarray:
     """Values of w reordered to be non-increasing.
@@ -58,19 +56,21 @@ def gren(w) -> np.ndarray:
 
     The majorant is taken over the points {(j, sum_{i<=j} w_i): j=-1..K}
     with the empty sum at j=-1 equal to zero.  The output is non-increasing,
-    sums to sum(w), and its partial sums dominate those of w.  Non-increasing
-    input is returned bitwise unchanged.
+    sums to sum(w), and its partial sums dominate those of w.  A stack of
+    sequences (shape (..., L)) is fitted row by row along its last axis;
+    non-increasing rows are returned bitwise unchanged.
     """
     v = np.asarray(w, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("gren requires a non-empty 1-D sequence")
-    totals, lengths = pool_segments(v.tolist())
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("gren requires a non-empty sequence")
     out = v.copy()  # untouched segments keep the exact input value
-    pos = 0
-    for t, c in zip(totals, lengths):
-        if c > 1:
-            out[pos : pos + c] = t / c
-        pos += c
+    rows = out.reshape(-1, v.shape[-1])
+    for i in range(rows.shape[0]):
+        pos = 0
+        for t, c in zip(*pool_segments(rows[i].tolist())):
+            if c > 1:
+                rows[i, pos : pos + c] = t / c
+            pos += c
     return out
 
 
@@ -105,8 +105,9 @@ def constancy_blocks(p: Pmf) -> list[tuple[int, int]]:
     """Maximal index intervals [r, s] on which p is constant.
 
     Blocks are contiguous, ordered, and cover {0, ..., K}; across a block
-    boundary the pmf strictly decreases.  Equality is detected with
-    absolute tolerance 1e-12, which is exact for the package constructors.
+    boundary the pmf strictly decreases.  Entries are compared exactly, so
+    no block depends on the scale of the probabilities; the package
+    constructors give exactly equal entries within each flat stretch.
     """
     if not p.monotone:
         raise ValueError("constancy blocks are defined for monotone pmfs")
@@ -114,7 +115,7 @@ def constancy_blocks(p: Pmf) -> list[tuple[int, int]]:
     blocks: list[tuple[int, int]] = []
     start = 0
     for x in range(1, probs.size):
-        if abs(probs[x] - probs[x - 1]) > FLAT_TOL:
+        if probs[x] != probs[x - 1]:
             blocks.append((start, x - 1))
             start = x
     blocks.append((start, probs.size - 1))
@@ -125,24 +126,25 @@ def limit_transform(y, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Apply rear and gren within each block of a partition.
 
     Returns (y_rear, y_gren).  Singleton blocks are passed through
-    unchanged, so for a strictly decreasing truth both outputs equal y.
+    unchanged, so for a strictly decreasing truth both outputs equal y.  A
+    stack of sequences (shape (..., K+1)) is transformed row by row.
     """
     v = np.asarray(y, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-D sequence")
+    if v.ndim == 0:
+        raise ValueError("expected a sequence")
     expected_start = 0
     for r, s in blocks:
         if r != expected_start or s < r:
             raise ValueError("blocks must be contiguous, ordered, and disjoint")
         expected_start = s + 1
-    if expected_start != v.size:
+    if expected_start != v.shape[-1]:
         raise ValueError("block partition does not cover the sequence")
     y_rear = v.copy()
     y_gren = v.copy()
     for r, s in blocks:
         if s > r:
-            y_rear[r : s + 1] = rear(v[r : s + 1])
-            y_gren[r : s + 1] = gren(v[r : s + 1])
+            y_rear[..., r : s + 1] = rear(v[..., r : s + 1])
+            y_gren[..., r : s + 1] = gren(v[..., r : s + 1])
     return y_rear, y_gren
 
 

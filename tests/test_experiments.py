@@ -27,6 +27,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
+from monopmf.experiments import replicate_distances
 
 HELL = MetricKind.hellinger()
 L1 = MetricKind.ell(1)
@@ -72,16 +73,17 @@ class TestRunExperiment:
             reps=1,
             seed=0,
             metrics=(HELL, L2, L1),
-            counts_override=TABLE_COUNTS,
         )
-        summary = run_experiment(cfg)
+        emp = TABLE_COUNTS.counts[None, :] / float(TABLE_COUNTS.n)
+        dists = replicate_distances(cfg, cfg.truth.to_pmf(), emp)
         expected = {
             (EMP, HELL): 0.08043, (EMP, L2): 0.09129, (EMP, L1): 0.2,
             (REAR, HELL): 0.08043, (REAR, L2): 0.09129, (REAR, L1): 0.2,
             (GREN, HELL): 0.03048, (GREN, L2): 0.03651, (GREN, L1): 0.06667,
         }
         for (est, metric), value in expected.items():
-            assert summary.stat(est, metric).mean == pytest.approx(value, abs=5e-5)
+            e, m = cfg.estimators.index(est), cfg.metrics.index(metric)
+            assert dists[0, e, m] == pytest.approx(value, abs=5e-5)
 
     def test_uniform_truth_empirical_equals_rearranged(self):
         cfg = ExperimentConfig(

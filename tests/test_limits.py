@@ -16,12 +16,12 @@ from monopmf import (
     draw_limit,
     draw_limit_batch,
     flat_block_gren_reference,
+    geometric_pmf,
     gren_zero_probability,
     harmonic,
     limit_transform,
     mixture_of_uniforms,
     rear,
-    sparre_andersen_expectation,
     touch_count,
     uniform_pmf,
 )
@@ -122,6 +122,17 @@ class TestAsymptotics:
             (1 / 6) * (6 - harmonic(6)), abs=1e-12
         )
 
+    def test_geometric_tail_is_strictly_decreasing(self):
+        # the tail of geometric:0.75 below 1e-12 is no flat block: the
+        # Grenander limit equals the empirical one, as for any strictly
+        # decreasing truth
+        p = geometric_pmf(0.75)
+        rep = asymptotics(p)
+        assert rep.e_hell_emp == 96.0
+        assert rep.e_hell_gren == pytest.approx(rep.e_hell_emp, rel=1e-14)
+        y, y_rear, y_gren = draw_limit_batch(p, 20, seed=4)
+        assert y_rear.tobytes() == y.tobytes() and y_gren.tobytes() == y.tobytes()
+
     def test_strictly_decreasing_equalities(self):
         rep = asymptotics(STRICT)
         assert rep.e_sq_l2_gren == pytest.approx(rep.e_sq_l2_emp, abs=1e-12)
@@ -202,11 +213,9 @@ class TestTouchCount:
             assert abs((counts - 1).mean() - (harmonic(k) - 1)) < 3 * se
 
     def test_expectation_values(self):
-        assert sparre_andersen_expectation(1) == 1.0
-        assert sparre_andersen_expectation(3) == pytest.approx(11 / 6, abs=1e-15)
-        assert sparre_andersen_expectation(6) == pytest.approx(2.45, abs=1e-12)
-        with pytest.raises(ValueError):
-            sparre_andersen_expectation(0)
+        assert harmonic(1) == 1.0
+        assert harmonic(3) == pytest.approx(11 / 6, abs=1e-15)
+        assert harmonic(6) == pytest.approx(2.45, abs=1e-12)
 
 
 class TestGrenZeroProbability:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from monopmf import (
     Pmf,
     constancy_blocks,
+    geometric_pmf,
     gren,
     gren_oracle,
     limit_transform,
@@ -26,6 +28,15 @@ finite_values = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
 )
 sequences = st.lists(finite_values, min_size=1, max_size=30)
+# few distinct values, so rows carry ties and signed zeros
+stack_values = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.5, 1.0]), finite_values)
+# no value so small that scaling by 2**-20 could make a sum subnormal
+scalable_values = st.one_of(
+    st.sampled_from([0.0, 0.25, -0.5]), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6)
+)
+stack_shapes = st.one_of(
+    array_shapes(min_dims=2, max_dims=2, max_side=8), array_shapes(min_dims=3, max_dims=3, max_side=5)
+)
 
 
 class TestRear:
@@ -155,6 +166,23 @@ class TestConstancyBlocks:
         with pytest.raises(ValueError):
             constancy_blocks(c)
 
+    def test_tiny_strictly_decreasing_tail_not_merged(self):
+        # the tail of geometric:0.75 drops below 1e-12 but stays strictly decreasing
+        p = geometric_pmf(0.75)
+        assert p.support_size == 97
+        assert constancy_blocks(p) == [(x, x) for x in range(97)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        raw=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+        gaps=st.lists(st.integers(1, 12), min_size=6, max_size=6),
+    )
+    def test_mixture_blocks_end_at_components(self, raw, gaps):
+        ys = np.cumsum(gaps[: len(raw)]) - 1  # strictly increasing, from 0 up
+        p = mixture_of_uniforms(np.array(raw) / sum(raw), ys)
+        starts = [0] + [int(y) + 1 for y in ys[:-1]]
+        assert constancy_blocks(p) == list(zip(starts, ys.tolist()))
+
 
 class TestLimitTransform:
     def test_identity_on_singletons(self):
@@ -182,6 +210,43 @@ class TestLimitTransform:
             limit_transform(np.zeros(5), [(0, 3)])
         with pytest.raises(ValueError):
             limit_transform(np.zeros(4), [(0, 1), (3, 3)])
+
+
+class TestStackContract:
+    """gren and limit_transform act row by row on a stack, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gren_stack_matches_rows(self, data):
+        shape = data.draw(stack_shapes)
+        a = data.draw(arrays(float, shape, elements=stack_values))
+        monotone = data.draw(arrays(bool, shape[:-1]))
+        a[monotone] = -np.sort(-a[monotone], axis=-1)
+        out = gren(a)
+        assert out.shape == a.shape
+        for idx in np.ndindex(shape[:-1]):
+            assert out[idx].tobytes() == gren(a[idx]).tobytes()
+        assert out[monotone].tobytes() == a[monotone].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(float, st.integers(1, 20), elements=scalable_values), st.integers(-20, 20))
+    def test_gren_scale_equivariant(self, w, j):
+        c = 2.0**j
+        assert gren(c * w).tobytes() == (c * gren(w)).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_limit_transform_stack_matches_rows(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        ends = np.cumsum(sizes) - 1
+        blocks = [(int(e) - s + 1, int(e)) for s, e in zip(sizes, ends)]
+        lead = data.draw(st.sampled_from([(1,), (3,), (2, 2)]))
+        y = data.draw(arrays(float, lead + (sum(sizes),), elements=stack_values))
+        y_rear, y_gren = limit_transform(y, blocks)
+        for idx in np.ndindex(lead):
+            r, g = limit_transform(y[idx], blocks)
+            assert y_rear[idx].tobytes() == r.tobytes()
+            assert y_gren[idx].tobytes() == g.tobytes()
 
 
 class TestMixingEstimate:

@@ -1,8 +1,9 @@
 """The chunked replicate pipeline writes the same bytes as one replicate at a time.
 
-Each driver (run_experiment, estimate_risk, fluctuation_cdf) is compared
-bit for bit with a reference loop written here from the one-sample
-functions: sample, empirical_pmf, rear, gren, mixing_estimate, distance.
+Each driver (run_experiment, estimate_risk, fluctuation_cdf) and
+replicate_distances on given counts are compared bit for bit with a
+reference loop written here from the one-sample functions: sample,
+empirical_pmf, rear, gren, mixing_estimate, distance.
 """
 
 import hashlib
@@ -34,6 +35,7 @@ from monopmf import (
 )
 from monopmf import experiments
 from monopmf.cli import main
+from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
 from monopmf.rng import keyed_generators, make_generator
 
@@ -51,15 +53,15 @@ def reference_vectors(counts: Counts) -> dict:
     return {EMP: emp, REAR: rear(emp), GREN: gren(emp)}
 
 
-def reference_raw(cfg: ExperimentConfig) -> np.ndarray:
+def reference_raw(cfg: ExperimentConfig, samples=None) -> np.ndarray:
+    """Distances of each replicate, one at a time; `samples` (a list of
+    Counts) replaces the seeded samples of cfg when given."""
     truth = cfg.truth.to_pmf()
     ref = mixing_estimate(truth).weights if cfg.target == "mixing" else truth.probs
-    raw = np.empty((cfg.reps, len(cfg.estimators), len(cfg.metrics)))
-    for i in range(cfg.reps):
-        if i == 0 and cfg.counts_override is not None:
-            counts = cfg.counts_override
-        else:
-            counts = sample(truth, cfg.n, mix_seed(cfg.seed, i))
+    if samples is None:
+        samples = [sample(truth, cfg.n, mix_seed(cfg.seed, i)) for i in range(cfg.reps)]
+    raw = np.empty((len(samples), len(cfg.estimators), len(cfg.metrics)))
+    for i, counts in enumerate(samples):
         vectors = reference_vectors(counts)
         for e, kind in enumerate(cfg.estimators):
             vec = vectors[kind]
@@ -133,15 +135,17 @@ class TestRunExperimentBytes:
         assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
 
     @pytest.mark.parametrize("target", ["pmf", "mixing"])
-    def test_counts_override(self, target):
-        # the override reaches past the truth's support, which the distances pad
-        override = Counts(np.array([20, 14, 11, 22, 15, 18, 0, 3]), n=103)
+    def test_replicate_distances_on_given_counts(self, target):
+        # the counts reach past the truth's support, which the distances pad
         metrics = L_METRICS if target == "mixing" else ALL_METRICS
-        cfg = ExperimentConfig(
-            TruthSpec.parse("uniform:5"), n=100, reps=60, seed=4, metrics=metrics, target=target,
-            counts_override=override,
-        )
-        assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
+        cfg = ExperimentConfig(TruthSpec.parse("uniform:5"), n=103, reps=60, seed=4, metrics=metrics, target=target)
+        samples = [Counts(np.array([20, 14, 11, 22, 15, 18, 0, 3]), n=103)]
+        samples += [sample(uniform_pmf(7), 103, mix_seed(4, i)) for i in range(59)]
+        emp = np.zeros((len(samples), 8))
+        for row, counts in zip(emp, samples):
+            row[: counts.counts.size] = counts.counts / 103.0
+        dists = replicate_distances(cfg, cfg.truth.to_pmf(), emp)
+        assert dists.tobytes() == reference_raw(cfg, samples).tobytes()
 
     def test_inequality_violation_names_first_replicate(self, monkeypatch):
         # a broken rearrangement that inflates a large first frequency must be
@@ -255,11 +259,40 @@ GOLDEN = {
     ),
 }
 
+# sha256 of each output file of two small `limits` runs, recorded with the
+# row-by-row limit transform and the in-memory draws file that preceded
+# the stack operators and the streamed writer
+LIMITS_GOLDEN = {
+    "uniform": (
+        ["--truth", "uniform:9", "--reps", "500", "--seed", "3"],
+        {
+            "_draws.csv": "617edc5d7ce63c70decc15a3beca344fd83ef75f7ca83c4629de1f39c5033296",
+            "_aggregate.csv": "6cb3292cbadd5ceaf085d675838a31983f181359b5e1a545a432c6497dcc6a6c",
+        },
+    ),
+    "mixture": (
+        ["--truth", "mixture:0.2:3,0.8:7"],
+        {
+            "_draws.csv": "1a9549296454450ec84b88990eda520b8496d9b7b6140b889766307148d9be04",
+            "_aggregate.csv": "c8ef23972f62a37f9e42e7b4718963b86dd5db79f6a121176425cc40500851a9",
+        },
+    ),
+}
+
+
+def check_digests(command, name, golden, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the meta file records no paths, only the config
+    args, digests = golden[name]
+    assert main([command, *args, "--out", name]) == 0
+    for suffix, digest in digests.items():
+        assert hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest() == digest, suffix
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_simulate_golden_digests(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the meta file records no paths, only the config
-    args, digests = GOLDEN[name]
-    assert main(["simulate", *args, "--out", name]) == 0
-    for suffix, digest in digests.items():
-        assert hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest() == digest, suffix
+    check_digests("simulate", name, GOLDEN, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(LIMITS_GOLDEN))
+def test_limits_golden_digests(name, tmp_path, monkeypatch):
+    check_digests("limits", name, LIMITS_GOLDEN, tmp_path, monkeypatch)
