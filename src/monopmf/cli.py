@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: estimate, simulate, risk, limits, asymptotics, mixing.
-Exit codes: 0 success, 1 usage error, 2 input data error.  All files are
+Exit codes: 0 success, 1 usage error, 2 input data error, 3 a simulated
+replicate failed the monotone-estimator inequality check.  All files are
 written atomically (temp file + rename) and machine-readable numbers carry
 17 significant digits.
 """
@@ -24,6 +25,7 @@ from .experiments import (
     EstimatorKind,
     ExperimentConfig,
     ExperimentSummary,
+    InequalityViolation,
     TruthSpec,
     estimate,
     estimate_risk,
@@ -386,6 +388,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"monopmf: {exc}", file=sys.stderr)
         return 1
+    except InequalityViolation as exc:
+        print(f"monopmf: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -37,6 +37,11 @@ _INEQ_TOL = 1e-9
 _CHUNK_ELEMENTS = 4096
 
 
+class InequalityViolation(RuntimeError):
+    """A replicate's rearranged or Grenander estimate is farther from a
+    monotone truth than its empirical pmf, which the theory rules out."""
+
+
 class EstimatorKind(enum.Enum):
     EMPIRICAL = "empirical"
     REARRANGEMENT = "rearrangement"
@@ -245,11 +250,19 @@ def replicate_distances(cfg: ExperimentConfig, truth: Pmf, emp: np.ndarray) -> n
     are compared as if zero-padded.  Returns a (rows, estimators, metrics)
     array in config order, for target "mixing" between mixing weights.
     """
+    return _distances(cfg, _reference(cfg, truth), emp)
+
+
+def _reference(cfg: ExperimentConfig, truth: Pmf) -> np.ndarray:
+    """What the estimates are compared with: the truth's pmf, or for
+    target "mixing" its mixing weights."""
+    return mixing_estimate(truth).weights if cfg.target == "mixing" else truth.probs
+
+
+def _distances(cfg: ExperimentConfig, reference: np.ndarray, emp: np.ndarray) -> np.ndarray:
     vectors = np.stack([estimate(kind, emp) for kind in cfg.estimators], axis=1)
-    reference = truth.probs
     if cfg.target == "mixing":
         vectors = mixing_estimate(vectors).weights
-        reference = mixing_estimate(truth).weights
     out = np.empty(vectors.shape[:2] + (len(cfg.metrics),))
     for m, metric in enumerate(cfg.metrics):
         out[:, :, m] = distance(vectors, reference, metric)
@@ -270,7 +283,7 @@ def _check_inequality(cfg: ExperimentConfig, start: int, dists: np.ndarray) -> N
     bad = np.flatnonzero(other.transpose(0, 2, 1) > (emp + _INEQ_TOL)[:, :, None])
     if bad.size:
         row, m, k = np.unravel_index(bad[0], (dists.shape[0], len(cfg.metrics), len(kinds)))
-        raise RuntimeError(
+        raise InequalityViolation(
             f"monotone-estimator inequality violated at replicate {start + row}: "
             f"{kinds[k].value} {cfg.metrics[m].label} distance {float(other[row, k, m])!r} exceeds "
             f"empirical {float(emp[row, m])!r}"
@@ -288,9 +301,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """
     truth = cfg.truth.to_pmf()
     check = cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators
+    reference = _reference(cfg, truth)
     raw = np.empty((cfg.reps, len(cfg.estimators), len(cfg.metrics)))
     for start, emp in _replicate_chunks(truth, cfg.n, cfg.reps, cfg.seed):
-        block = replicate_distances(cfg, truth, emp)
+        block = _distances(cfg, reference, emp)
         raw[start : start + block.shape[0]] = block
         if check:
             _check_inequality(cfg, start, block)

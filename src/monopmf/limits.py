@@ -89,26 +89,28 @@ def asymptotics(p: Pmf) -> AsymptoticReport:
 
     Over a block of size c at level theta the Grenander fluctuation
     contributes sum_{j=1}^{c} theta*(1/j - theta) to the squared l2 norm
-    and sum_{j=1}^{c} (1/j - theta) to the weighted sum of squares.
+    and sum_{j=1}^{c} (1/j - theta) to the weighted sum of squares, less
+    than the empirical one by theta*(c - H_c) and c - H_c.  The Grenander
+    values are the empirical ones less these gaps, which are exactly zero
+    on singleton blocks, so a strictly decreasing truth gives equal values.
     """
     if not p.monotone:
         raise ValueError("asymptotics require a monotone truth")
     probs = p.probs
     e_sq_l2_emp = float(np.sum(probs * (1.0 - probs)))
     e_l1_emp = float(math.sqrt(2.0 / math.pi) * np.sum(np.sqrt(probs * (1.0 - probs))))
-    e_sq_l2_gren = 0.0
-    e_hell_gren = 0.0
+    l2_gap = 0.0
+    hell_gap = 0.0
     for r, s in constancy_blocks(p):
-        theta = float(probs[r])
         size = s - r + 1
-        h = harmonic(size)
-        e_sq_l2_gren += theta * (h - size * theta)
-        e_hell_gren += h - size * theta
+        gap = size - harmonic(size)
+        l2_gap += float(probs[r]) * gap
+        hell_gap += gap
     return AsymptoticReport(
         e_sq_l2_emp=e_sq_l2_emp,
-        e_sq_l2_gren=e_sq_l2_gren,
+        e_sq_l2_gren=e_sq_l2_emp - l2_gap,
         e_hell_emp=float(p.support_max),
-        e_hell_gren=e_hell_gren,
+        e_hell_gren=p.support_max - hell_gap,
         e_l1_emp=e_l1_emp,
     )
 

@@ -38,16 +38,20 @@ def pool_segments(values) -> tuple[list[float], list[int]]:
     """
     totals: list[float] = []
     lengths: list[int] = []
+    means: list[float] = []  # means[i] is totals[i] / lengths[i], divided once
     for x in values:
-        t = float(x)
+        t = m = float(x)
         c = 1
         # compare the divided means: they are what gets emitted, so the
         # output is non-increasing as floats, not just in exact arithmetic
-        while totals and totals[-1] / lengths[-1] < t / c:
+        while means and means[-1] < m:
             t += totals.pop()
             c += lengths.pop()
+            means.pop()
+            m = t / c
         totals.append(t)
         lengths.append(c)
+        means.append(m)
     return totals, lengths
 
 

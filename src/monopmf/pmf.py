@@ -170,23 +170,27 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
 def sample_counts(p: Pmf, n: int, seeds) -> np.ndarray:
     """Count matrix of one sample of size n per seed.
 
-    Row i tabulates n draws from p on a generator keyed by seeds[i]
-    (inverse-CDF sampling, the stream of make_generator(seeds[i])), over
-    all K+1 support points, so rows may end in zeros.  The work arrays
-    hold len(seeds) * n values.
+    Row i tabulates n draws from p on a generator keyed by seeds[i] (the
+    stream of make_generator(seeds[i])), over all K+1 support points, so
+    rows may end in zeros.  The rows of uniforms are sorted and the K+1
+    cumulative probabilities are searched into each: the draws below
+    cum[x] are those the inverse-CDF search sends to {0, ..., x}, so the
+    counts equal that search's exactly, at O(n log n + K log n) per row
+    instead of O(n log K).  The work arrays hold len(seeds) * n values.
     """
     if n < 1:
         raise ValueError("sample size n must be positive")
     seeds = list(seeds)
-    size = p.support_size
     u = np.empty((len(seeds), int(n)))
     for row, rng in zip(u, keyed_generators(seeds)):
         rng.random(out=row)
+    u.sort(axis=1)
     cum = np.cumsum(p.probs)
     cum[-1] = 1.0  # guard against float shortfall; uniforms are < 1
-    idx = np.searchsorted(cum, u, side="right")
-    idx += np.arange(len(seeds))[:, None] * size
-    return np.bincount(idx.ravel(), minlength=len(seeds) * size).reshape(len(seeds), size)
+    below = np.empty((len(seeds), p.support_size), dtype=np.int64)
+    for row, out in zip(u, below):
+        out[:] = row.searchsorted(cum)  # the draws u < cum[x]
+    return np.diff(below, axis=1, prepend=0)
 
 
 def sample(p: Pmf, n: int, seed: int) -> Counts:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from monopmf import format_counts, format_pmf, parse_pmf, sample, uniform_pmf
+from monopmf import experiments, format_counts, format_pmf, parse_pmf, sample, uniform_pmf
 from monopmf.cli import main
 from monopmf.pmf import Counts
 
@@ -144,6 +144,22 @@ class TestSimulate:
         assert err.count("\n") == 1 and "Hellinger" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_inequality_violation_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a broken rearrangement that inflates a large first frequency
+        def broken(emp):
+            out = emp.copy()
+            out[..., 0] = np.where(emp[..., 0] > 0.65, 1.2 * emp[..., 0], emp[..., 0])
+            return out
+
+        monkeypatch.setattr(experiments, "rear", broken)
+        code = main(["simulate", "--truth", "geometric:0.5", "--n", "50", "--reps", "200",
+                     "--seed", "3", "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("monopmf: monotone-estimator inequality violated at replicate ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_truth_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--truth", "zipf:2", "--out", str(tmp_path / "x")])
@@ -181,6 +197,12 @@ class TestOtherCommands:
             if "\t" in line and not line[0].isdigit()
         )
         assert float(table["l2_sq_gap"]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_asymptotics_strictly_decreasing_tail_gap_is_exactly_zero(self, capsys):
+        assert main(["asymptotics", "--truth", "geometric:0.75"]) == 0
+        out = capsys.readouterr().out
+        assert "\nl2_sq_gap\t0\n" in out
+        assert "\ne_hell_gren\t96\n" in out
 
     def test_risk_output(self, capsys):
         code = main(["risk", "--truth", "uniform:2", "--n", "50", "--k", "2",

@@ -129,7 +129,8 @@ class TestAsymptotics:
         p = geometric_pmf(0.75)
         rep = asymptotics(p)
         assert rep.e_hell_emp == 96.0
-        assert rep.e_hell_gren == pytest.approx(rep.e_hell_emp, rel=1e-14)
+        assert rep.e_hell_gren == rep.e_hell_emp
+        assert rep.e_sq_l2_gren == rep.e_sq_l2_emp
         y, y_rear, y_gren = draw_limit_batch(p, 20, seed=4)
         assert y_rear.tobytes() == y.tobytes() and y_gren.tobytes() == y.tobytes()
 

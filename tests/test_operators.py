@@ -19,8 +19,10 @@ from monopmf import (
     mixing_estimate,
     mixture_of_uniforms,
     rear,
+    touch_count,
     uniform_pmf,
 )
+from monopmf.operators import pool_segments
 
 EXAMPLE_EMPIRICAL = np.array([0.20, 0.14, 0.11, 0.22, 0.15, 0.18])
 
@@ -247,6 +249,62 @@ class TestStackContract:
             r, g = limit_transform(y[idx], blocks)
             assert y_rear[idx].tobytes() == r.tobytes()
             assert y_gren[idx].tobytes() == g.tobytes()
+
+
+def reference_pool_segments(values):
+    """The pooling loop with both means divided out at every comparison,
+    which pool_segments must match bit for bit."""
+    totals: list[float] = []
+    lengths: list[int] = []
+    for x in values:
+        t = float(x)
+        c = 1
+        while totals and totals[-1] / lengths[-1] < t / c:
+            t += totals.pop()
+            c += lengths.pop()
+        totals.append(t)
+        lengths.append(c)
+    return totals, lengths
+
+
+def same_segments(a, b):
+    """Bitwise equality of two (totals, lengths) pairs (-0.0 != 0.0)."""
+    return np.array(a[0]).tobytes() == np.array(b[0]).tobytes() and a[1] == b[1]
+
+
+class TestPoolSegments:
+    """pool_segments emits the segments and sums of the divide-every-time loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(stack_values, max_size=60))
+    def test_matches_reference_loop(self, values):
+        assert same_segments(pool_segments(values), reference_pool_segments(values))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        size=st.integers(1, 10**4),
+        levels=st.sampled_from([3, 50, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_long_rows_match_reference_loop(self, size, levels, seed):
+        # few levels give long runs of ties; None gives distinct values
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(size)
+        if levels is not None:
+            values = np.round(values * levels / 4) / levels
+            values[rng.random(size) < 0.1] *= -0.0
+        values = values.tolist()
+        assert same_segments(pool_segments(values), reference_pool_segments(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 400),
+        st.sampled_from([1e-9, 1e-3, 0.5, 3.0, 1e6, 1e12]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_touch_count_on_scaled_walks(self, k, scale, seed):
+        z = scale * np.random.default_rng(seed).standard_normal(k)
+        assert touch_count(z) == len(reference_pool_segments(z.tolist())[1])
 
 
 class TestMixingEstimate:

@@ -107,6 +107,52 @@ class TestCountRows:
             sample(uniform_pmf(3), 10, seed=2**64)
 
 
+def inverse_cdf_counts(p: Pmf, n: int, seed: int) -> np.ndarray:
+    """Counts of n draws by searching each uniform into the cumulative
+    probabilities, the stream that sample_counts must keep."""
+    cum = np.cumsum(p.probs)
+    cum[-1] = 1.0
+    u = make_generator(seed).random(n)
+    return np.bincount(np.searchsorted(cum, u, side="right"), minlength=p.support_size)
+
+
+class TestCountStream:
+    """sample_counts reproduces the inverse-CDF stream bit for bit (compared
+    with the formula written out here, not with sample, which shares its code)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.one_of(st.integers(1, 12), st.integers(100, 2000)),
+        n=st.one_of(st.integers(1, 40), st.integers(20000, 40000)),
+        zeros=st.sampled_from([0.0, 0.3, 0.9]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        rows=st.integers(1, 3),
+    )
+    def test_rows_equal_inverse_cdf_search(self, size, n, zeros, data_seed, seed, rows):
+        # interior zeros give repeated cumulative probabilities
+        rng = np.random.default_rng(data_seed)
+        w = rng.random(size) * (rng.random(size) >= zeros)
+        w[-1] = 0.01 + rng.random()
+        truth = Pmf(w / w.sum())
+        seeds = [mix_seed(seed, i) for i in range(rows)]
+        matrix = sample_counts(truth, n, seeds)
+        for row, s in zip(matrix, seeds):
+            assert row.tobytes() == inverse_cdf_counts(truth, n, s).tobytes()
+
+    @pytest.mark.parametrize("k", [9, 21, 57])
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-300, 1e-17])
+    def test_cumulative_sum_above_one(self, k, tiny):
+        # k equal entries of 1/k sum to more than 1.0 in floats, so the
+        # guard cum[-1] = 1.0 leaves the cumulative probabilities unsorted
+        truth = Pmf(np.append(np.full(k, 1.0 / k), tiny))
+        assert np.cumsum(truth.probs)[-2] > 1.0
+        matrix = sample_counts(truth, 5000, range(4))
+        assert np.all(matrix >= 0)
+        for s, row in enumerate(matrix):
+            assert row.tobytes() == inverse_cdf_counts(truth, 5000, s).tobytes()
+
+
 class TestRunExperimentBytes:
     @pytest.mark.parametrize("truth", TRUTHS)
     @pytest.mark.parametrize("n", [3, 100, 5000])
@@ -280,6 +326,16 @@ LIMITS_GOLDEN = {
 }
 
 
+# sha256 of the stdout of a risk run at the risk-large shape (K = 10^4,
+# n = 10^5), recorded with the unsorted inverse-CDF search that preceded
+# the sorted-uniform count kernel
+RISK_GOLDEN = (
+    ["risk", "--truth", "uniform:9999", "--n", "100000", "--k", "2", "--estimator", "gren",
+     "--reps", "3", "--seed", "1"],
+    "1dc6d4ec22c51b9c7a38dad6a47db94650d28411c04bb0390fb4cdfa0aa396cd",
+)
+
+
 def check_digests(command, name, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the meta file records no paths, only the config
     args, digests = golden[name]
@@ -296,3 +352,9 @@ def test_simulate_golden_digests(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(LIMITS_GOLDEN))
 def test_limits_golden_digests(name, tmp_path, monkeypatch):
     check_digests("limits", name, LIMITS_GOLDEN, tmp_path, monkeypatch)
+
+
+def test_risk_golden_digest(capsys):
+    args, digest = RISK_GOLDEN
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
