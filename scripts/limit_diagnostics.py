@@ -45,6 +45,8 @@ def main() -> int:
     ap.add_argument("--zero-reps", default=2 * 10**5, type=int)
     ap.add_argument("--seed", default=0, type=int)
     args = ap.parse_args()
+    if args.reps // 2 < 2:
+        ap.error("--reps must be at least 4: touchpoints.csv uses --reps // 2 walks per length")
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     with open(args.outdir / "zero_probability.csv", "w", newline="") as fh:
@@ -58,7 +60,7 @@ def main() -> int:
     with open(args.outdir / "touchpoints.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "mc_mean", "harmonic_sum", "reps"])
-        reps = max(args.reps // 2, 10**4)
+        reps = args.reps // 2
         for k in (2, 3, 4, 6, 10):
             rng = make_generator(args.seed + 100 + k)
             counts = [touch_count(row) for row in rng.standard_normal((reps, k))]

@@ -12,21 +12,15 @@ from .experiments import (
     EstimatorKind,
     ExperimentConfig,
     ExperimentSummary,
-    FluctuationCdf,
-    RiskEstimate,
-    SummaryStats,
     TruthSpec,
     estimate_risk,
     fluctuation_cdf,
     run_experiment,
 )
 from .limits import (
-    AsymptoticReport,
-    LimitDraw,
     asymptotics,
     draw_limit,
     draw_limit_batch,
-    flat_block_gren_reference,
     gren_zero_probability,
     harmonic,
     touch_count,
@@ -35,14 +29,12 @@ from .metrics import MetricKind, distance
 from .operators import (
     constancy_blocks,
     gren,
-    gren_oracle,
     limit_transform,
     mixing_estimate,
     rear,
 )
 from .pmf import (
     Counts,
-    MixingWeights,
     Pmf,
     empirical_pmf,
     format_counts,
@@ -59,18 +51,12 @@ from .rng import mix_seed
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticReport",
     "Counts",
     "EstimatorKind",
     "ExperimentConfig",
     "ExperimentSummary",
-    "FluctuationCdf",
-    "LimitDraw",
     "MetricKind",
-    "MixingWeights",
     "Pmf",
-    "RiskEstimate",
-    "SummaryStats",
     "TruthSpec",
     "asymptotics",
     "constancy_blocks",
@@ -79,13 +65,11 @@ __all__ = [
     "draw_limit_batch",
     "empirical_pmf",
     "estimate_risk",
-    "flat_block_gren_reference",
     "fluctuation_cdf",
     "format_counts",
     "format_pmf",
     "geometric_pmf",
     "gren",
-    "gren_oracle",
     "gren_zero_probability",
     "harmonic",
     "limit_transform",

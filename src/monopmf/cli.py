@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: estimate, simulate, risk, limits, asymptotics, mixing.
-Exit codes: 0 success, 1 usage error, 2 input data error, 3 a simulated
-replicate failed the monotone-estimator inequality check.  All files are
-written atomically (temp file + rename) and machine-readable numbers carry
-17 significant digits.
+Exit codes: 0 success, 1 usage error or unwritable output file, 2 input
+data error, 3 a simulated replicate failed the monotone-estimator
+inequality check.  All files are written atomically (temp file + rename)
+and machine-readable numbers carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .experiments import (
 from .limits import asymptotics, draw_limit_batch
 from .metrics import MetricKind, distance
 from .operators import constancy_blocks, mixing_estimate
-from .pmf import Pmf, empirical_pmf, parse_counts, parse_pmf
+from .pmf import empirical_pmf, format_pmf, parse_counts, parse_pmf
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
@@ -50,80 +50,64 @@ class DataError(Exception):
     """Unreadable or invalid input data (exit code 2)."""
 
 
+class OutputError(Exception):
+    """An output file that cannot be written (exit code 1)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _truth_spec(text: str) -> TruthSpec:
-    try:
-        return TruthSpec.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg_type(parse):
+    """An argparse type from `parse`, its ValueError a usage error."""
 
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _estimator_list(text: str) -> tuple[EstimatorKind, ...]:
-    try:
-        return tuple(EstimatorKind.parse(item) for item in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _metric_list(text: str) -> tuple[MetricKind, ...]:
-    try:
-        return tuple(MetricKind.parse(item) for item in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _read_text(path: str, label: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {label} file {path!r}: {exc.strerror}") from None
+    return convert
 
 
 def _atomic_write_chunks(path: str, chunks) -> None:
     """Write the strings of `chunks` in turn to a temp file, then rename it
-    to `path`.  The file gets mode 0o666 less the umask, as open() would."""
+    to `path` (mode 0o666 less the umask, as open() gives); OutputError if
+    that fails."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".monopmf-", suffix=".tmp")
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".monopmf-", suffix=".tmp")
+        try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _atomic_write(path: str, text: str) -> None:
     _atomic_write_chunks(path, (text,))
 
 
-def _load_counts(path: str):
+def _load(path: str, label: str, parse):
+    """parse() of the text of a `label` file; any fault is a DataError."""
     try:
-        return parse_counts(_read_text(path, "counts"))
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise DataError(f"cannot read {label} file {path!r}: {exc.strerror}") from None
     except ValueError as exc:
-        raise DataError(f"invalid counts file {path!r}: {exc}") from None
-
-
-def _load_pmf(path: str, monotone: bool = False) -> Pmf:
-    try:
-        return parse_pmf(_read_text(path, "pmf"), monotone=monotone)
-    except ValueError as exc:
-        raise DataError(f"invalid pmf file {path!r}: {exc}") from None
-
-
-def _format_sequence(values) -> str:
-    return "".join(f"{x}\t{_MACHINE_FMT % v}\n" for x, v in enumerate(values))
+        raise DataError(f"invalid {label} file {path!r}: {exc}") from None
 
 
 def _trim_trailing_zeros(values):
@@ -142,7 +126,7 @@ def _suffixed(path: str, name: str) -> str:
 
 def _estimates(args) -> dict:
     """The estimates of args.estimator ("all" for each) from args.counts."""
-    emp = empirical_pmf(_load_counts(args.counts)).probs
+    emp = empirical_pmf(_load(args.counts, "counts", parse_counts)).probs
     names = _ESTIMATOR_NAMES if args.estimator == "all" else (args.estimator,)
     return {name: estimate(EstimatorKind.parse(name), emp) for name in names}
 
@@ -151,7 +135,7 @@ def _emit_sequences(sequences: dict, out) -> None:
     """Write each named sequence to stdout under a '# name' line, or to
     `out` (with the name inserted when there are several)."""
     for name, values in sequences.items():
-        text = _format_sequence(values)
+        text = format_pmf(values)
         if out is None:
             sys.stdout.write(f"# {name}\n{text}")
         else:
@@ -162,7 +146,7 @@ def _cmd_estimate(args) -> int:
     estimates = _estimates(args)
     _emit_sequences({name: _trim_trailing_zeros(v) for name, v in estimates.items()}, args.out)
     if args.truth is not None:
-        truth = _load_pmf(args.truth)
+        truth = _load(args.truth, "pmf", parse_pmf)
         metrics = [MetricKind.hellinger(), MetricKind.ell(1), MetricKind.ell(2), MetricKind.ell(math.inf)]
         print("estimator\t" + "\t".join(m.label for m in metrics))
         for name, values in estimates.items():
@@ -173,9 +157,8 @@ def _cmd_estimate(args) -> int:
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config is not None:
-        raw = _read_text(args.config, "config")
+        data = _load(args.config, "config", json.loads)
         try:
-            data = json.loads(raw)
             truth = data["truth"]
             spec = TruthSpec.parse(truth) if isinstance(truth, str) else TruthSpec(**truth)
             estimators = tuple(EstimatorKind.parse(e) for e in data.get("estimators", [])) or DEFAULT_ESTIMATORS
@@ -314,7 +297,7 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_mixing(args) -> int:
     if args.pmf is not None:
-        sources = {"pmf": _load_pmf(args.pmf).probs}
+        sources = {"pmf": _load(args.pmf, "pmf", parse_pmf).probs}
     else:
         sources = _estimates(args)
     _emit_sequences({name: mixing_estimate(v).weights for name, v in sources.items()}, args.out)
@@ -323,6 +306,9 @@ def _cmd_mixing(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="monopmf", description=__doc__)
+    truth = _arg_type(TruthSpec.parse)
+    estimators = _arg_type(lambda text: tuple(map(EstimatorKind.parse, text.split(","))))
+    metrics = _arg_type(lambda text: tuple(map(MetricKind.parse, text.split(","))))
     parser.add_argument("--version", action="version", version=f"monopmf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -334,19 +320,19 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="Monte Carlo comparison of the estimators")
-    p.add_argument("--truth", type=_truth_spec, help="uniform:y | geometric:theta | mixture:w:y,...")
+    p.add_argument("--truth", type=truth, help="uniform:y | geometric:theta | mixture:w:y,...")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", default="pmf", choices=["pmf", "mixing"])
-    p.add_argument("--estimators", type=_estimator_list, help="comma list: empirical,rear,gren")
-    p.add_argument("--metrics", type=_metric_list, help="comma list: hellinger,l1,l2,linf,l{k}")
+    p.add_argument("--estimators", type=estimators, help="comma list: empirical,rear,gren")
+    p.add_argument("--metrics", type=metrics, help="comma list: hellinger,l1,l2,linf,l{k}")
     p.add_argument("--config", help="JSON config file carrying the same fields")
     p.add_argument("--out", required=True, help="output prefix for _raw.csv, _summary.csv, _meta.json")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("risk", help="Monte Carlo risk of one estimator")
-    p.add_argument("--truth", type=_truth_spec, required=True)
+    p.add_argument("--truth", type=truth, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--estimator", default="gren")
@@ -355,14 +341,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_risk)
 
     p = sub.add_parser("limits", help="draws of the limit fluctuation processes")
-    p.add_argument("--truth", type=_truth_spec, required=True)
+    p.add_argument("--truth", type=truth, required=True)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix for _draws.csv and _aggregate.csv")
     p.set_defaults(fn=_cmd_limits)
 
     p = sub.add_parser("asymptotics", help="closed-form limit moments of a truth")
-    p.add_argument("--truth", type=_truth_spec, required=True)
+    p.add_argument("--truth", type=truth, required=True)
     p.set_defaults(fn=_cmd_asymptotics)
 
     p = sub.add_parser("mixing", help="recover mixing weights from counts or a pmf file")
@@ -385,7 +371,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"monopmf: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OutputError) as exc:
         print(f"monopmf: {exc}", file=sys.stderr)
         return 1
     except InequalityViolation as exc:

@@ -62,11 +62,7 @@ class EstimatorKind(enum.Enum):
             raise ValueError(f"unknown estimator {label!r}") from None
 
 
-DEFAULT_ESTIMATORS = (
-    EstimatorKind.EMPIRICAL,
-    EstimatorKind.REARRANGEMENT,
-    EstimatorKind.GRENANDER,
-)
+DEFAULT_ESTIMATORS = tuple(EstimatorKind)  # all three, in definition order
 
 DEFAULT_METRICS = (
     MetricKind.hellinger(),
@@ -243,23 +239,13 @@ def _replicate_chunks(truth: Pmf, n: int, reps: int, seed: int):
         yield start, sample_counts(truth, n, seeds) / float(n)
 
 
-def replicate_distances(cfg: ExperimentConfig, truth: Pmf, emp: np.ndarray) -> np.ndarray:
-    """Distances from the truth of each estimator of each empirical pmf row.
+def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, emp: np.ndarray) -> np.ndarray:
+    """Distances of each estimator of each empirical pmf row from `reference`.
 
-    `emp` has shape (rows, width); rows narrower or wider than the truth
-    are compared as if zero-padded.  Returns a (rows, estimators, metrics)
-    array in config order, for target "mixing" between mixing weights.
+    `reference` is the truth's pmf, or for target "mixing" its mixing
+    weights; `emp` has shape (rows, width), and rows of another width are
+    compared as if zero-padded.  Returns a (rows, estimators, metrics) array.
     """
-    return _distances(cfg, _reference(cfg, truth), emp)
-
-
-def _reference(cfg: ExperimentConfig, truth: Pmf) -> np.ndarray:
-    """What the estimates are compared with: the truth's pmf, or for
-    target "mixing" its mixing weights."""
-    return mixing_estimate(truth).weights if cfg.target == "mixing" else truth.probs
-
-
-def _distances(cfg: ExperimentConfig, reference: np.ndarray, emp: np.ndarray) -> np.ndarray:
     vectors = np.stack([estimate(kind, emp) for kind in cfg.estimators], axis=1)
     if cfg.target == "mixing":
         vectors = mixing_estimate(vectors).weights
@@ -301,10 +287,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """
     truth = cfg.truth.to_pmf()
     check = cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators
-    reference = _reference(cfg, truth)
+    reference = mixing_estimate(truth).weights if cfg.target == "mixing" else truth.probs
     raw = np.empty((cfg.reps, len(cfg.estimators), len(cfg.metrics)))
     for start, emp in _replicate_chunks(truth, cfg.n, cfg.reps, cfg.seed):
-        block = _distances(cfg, reference, emp)
+        block = replicate_distances(cfg, reference, emp)
         raw[start : start + block.shape[0]] = block
         if check:
             _check_inequality(cfg, start, block)

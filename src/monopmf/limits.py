@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import constancy_blocks, gren, limit_transform, pool_segments
+from .operators import constancy_blocks, limit_transform, pool_segments
 from .pmf import Pmf
 from .rng import make_generator
 
@@ -157,26 +157,3 @@ def gren_zero_probability(y: int, reps: int, seed: int) -> float:
         hits += int(np.count_nonzero(bridge.max(axis=1) <= 0.0))
         remaining -= m
     return hits / float(reps)
-
-
-def flat_block_gren_reference(theta: float, tau: int, reps: int, seed: int) -> np.ndarray:
-    """Reference draws of the within-block Grenander limit on a flat block.
-
-    Realizes sqrt(theta/tau) * (sqrt(1 - theta*tau) * Z + tau * gren(B))
-    where Z is standard normal and B is the centered vector of tau i.i.d.
-    N(0, 1/tau) variables (covariance delta/tau - 1/tau^2), independent of
-    Z.  Distributionally equal to the block coordinates produced by
-    `draw_limit`, but built by an unrelated route; used as a cross-check.
-    """
-    tau = int(tau)
-    if tau < 1:
-        raise ValueError("tau must be a positive integer")
-    if not 0.0 < theta * tau <= 1.0 + 1e-12:
-        raise ValueError("theta * tau must lie in (0, 1]")
-    rng = make_generator(seed)
-    z = rng.standard_normal(int(reps))
-    w = rng.standard_normal((int(reps), tau)) / math.sqrt(tau)
-    centered = w - w.mean(axis=1, keepdims=True)
-    pooled = gren(centered)
-    slack = math.sqrt(max(1.0 - theta * tau, 0.0))
-    return math.sqrt(theta / tau) * (slack * z[:, None] + tau * pooled)

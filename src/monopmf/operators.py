@@ -78,33 +78,6 @@ def gren(w) -> np.ndarray:
     return out
 
 
-def gren_oracle(w) -> np.ndarray:
-    """Reference LCM slopes by explicit greedy chord construction, O(K^2).
-
-    From each anchor point the next hull vertex is the point of maximal
-    chord slope (farthest on ties).  Kept deliberately independent of
-    `gren` so the two can cross-check each other.
-    """
-    v = np.asarray(w, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("gren_oracle requires a non-empty 1-D sequence")
-    k = v.size - 1
-    s = np.concatenate(([0.0], np.cumsum(v)))  # s[j+1] = sum_{i<=j} w_i
-    out = np.empty_like(v)
-    a = -1
-    while a < k:
-        best_b = a + 1
-        best_slope = -np.inf
-        for b in range(a + 1, k + 1):
-            slope = (s[b + 1] - s[a + 1]) / (b - a)
-            if slope >= best_slope:
-                best_slope = slope
-                best_b = b
-        out[a + 1 : best_b + 1] = best_slope
-        a = best_b
-    return out
-
-
 def constancy_blocks(p: Pmf) -> list[tuple[int, int]]:
     """Maximal index intervals [r, s] on which p is constant.
 

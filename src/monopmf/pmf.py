@@ -21,6 +21,9 @@ SUM_TOL = 1e-12
 #: Default residual tail mass at which infinite-support families are truncated.
 DEFAULT_TAIL_TOL = 1e-12
 
+#: Most support points a constructor accepts, checked before allocating.
+MAX_SUPPORT = 10**7
+
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -28,6 +31,11 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
         raise ValueError("expected a non-empty 1-D sequence")
     arr.setflags(write=False)
     return arr
+
+
+def _check_support(size: int) -> None:
+    if size > MAX_SUPPORT:
+        raise ValueError(f"support of {size} points exceeds the limit of {MAX_SUPPORT}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,7 @@ def uniform_pmf(y: int) -> Pmf:
     y = int(y)
     if y < 0:
         raise ValueError("y must be a non-negative integer")
+    _check_support(y + 1)
     return Pmf(np.full(y + 1, 1.0 / (y + 1)), monotone=True)
 
 
@@ -139,6 +148,7 @@ def geometric_pmf(theta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Pmf:
     k = max(0, math.ceil(math.log(tail_tol) / math.log(theta)) - 1)
     while theta ** (k + 1) >= tail_tol:
         k += 1
+    _check_support(k + 1)
     x = np.arange(k + 1)
     probs = (1.0 - theta) * theta**x
     probs /= probs.sum()
@@ -161,6 +171,7 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
         raise ValueError("mixture weights must sum to 1")
     if np.any(y < 0) or np.any(np.diff(y) <= 0):
         raise ValueError("ys must be strictly increasing non-negative integers")
+    _check_support(int(y[-1]) + 1)
     probs = np.zeros(int(y[-1]) + 1)
     for wi, yi in zip(w, y):
         probs[: yi + 1] += wi / (yi + 1.0)
@@ -212,8 +223,10 @@ def empirical_pmf(c: Counts) -> Pmf:
 # ---------------------------------------------------------------------------
 # Text formats: one support point per line, "x<TAB>value", ascending x, no gaps.
 
-def format_pmf(p: Pmf) -> str:
-    return "".join(f"{x}\t{v:.17g}\n" for x, v in enumerate(p.probs))
+def format_pmf(p) -> str:
+    """Lines "x<TAB>value" of a Pmf or of any sequence (estimates, weights)."""
+    values = p.probs if isinstance(p, Pmf) else p
+    return "".join(f"{x}\t{v:.17g}\n" for x, v in enumerate(values))
 
 
 def format_counts(c: Counts) -> str:

@@ -170,6 +170,25 @@ class TestSimulate:
             main(["simulate", "--out", str(tmp_path / "x")])
         assert err.value.code == 1
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        # a config file is input data, read by the same loader as counts and pmf files
+        config = tmp_path / "run.json"
+        config.write_bytes(b"\xff\xfe{")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"monopmf: invalid config file {str(config)!r}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("argv", [
+        ["limits", "--truth", "uniform:3", "--reps", "3"],
+        ["simulate", "--truth", "uniform:3", "--reps", "3"],
+    ], ids=["limits", "simulate"])
+    def test_unwritable_output_exits_1(self, argv, tmp_path, capsys):
+        code = main([*argv, "--out", str(tmp_path / "missing" / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("monopmf: cannot write ") and "missing" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOtherCommands:
     def test_asymptotics_values(self, capsys):
@@ -203,6 +222,14 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "\nl2_sq_gap\t0\n" in out
         assert "\ne_hell_gren\t96\n" in out
+
+    @pytest.mark.parametrize("truth", ["uniform:10000000000000", "geometric:0.999999999999", "mixture:1:10000000000000"])
+    def test_oversized_support_exits_1(self, truth, capsys):
+        # rejected before the arrays (tens of TiB) are allocated
+        assert main(["asymptotics", "--truth", truth]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("monopmf: support of ") and "exceeds the limit of 10000000" in err
 
     def test_risk_output(self, capsys):
         code = main(["risk", "--truth", "uniform:2", "--n", "50", "--k", "2",

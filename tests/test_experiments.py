@@ -75,7 +75,7 @@ class TestRunExperiment:
             metrics=(HELL, L2, L1),
         )
         emp = TABLE_COUNTS.counts[None, :] / float(TABLE_COUNTS.n)
-        dists = replicate_distances(cfg, cfg.truth.to_pmf(), emp)
+        dists = replicate_distances(cfg, cfg.truth.to_pmf().probs, emp)
         expected = {
             (EMP, HELL): 0.08043, (EMP, L2): 0.09129, (EMP, L1): 0.2,
             (REAR, HELL): 0.08043, (REAR, L2): 0.09129, (REAR, L1): 0.2,

@@ -15,7 +15,6 @@ from monopmf import (
     constancy_blocks,
     draw_limit,
     draw_limit_batch,
-    flat_block_gren_reference,
     geometric_pmf,
     gren_zero_probability,
     harmonic,
@@ -25,6 +24,7 @@ from monopmf import (
     touch_count,
     uniform_pmf,
 )
+from references import flat_block_gren_reference
 
 STRICT = Pmf(np.array([0.5, 0.3, 0.2]), monotone=True)
 

@@ -14,7 +14,6 @@ from monopmf import (
     constancy_blocks,
     geometric_pmf,
     gren,
-    gren_oracle,
     limit_transform,
     mixing_estimate,
     mixture_of_uniforms,
@@ -23,6 +22,7 @@ from monopmf import (
     uniform_pmf,
 )
 from monopmf.operators import pool_segments
+from references import gren_oracle, gren_oracle_stack
 
 EXAMPLE_EMPIRICAL = np.array([0.20, 0.14, 0.11, 0.22, 0.15, 0.18])
 
@@ -100,6 +100,15 @@ class TestGren:
     @settings(max_examples=300)
     def test_matches_oracle(self, values):
         assert_allclose(gren(values), gren_oracle(values), rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_stacked_oracle_matches_rows(self, data):
+        shape = data.draw(array_shapes(min_dims=2, max_dims=2, max_side=8))
+        a = data.draw(arrays(float, shape, elements=stack_values))
+        out = gren_oracle_stack(a)
+        for row, fitted in zip(a, out):
+            assert fitted.tobytes() == gren_oracle(row).tobytes()
 
     @given(sequences)
     def test_nonincreasing_and_sum_preserved(self, values):

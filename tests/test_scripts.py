@@ -1,5 +1,6 @@
 """Smoke tests of the study scripts, each run as its own process at a tiny size."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -43,6 +44,16 @@ def test_script_runs(name, args, files, tmp_path):
     assert proc.returncode == 0, proc.stderr
     for f in files:
         assert (tmp_path / "out" / f).is_file(), f
+    if name == "limit_diagnostics.py":  # --reps 50 gives 25 walks per touchpoint length
+        with open(tmp_path / "out" / "touchpoints.csv", newline="") as fh:
+            assert [row["reps"] for row in csv.DictReader(fh)] == ["25"] * 5
+
+
+def test_limit_diagnostics_rejects_fewer_than_two_walks(tmp_path):
+    proc = run_script("limit_diagnostics.py", "--outdir", "out", "--reps", "3", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "--reps must be at least 4" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimator_comparison_writes_simulate_bytes(tmp_path):
