@@ -250,8 +250,8 @@ def _cmd_risk(args) -> int:
     print(f"reps\t{args.reps}")
     print(f"risk_mean\t{_MACHINE_FMT % result.value}")
     print(f"risk_se\t{_MACHINE_FMT % result.se}")
-    if not math.isinf(result.k):
-        scale = args.n ** (result.k / 2.0)
+    if not math.isinf(args.k):
+        scale = args.n ** (args.k / 2.0)
         print(f"scaled_risk\t{_MACHINE_FMT % (scale * result.value)}")
         print(f"scaled_se\t{_MACHINE_FMT % (scale * result.se)}")
     return 0

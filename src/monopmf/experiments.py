@@ -6,13 +6,13 @@ its mixing distribution), and records the requested distances from the
 truth.  Replicate i uses the seed mix_seed(cfg.seed, i), so results do not
 depend on execution order and identical configs produce identical output.
 
-Every Monte Carlo driver here runs on one chunked replicate pipeline
-(`_replicate_chunks`): a chunk of replicates is sampled into a count
-matrix, and the estimators (`estimate`, the one map from an estimator
-kind to its operator) and distances (`replicate_distances`) are computed
-on its rows at once.  A chunk's work arrays hold about `_CHUNK_ELEMENTS`
-values, so memory stays bounded in the replicate count, and each row has
-the same bits as the replicate computed on its own.
+Every Monte Carlo driver here is one statistic over one chunked replicate
+map (`_replicates`): a chunk of replicates is sampled into a count matrix
+and the statistic, built on `estimate` (the one map from an estimator kind
+to its operator), is computed on its rows at once.  A chunk's work arrays
+hold about `_CHUNK_ELEMENTS` values, so memory stays bounded in the
+replicate count, and each row has the same bits as the replicate computed
+on its own.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -226,17 +227,25 @@ def estimate(kind: EstimatorKind, emp):
     return gren(emp)
 
 
-def _replicate_chunks(truth: Pmf, n: int, reps: int, seed: int):
-    """Yield (start, emp) for consecutive chunks of replicates.
+def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
+    """`stat(emp)` of every replicate, stacked in replicate order.
 
-    Row j of the (rows, K+1) array `emp` is the empirical pmf of the
-    sample keyed by mix_seed(seed, start + j), zero-padded to the truth's
-    K+1 points.
+    Replicates run in chunks of max(1, _CHUNK_ELEMENTS // max(n, K+1)).
+    Row j of a chunk's (rows, K+1) array `emp` is the empirical pmf of the
+    sample keyed by mix_seed(seed, i) for its j-th replicate i, padded with
+    zeros to K+1 points; `stat` maps it to one leading entry per row.
     """
+    if reps < 1:
+        raise ValueError("reps must be positive")
     rows = max(1, _CHUNK_ELEMENTS // max(n, truth.support_size))
+    out = None
     for start in range(0, reps, rows):
         seeds = [mix_seed(seed, i) for i in range(start, min(start + rows, reps))]
-        yield start, sample_counts(truth, n, seeds) / float(n)
+        block = stat(sample_counts(truth, n, seeds) / float(n))
+        if out is None:
+            out = np.empty((reps,) + block.shape[1:])
+        out[start : start + len(seeds)] = block
+    return out
 
 
 def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, emp: np.ndarray) -> np.ndarray:
@@ -255,22 +264,21 @@ def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, emp: np.nd
     return out
 
 
-def _check_inequality(cfg: ExperimentConfig, start: int, dists: np.ndarray) -> None:
+def _check_inequality(cfg: ExperimentConfig, raw: np.ndarray) -> None:
     """Raise if rear or gren is farther from the truth than empirical.
 
-    `dists` is the (rows, estimators, metrics) block of replicates
-    start, start+1, ...; the first violation in replicate, metric,
-    estimator order is reported.
+    `raw` is the (reps, estimators, metrics) array of a run; the first
+    violation in replicate, metric, estimator order is reported.
     """
     est = list(cfg.estimators)
     kinds = [k for k in (EstimatorKind.REARRANGEMENT, EstimatorKind.GRENANDER) if k in est]
-    emp = dists[:, est.index(EstimatorKind.EMPIRICAL), :]
-    other = dists[:, [est.index(k) for k in kinds], :]  # (rows, kinds, metrics)
+    emp = raw[:, est.index(EstimatorKind.EMPIRICAL), :]
+    other = raw[:, [est.index(k) for k in kinds], :]  # (reps, kinds, metrics)
     bad = np.flatnonzero(other.transpose(0, 2, 1) > (emp + _INEQ_TOL)[:, :, None])
     if bad.size:
-        row, m, k = np.unravel_index(bad[0], (dists.shape[0], len(cfg.metrics), len(kinds)))
+        row, m, k = np.unravel_index(bad[0], (raw.shape[0], len(cfg.metrics), len(kinds)))
         raise InequalityViolation(
-            f"monotone-estimator inequality violated at replicate {start + row}: "
+            f"monotone-estimator inequality violated at replicate {row}: "
             f"{kinds[k].value} {cfg.metrics[m].label} distance {float(other[row, k, m])!r} exceeds "
             f"empirical {float(emp[row, m])!r}"
         )
@@ -286,14 +294,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     from the truth than the empirical one.
     """
     truth = cfg.truth.to_pmf()
-    check = cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators
     reference = mixing_estimate(truth).weights if cfg.target == "mixing" else truth.probs
-    raw = np.empty((cfg.reps, len(cfg.estimators), len(cfg.metrics)))
-    for start, emp in _replicate_chunks(truth, cfg.n, cfg.reps, cfg.seed):
-        block = replicate_distances(cfg, reference, emp)
-        raw[start : start + block.shape[0]] = block
-        if check:
-            _check_inequality(cfg, start, block)
+    raw = _replicates(truth, cfg.n, cfg.reps, cfg.seed, partial(replicate_distances, cfg, reference))
+    if cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators:
+        _check_inequality(cfg, raw)
     return _summarize(cfg, raw)
 
 
@@ -303,10 +307,6 @@ class RiskEstimate:
 
     value: float
     se: float
-    n: int
-    k: float
-    estimator: EstimatorKind
-    reps: int
 
 
 def estimate_risk(
@@ -323,20 +323,13 @@ def estimate_risk(
     k = float(k)
     if not (k >= 1.0):
         raise ValueError("loss order k must satisfy k >= 1")
-    ref = truth.probs
-    losses = np.empty(reps)
-    for start, emp in _replicate_chunks(truth, n, reps, seed):
-        diff = np.abs(estimate(est, emp) - ref)
-        loss = diff.max(axis=1) if math.isinf(k) else np.sum(diff**k, axis=1)
-        losses[start : start + loss.size] = loss
-    return RiskEstimate(
-        value=float(losses.mean()),
-        se=float(losses.std(ddof=1) / math.sqrt(reps)),
-        n=int(n),
-        k=k,
-        estimator=est,
-        reps=int(reps),
-    )
+
+    def loss(emp):
+        diff = np.abs(estimate(est, emp) - truth.probs)
+        return diff.max(axis=1) if math.isinf(k) else np.sum(diff**k, axis=1)
+
+    losses = _replicates(truth, n, reps, seed, loss)
+    return RiskEstimate(value=float(losses.mean()), se=float(losses.std(ddof=1) / math.sqrt(reps)))
 
 
 @dataclass(frozen=True)
@@ -345,9 +338,6 @@ class FluctuationCdf:
 
     values: np.ndarray  # sorted replicate values
     levels: np.ndarray  # CDF levels i/reps
-    x: int
-    n: int
-    estimator: EstimatorKind
 
 
 def fluctuation_cdf(
@@ -363,10 +353,7 @@ def fluctuation_cdf(
         raise ValueError("x must lie inside the truth support")
     root_n = math.sqrt(n)
     px = float(truth.probs[x])
-    vals = np.empty(reps)
-    for start, emp in _replicate_chunks(truth, n, reps, seed):
-        col = estimate(est, emp)[:, x]
-        vals[start : start + col.size] = root_n * (col - px)
+    vals = _replicates(truth, n, reps, seed, lambda emp: root_n * (estimate(est, emp)[:, x] - px))
     vals.sort()
     levels = np.arange(1, reps + 1) / float(reps)
-    return FluctuationCdf(values=vals, levels=levels, x=int(x), n=int(n), estimator=est)
+    return FluctuationCdf(values=vals, levels=levels)

@@ -31,7 +31,6 @@ class LimitDraw:
     y: np.ndarray
     y_rear: np.ndarray
     y_gren: np.ndarray
-    truth: Pmf
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class AsymptoticReport:
 def draw_limit(p: Pmf, seed: int) -> LimitDraw:
     """One draw of (Y, Y^R, Y^G) at truth p; pure in (p, seed)."""
     y, y_rear, y_gren = draw_limit_batch(p, 1, seed)
-    return LimitDraw(y[0], y_rear[0], y_gren[0], p)
+    return LimitDraw(y[0], y_rear[0], y_gren[0])
 
 
 def draw_limit_batch(p: Pmf, reps: int, seed: int):
@@ -128,7 +127,7 @@ def touch_count(z) -> int:
     v = np.asarray(z, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("touch_count requires a non-empty 1-D sequence")
-    return len(pool_segments(v)[1])
+    return len(pool_segments(v.tolist())[1])
 
 
 def gren_zero_probability(y: int, reps: int, seed: int) -> float:
@@ -148,12 +147,9 @@ def gren_zero_probability(y: int, reps: int, seed: int) -> float:
     scale = math.sqrt(1.0 / (y + 1))
     rng = make_generator(seed)
     hits = 0
-    remaining = int(reps)
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        w = rng.standard_normal((m, y + 1)) * scale
+    for start in range(0, reps, _CHUNK):
+        w = rng.standard_normal((min(_CHUNK, reps - start), y + 1)) * scale
         fluct = w - w.mean(axis=1, keepdims=True)
         bridge = np.cumsum(fluct[:, :-1], axis=1)  # interior points; endpoint is 0
         hits += int(np.count_nonzero(bridge.max(axis=1) <= 0.0))
-        remaining -= m
     return hits / float(reps)

@@ -162,9 +162,10 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
     positive reals summing to one.
     """
     w = np.asarray(weights, dtype=float)
-    y = np.asarray(ys, dtype=np.int64)
+    y = np.asarray(ys, dtype=object)
     if w.ndim != 1 or y.ndim != 1 or w.size != y.size or w.size == 0:
         raise ValueError("weights and ys must be non-empty sequences of equal length")
+    y = np.array([int(v) for v in y], dtype=object)  # Python ints until the checks pass
     if np.any(w <= 0):
         raise ValueError("mixture weights must be positive")
     if abs(float(w.sum()) - 1.0) > SUM_TOL:
@@ -172,6 +173,7 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
     if np.any(y < 0) or np.any(np.diff(y) <= 0):
         raise ValueError("ys must be strictly increasing non-negative integers")
     _check_support(int(y[-1]) + 1)
+    y = y.astype(np.int64)
     probs = np.zeros(int(y[-1]) + 1)
     for wi, yi in zip(w, y):
         probs[: yi + 1] += wi / (yi + 1.0)

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from monopmf import experiments, format_counts, format_pmf, parse_pmf, sample, u
 from monopmf.cli import main
 from monopmf.pmf import Counts
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 TABLE_COUNTS = Counts(np.array([20, 14, 11, 22, 15, 18]), n=100)
 
 
@@ -231,6 +233,20 @@ class TestOtherCommands:
         assert err.count("\n") == 1
         assert err.startswith("monopmf: support of ") and "exceeds the limit of 10000000" in err
 
+    @pytest.mark.parametrize(
+        "truth",
+        [
+            "mixture:1:100000000000000000000000000",
+            "mixture:1:-100000000000000000000000000",
+            "mixture:0.5:3,0.5:100000000000000000000000000",
+        ],
+    )
+    def test_mixture_component_past_int64_exits_1(self, truth, capsys):
+        assert main(["asymptotics", "--truth", truth]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("monopmf: ")
+        assert "Traceback" not in err
+
     def test_risk_output(self, capsys):
         code = main(["risk", "--truth", "uniform:2", "--n", "50", "--k", "2",
                      "--estimator", "empirical", "--reps", "2000", "--seed", "4"])
@@ -277,9 +293,10 @@ class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
         path = tmp_path / "one.counts"
         path.write_text("0\t2\n1\t1\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "monopmf", "estimate", "--counts", str(path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "empirical" in proc.stdout

@@ -275,3 +275,8 @@ class TestFluctuationCdf:
     def test_x_outside_support_rejected(self):
         with pytest.raises(ValueError):
             fluctuation_cdf(uniform_pmf(2), 5, n=10, reps=10, seed=1, est=EMP)
+
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_nonpositive_reps_rejected(self, reps):
+        with pytest.raises(ValueError, match="reps must be positive"):
+            fluctuation_cdf(uniform_pmf(2), 1, n=10, reps=reps, seed=1, est=EMP)

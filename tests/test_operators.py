@@ -194,6 +194,17 @@ class TestConstancyBlocks:
         starts = [0] + [int(y) + 1 for y in ys[:-1]]
         assert constancy_blocks(p) == list(zip(starts, ys.tolist()))
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10**4))
+    def test_uniform_is_one_block(self, y):
+        assert constancy_blocks(uniform_pmf(y)) == [(0, y)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.01, 0.999))
+    def test_geometric_blocks_are_singletons(self, theta):
+        p = geometric_pmf(theta)
+        assert constancy_blocks(p) == [(x, x) for x in range(p.support_size)]
+
 
 class TestLimitTransform:
     def test_identity_on_singletons(self):
@@ -244,6 +255,14 @@ class TestStackContract:
     def test_gren_scale_equivariant(self, w, j):
         c = 2.0**j
         assert gren(c * w).tobytes() == (c * gren(w)).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(float, st.integers(1, 20), elements=scalable_values), st.floats(1e-6, 1e6))
+    def test_gren_scale_equivariant_any_factor(self, w, c):
+        # scaling by c rounds every entry, so pooled sums and means may move
+        # by a few roundings of the largest partial sum: c * sum|w| * L * eps
+        bound = c * np.abs(w).sum() * w.size * np.finfo(float).eps
+        assert np.max(np.abs(gren(c * w) - c * gren(w))) <= bound
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -82,6 +82,12 @@ class TestConstructors:
         with pytest.raises(ValueError):
             mixture_of_uniforms([0.4, 0.4], [3, 7])  # does not sum to 1
 
+    @pytest.mark.parametrize("ys", [[10**26], [-(10**26)], [3, 10**26], [10**26, 3]])
+    def test_mixture_rejects_components_past_int64(self, ys):
+        # checked as Python ints, so a ValueError and not an OverflowError
+        with pytest.raises(ValueError):
+            mixture_of_uniforms([1.0 / len(ys)] * len(ys), ys)
+
     def test_monotone_constructors_satisfy_mixture_bound(self):
         for p in (uniform_pmf(7), geometric_pmf(0.6), mixture_of_uniforms([0.3, 0.7], [2, 9])):
             bound = 1.0 / (np.arange(p.support_size) + 1.0)
