@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: estimate, simulate, risk, limits, asymptotics, mixing.
-Exit codes: 0 success, 1 usage error or unwritable output file, 2 input
-data error, 3 a simulated replicate failed the monotone-estimator
-inequality check.  All files are written atomically (temp file + rename)
+Exit codes: 0 success, 1 usage error, unwritable output file or a run
+too large for memory, 2 input data error, 3 a simulated replicate failed
+the monotone-estimator inequality check.  All files are written atomically (temp file + rename)
 and machine-readable numbers carry 17 significant digits.
 """
 
@@ -34,7 +34,7 @@ from .experiments import (
 from .limits import asymptotics, draw_limit_batch
 from .metrics import MetricKind, distance
 from .operators import constancy_blocks, mixing_estimate
-from .pmf import empirical_pmf, format_pmf, parse_counts, parse_pmf
+from .pmf import empirical_pmf, float_label, format_pmf, parse_counts, parse_pmf
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
@@ -110,15 +110,6 @@ def _load(path: str, label: str, parse):
         raise DataError(f"invalid {label} file {path!r}: {exc}") from None
 
 
-def _trim_trailing_zeros(values):
-    # a written pmf ends at its last positive entry (rear can sort interior
-    # zeros to the tail)
-    last = len(values) - 1
-    while last > 0 and values[last] == 0.0:
-        last -= 1
-    return values[: last + 1]
-
-
 def _suffixed(path: str, name: str) -> str:
     stem, ext = os.path.splitext(path)
     return f"{stem}.{name}{ext}"
@@ -144,7 +135,8 @@ def _emit_sequences(sequences: dict, out) -> None:
 
 def _cmd_estimate(args) -> int:
     estimates = _estimates(args)
-    _emit_sequences({name: _trim_trailing_zeros(v) for name, v in estimates.items()}, args.out)
+    # a written pmf ends at its last positive entry (rear can sort interior zeros to the tail)
+    _emit_sequences({name: np.trim_zeros(v, "b") for name, v in estimates.items()}, args.out)
     if args.truth is not None:
         truth = _load(args.truth, "pmf", parse_pmf)
         metrics = [MetricKind.hellinger(), MetricKind.ell(1), MetricKind.ell(2), MetricKind.ell(math.inf)]
@@ -157,30 +149,14 @@ def _cmd_estimate(args) -> int:
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config is not None:
-        data = _load(args.config, "config", json.loads)
-        try:
-            truth = data["truth"]
-            spec = TruthSpec.parse(truth) if isinstance(truth, str) else TruthSpec(**truth)
-            estimators = tuple(EstimatorKind.parse(e) for e in data.get("estimators", [])) or DEFAULT_ESTIMATORS
-            metrics = tuple(MetricKind.parse(m) for m in data.get("metrics", [])) or DEFAULT_METRICS
-            return ExperimentConfig(
-                truth=spec,
-                n=int(data["n"]),
-                reps=int(data["reps"]),
-                seed=int(data.get("seed", 0)),
-                estimators=estimators,
-                metrics=metrics,
-                target=data.get("target", "pmf"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"invalid config file {args.config!r}: {exc}") from None
+        return _load(args.config, "config", lambda text: ExperimentConfig.from_json(json.loads(text)))
     return ExperimentConfig(
         truth=args.truth,
         n=args.n,
         reps=args.reps,
         seed=args.seed,
-        estimators=args.estimators or DEFAULT_ESTIMATORS,
-        metrics=args.metrics or DEFAULT_METRICS,
+        estimators=args.estimators,
+        metrics=args.metrics,
         target=args.target,
     )
 
@@ -221,17 +197,7 @@ def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
             text += f"{est.value},{metric.label},{values}\r\n"
     _atomic_write(f"{prefix}_summary.csv", text)
 
-    meta = {
-        "version": __version__,
-        "truth": cfg.truth.to_json_dict(),
-        "n": cfg.n,
-        "reps": cfg.reps,
-        "seed": cfg.seed,
-        "estimators": [e.value for e in cfg.estimators],
-        "metrics": [m.label for m in cfg.metrics],
-        "target": cfg.target,
-        "quantile_method": "median_unbiased",
-    }
+    meta = {"version": __version__, **cfg.to_json(), "quantile_method": "median_unbiased"}
     _atomic_write(f"{prefix}_meta.json", json.dumps(meta, indent=2) + "\n")
 
 
@@ -245,7 +211,7 @@ def _cmd_risk(args) -> int:
     est = EstimatorKind.parse(args.estimator)
     result = estimate_risk(truth, args.n, args.k, est, args.reps, args.seed)
     print(f"estimator\t{est.value}")
-    print(f"k\t{args.k:g}")
+    print(f"k\t{float_label(args.k)}")
     print(f"n\t{args.n}")
     print(f"reps\t{args.reps}")
     print(f"risk_mean\t{_MACHINE_FMT % result.value}")
@@ -325,8 +291,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", default="pmf", choices=["pmf", "mixing"])
-    p.add_argument("--estimators", type=estimators, help="comma list: empirical,rear,gren")
-    p.add_argument("--metrics", type=metrics, help="comma list: hellinger,l1,l2,linf,l{k}")
+    p.add_argument("--estimators", type=estimators, default=DEFAULT_ESTIMATORS, help="comma list: empirical,rear,gren")
+    p.add_argument("--metrics", type=metrics, default=DEFAULT_METRICS, help="comma list: hellinger,l1,l2,linf,l{k}")
     p.add_argument("--config", help="JSON config file carrying the same fields")
     p.add_argument("--out", required=True, help="output prefix for _raw.csv, _summary.csv, _meta.json")
     p.set_defaults(fn=_cmd_simulate)
@@ -371,7 +337,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"monopmf: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OutputError) as exc:
+    except (ValueError, OutputError, MemoryError) as exc:
         print(f"monopmf: {exc}", file=sys.stderr)
         return 1
     except InequalityViolation as exc:

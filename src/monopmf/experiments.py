@@ -26,8 +26,8 @@ import numpy as np
 
 from .metrics import MetricKind, distance
 from .operators import gren, mixing_estimate, rear
-from .pmf import Pmf, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
-from .rng import mix_seed
+from .pmf import DEFAULT_TAIL_TOL, Pmf, float_label, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
+from .rng import check_seed, mix_seed
 
 #: Slack for the replicate-wise monotone-estimator inequality check; the
 #: inequality is exact in real arithmetic.
@@ -85,7 +85,7 @@ class TruthSpec:
     theta: float | None = None
     weights: tuple[float, ...] | None = None
     ys: tuple[int, ...] | None = None
-    tail_tol: float = 1e-12
+    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if self.weights is not None:
@@ -128,8 +128,8 @@ class TruthSpec:
         if self.family == "uniform":
             return f"uniform:{self.y}"
         if self.family == "geometric":
-            return f"geometric:{self.theta:g}"
-        parts = ",".join(f"{w:g}:{y}" for w, y in zip(self.weights, self.ys))
+            return f"geometric:{float_label(self.theta)}"
+        parts = ",".join(f"{float_label(w)}:{y}" for w, y in zip(self.weights, self.ys))
         return f"mixture:{parts}"
 
     def to_json_dict(self) -> dict:
@@ -158,6 +158,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1 or self.reps < 1:
             raise ValueError("n and reps must be positive")
+        check_seed(self.seed)
         if not self.estimators or not self.metrics:
             raise ValueError("estimator and metric sets must be non-empty")
         if self.target not in ("pmf", "mixing"):
@@ -171,6 +172,39 @@ class ExperimentConfig:
                 "the Hellinger distance is undefined for empirical mixing weights, "
                 "which can be negative; drop 'empirical' or 'hellinger' for target 'mixing'"
             )
+
+    def to_json(self) -> dict:
+        """The fields as a run's _meta.json records them."""
+        return {
+            "truth": self.truth.to_json_dict(),
+            "n": self.n,
+            "reps": self.reps,
+            "seed": self.seed,
+            "estimators": [e.value for e in self.estimators],
+            "metrics": [m.label for m in self.metrics],
+            "target": self.target,
+        }
+
+    @staticmethod
+    def from_json(data) -> "ExperimentConfig":
+        """The config of a JSON object in the format of `to_json` (the truth may
+        also be a spec string; other keys are ignored).  The truth is built
+        once, so a bad truth or field is a ValueError raised before any work."""
+        try:
+            truth = data["truth"]
+            spec = TruthSpec.parse(truth) if isinstance(truth, str) else TruthSpec(**truth)
+            spec.to_pmf()
+            return ExperimentConfig(
+                truth=spec,
+                n=int(data["n"]),
+                reps=int(data["reps"]),
+                seed=int(data.get("seed", 0)),
+                estimators=tuple(EstimatorKind.parse(e) for e in data.get("estimators", [])) or DEFAULT_ESTIMATORS,
+                metrics=tuple(MetricKind.parse(m) for m in data.get("metrics", [])) or DEFAULT_METRICS,
+                target=data.get("target", "pmf"),
+            )
+        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+            raise ValueError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -237,6 +271,7 @@ def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
     """
     if reps < 1:
         raise ValueError("reps must be positive")
+    check_seed(seed)
     rows = max(1, _CHUNK_ELEMENTS // max(n, truth.support_size))
     out = None
     for start in range(0, reps, rows):
@@ -268,18 +303,15 @@ def _check_inequality(cfg: ExperimentConfig, raw: np.ndarray) -> None:
     """Raise if rear or gren is farther from the truth than empirical.
 
     `raw` is the (reps, estimators, metrics) array of a run; the first
-    violation in replicate, metric, estimator order is reported.
+    violation in replicate, metric, config estimator order is reported.
     """
-    est = list(cfg.estimators)
-    kinds = [k for k in (EstimatorKind.REARRANGEMENT, EstimatorKind.GRENANDER) if k in est]
-    emp = raw[:, est.index(EstimatorKind.EMPIRICAL), :]
-    other = raw[:, [est.index(k) for k in kinds], :]  # (reps, kinds, metrics)
-    bad = np.flatnonzero(other.transpose(0, 2, 1) > (emp + _INEQ_TOL)[:, :, None])
-    if bad.size:
-        row, m, k = np.unravel_index(bad[0], (raw.shape[0], len(cfg.metrics), len(kinds)))
+    emp = raw[:, cfg.estimators.index(EstimatorKind.EMPIRICAL), :]
+    hits = np.argwhere(raw.transpose(0, 2, 1) > (emp + _INEQ_TOL)[:, :, None])
+    if hits.size:
+        row, m, e = hits[0]
         raise InequalityViolation(
             f"monotone-estimator inequality violated at replicate {row}: "
-            f"{kinds[k].value} {cfg.metrics[m].label} distance {float(other[row, k, m])!r} exceeds "
+            f"{cfg.estimators[e].value} {cfg.metrics[m].label} distance {float(raw[row, e, m])!r} exceeds "
             f"empirical {float(emp[row, m])!r}"
         )
 

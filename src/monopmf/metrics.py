@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pmf import float_label
+
 
 @dataclass(frozen=True)
 class MetricKind:
@@ -58,9 +60,7 @@ class MetricKind:
             return "hellinger"
         if math.isinf(self.k):
             return "linf"
-        if self.k == int(self.k):
-            return f"l{int(self.k)}"
-        return f"l{self.k:g}"
+        return f"l{int(self.k)}" if self.k == int(self.k) else f"l{float_label(self.k)}"
 
 
 def _padded(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -89,14 +89,8 @@ def constancy_blocks(p: Pmf) -> list[tuple[int, int]]:
     if not p.monotone:
         raise ValueError("constancy blocks are defined for monotone pmfs")
     probs = p.probs
-    blocks: list[tuple[int, int]] = []
-    start = 0
-    for x in range(1, probs.size):
-        if probs[x] != probs[x - 1]:
-            blocks.append((start, x - 1))
-            start = x
-    blocks.append((start, probs.size - 1))
-    return blocks
+    starts = [0, *(np.flatnonzero(probs[1:] != probs[:-1]) + 1).tolist()]
+    return list(zip(starts, [s - 1 for s in starts[1:]] + [probs.size - 1]))
 
 
 def limit_transform(y, blocks) -> tuple[np.ndarray, np.ndarray]:

@@ -235,6 +235,12 @@ def format_counts(c: Counts) -> str:
     return "".join(f"{x}\t{int(v)}\n" for x, v in enumerate(c.counts))
 
 
+def float_label(x: float) -> str:
+    """The `:g` text of x when it reads back as x, else the shortest that does."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 def _parse_table(text: str, label: str):
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -13,7 +13,7 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
     if not 0 <= int(seed) <= _MASK64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(seed)
@@ -21,7 +21,7 @@ def _check_seed(seed: int) -> int:
 
 def make_generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by a 64-bit unsigned seed."""
-    return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
 def keyed_generators(seeds):
@@ -38,7 +38,7 @@ def keyed_generators(seeds):
     for seed in seeds:
         bit_gen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([_check_seed(seed), 0], np.uint64)},
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([check_seed(seed), 0], np.uint64)},
             "buffer": np.zeros(4, np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,

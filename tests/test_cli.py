@@ -179,6 +179,43 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith(f"monopmf: invalid config file {str(config)!r}: 'utf-8' codec")
 
+    @pytest.mark.parametrize("flags", [
+        ["--truth", "uniform:5", "--metrics", "l1.23456789,l2"],
+        ["--truth", "geometric:0.123456789"],
+    ], ids=["metric", "truth"])
+    def test_meta_json_reproduces_run(self, flags, tmp_path):
+        assert main(["simulate", *flags, "--n", "40", "--reps", "30", "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+        assert main(["simulate", "--config", str(tmp_path / "a_meta.json"), "--out", str(tmp_path / "b")]) == 0
+        for suffix in ("_raw.csv", "_summary.csv", "_meta.json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("content", [
+        {"truth": {"family": "uniform", "y": None}},
+        {"truth": {"family": "geometric", "theta": [0.5]}},
+        {"truth": {"family": "nope"}},
+        {"truth": {"family": "uniform", "y": -3}},
+        {"truth": {"family": "mixture", "weights": [1]}},
+        {"seed": -1},
+        {"seed": 2**64},
+        {"estimators": [1]},
+    ])
+    def test_bad_config_content_exits_2(self, content, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"truth": "uniform:3", "n": 10, "reps": 5, **content}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"monopmf: invalid config file {str(config)!r}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_run_too_large_for_memory_exits_1(self, tmp_path, capsys):
+        # one sample of 10^17 uniforms (710 PiB) cannot be allocated anywhere
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"truth": "uniform:3", "n": 10**17, "reps": 1}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("monopmf: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("argv", [
         ["limits", "--truth", "uniform:3", "--reps", "3"],
         ["simulate", "--truth", "uniform:3", "--reps", "3"],
@@ -246,6 +283,23 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("monopmf: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_risk_seed_outside_64_bits_exits_1(self, seed, capsys):
+        assert main(["risk", "--truth", "uniform:3", "--n", "20", "--reps", "5", "--seed", seed]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"monopmf: seed must be a 64-bit unsigned integer, got {seed}\n"
+
+    @pytest.mark.parametrize("k", ["2", "inf", "1.5", "1.23456789"])
+    def test_risk_k_line_reads_back(self, k, capsys):
+        assert main(["risk", "--truth", "uniform:2", "--n", "10", "--k", k, "--reps", "3"]) == 0
+        assert f"\nk\t{k}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("truth", ["geometric:0.123456789", "geometric:0.75", "mixture:1:3"])
+    def test_asymptotics_truth_line_reads_back(self, truth, capsys):
+        assert main(["asymptotics", "--truth", truth]) == 0
+        assert capsys.readouterr().out.startswith(f"truth\t{truth}\n")
 
     def test_risk_output(self, capsys):
         code = main(["risk", "--truth", "uniform:2", "--n", "50", "--k", "2",

@@ -1,9 +1,12 @@
 """Tests for the Monte Carlo experiment harness."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy import stats
 
@@ -27,7 +30,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf.experiments import replicate_distances
+from monopmf.experiments import InequalityViolation, _check_inequality, replicate_distances
 
 HELL = MetricKind.hellinger()
 L1 = MetricKind.ell(1)
@@ -38,6 +41,43 @@ REAR = EstimatorKind.REARRANGEMENT
 GREN = EstimatorKind.GRENANDER
 
 TABLE_COUNTS = Counts(np.array([20, 14, 11, 22, 15, 18]), n=100)
+
+
+@st.composite
+def truth_specs(draw, tail_tol=True):
+    """Valid truths of all three families; geometric ones with a drawn
+    tail_tol unless `tail_tol` is False (labels do not carry it)."""
+    family = draw(st.sampled_from(["uniform", "geometric", "mixture"]))
+    if family == "uniform":
+        return TruthSpec("uniform", y=draw(st.integers(0, 200)))
+    if family == "geometric":
+        theta = draw(st.floats(0.0, 0.99))
+        if not tail_tol:
+            return TruthSpec("geometric", theta=theta)
+        return TruthSpec("geometric", theta=theta, tail_tol=draw(st.floats(1e-15, 0.5)))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
+    ys = sorted(draw(st.sets(st.integers(0, 60), min_size=len(raw), max_size=len(raw))))
+    return TruthSpec("mixture", weights=tuple(w / sum(raw) for w in raw), ys=tuple(ys))
+
+
+@st.composite
+def experiment_configs(draw):
+    k = st.one_of(st.floats(1.0, 1e6), st.integers(1, 10).map(float), st.just(math.inf))
+    metric = st.one_of(st.just(HELL), k.map(MetricKind.ell))
+    estimators = tuple(draw(st.lists(st.sampled_from(list(EstimatorKind)), min_size=1, max_size=4)))
+    metrics = tuple(draw(st.lists(metric, min_size=1, max_size=4)))
+    target = draw(st.sampled_from(["pmf", "mixing"]))
+    if target == "mixing" and EMP in estimators and HELL in metrics:
+        target = "pmf"
+    return ExperimentConfig(
+        truth=draw(truth_specs()),
+        n=draw(st.integers(1, 10**9)),
+        reps=draw(st.integers(1, 10**9)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        estimators=estimators,
+        metrics=metrics,
+        target=target,
+    )
 
 
 class TestTruthSpec:
@@ -63,6 +103,49 @@ class TestTruthSpec:
         spec = TruthSpec.parse("mixture:0.2:3,0.8:7")
         d = spec.to_json_dict()
         assert TruthSpec(**d) == spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(truth_specs(tail_tol=False))
+    def test_label_parses_back(self, spec):
+        assert TruthSpec.parse(spec.label) == spec
+
+    def test_labels_keep_their_g_text_when_exact(self):
+        for text in ("uniform:5", "geometric:0.75", "mixture:1:3", "mixture:0.2:3,0.8:7",
+                     "mixture:0.15:3,0.1:7,0.75:11", "mixture:0.25:1,0.2:3,0.15:5,0.4:7", "geometric:1e-05"):
+            assert TruthSpec.parse(text).label == text
+        assert TruthSpec.parse("geometric:0.123456789").label == "geometric:0.123456789"
+        assert TruthSpec.parse("mixture:0.123456789:2,0.876543211:5").label == "mixture:0.123456789:2,0.876543211:5"
+
+
+class TestConfigJson:
+    @settings(max_examples=300, deadline=None)
+    @given(experiment_configs())
+    def test_round_trip(self, cfg):
+        assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+
+    def test_defaults_and_spec_strings(self):
+        cfg = ExperimentConfig.from_json({"truth": "uniform:4", "n": 30, "reps": 10, "estimators": [], "extra": 1})
+        assert cfg == ExperimentConfig(TruthSpec("uniform", y=4), n=30, reps=10, seed=0)
+
+    # bad truths that the CLI tests do not cover, and faults of the other fields
+    @pytest.mark.parametrize("data", [
+        [1, 2],
+        {"n": 3, "reps": 3},
+        {"truth": {"family": "uniform", "z": 3}, "n": 3, "reps": 3},
+        {"truth": 7, "n": 3, "reps": 3},
+        {"truth": "uniform:3", "n": None, "reps": 3},
+        {"truth": "uniform:3", "n": 3, "reps": 3, "seed": float("inf")},
+        {"truth": "uniform:3", "n": 3, "reps": 3, "estimators": [1]},
+        {"truth": "uniform:3", "n": 3, "reps": 3, "metrics": 2},
+    ])
+    def test_bad_data_is_a_value_error(self, data):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="64-bit"):
+            ExperimentConfig(TruthSpec("uniform", y=3), n=5, reps=5, seed=seed)
 
 
 class TestRunExperiment:
@@ -196,6 +279,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(truth=TruthSpec("uniform", y=3), n=5, reps=5, seed=1, target="cdf")
 
+    def test_inequality_violation_reported_in_config_estimator_order(self):
+        # gren and rear both exceed empirical at replicate 1, metric 0
+        cfg = ExperimentConfig(TruthSpec("uniform", y=3), n=5, reps=3, seed=1,
+                               estimators=(GREN, REAR, EMP), metrics=(L1, L2))
+        raw = np.zeros((3, 3, 2))
+        raw[1, :2, 0] = [0.5, 0.7]
+        raw[2, 1, :] = 1.0
+        with pytest.raises(InequalityViolation, match="replicate 1: grenander l1 distance 0.5 exceeds empirical 0.0"):
+            _check_inequality(cfg, raw)
+        _check_inequality(cfg, np.zeros((3, 3, 2)))
+
     def test_mixing_empirical_hellinger_rejected_up_front(self):
         # empirical mixing weights can be negative, where Hellinger is undefined
         with pytest.raises(ValueError, match="Hellinger"):
@@ -271,6 +365,11 @@ class TestFluctuationCdf:
         assert dist[10**4] < dist[10**3]
         assert dist[10**4] < 1.6276 * math.sqrt(2 / reps)
         assert dist[10**3] < 0.05
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="64-bit"):
+            fluctuation_cdf(uniform_pmf(2), 1, n=10, reps=10, seed=seed, est=EMP)
 
     def test_x_outside_support_rejected(self):
         with pytest.raises(ValueError):

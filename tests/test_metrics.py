@@ -87,6 +87,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             MetricKind.parse("kl")
 
+    def test_labels_keep_their_g_text_when_exact(self):
+        assert MetricKind.ell(1.5).label == "l1.5"
+        assert MetricKind.ell(3).label == "l3"
+        assert MetricKind.ell(1.23456789).label == "l1.23456789"
+
+    @given(st.one_of(st.just(HELL), st.floats(min_value=1.0, allow_nan=False).map(MetricKind.ell)))
+    def test_label_parses_back(self, m):
+        assert MetricKind.parse(m.label) == m
+
 
 class TestMetricProperties:
     @given(probability_vectors, probability_vectors)
