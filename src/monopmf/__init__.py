@@ -19,7 +19,6 @@ from .experiments import (
 )
 from .limits import (
     asymptotics,
-    draw_limit,
     draw_limit_batch,
     gren_zero_probability,
     harmonic,
@@ -61,7 +60,6 @@ __all__ = [
     "asymptotics",
     "constancy_blocks",
     "distance",
-    "draw_limit",
     "draw_limit_batch",
     "empirical_pmf",
     "estimate_risk",

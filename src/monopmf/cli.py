@@ -60,6 +60,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Given(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):  # store, and note the flag in `given`
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
+
+
 def _arg_type(parse):
     """An argparse type from `parse`, its ValueError a usage error."""
 
@@ -149,6 +155,8 @@ def _cmd_estimate(args) -> int:
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config is not None:
+        if args.given:
+            raise ValueError(f"{args.given[0]} cannot be combined with --config")
         return _load(args.config, "config", lambda text: ExperimentConfig.from_json(json.loads(text)))
     return ExperimentConfig(
         truth=args.truth,
@@ -266,7 +274,7 @@ def _cmd_mixing(args) -> int:
         sources = {"pmf": _load(args.pmf, "pmf", parse_pmf).probs}
     else:
         sources = _estimates(args)
-    _emit_sequences({name: mixing_estimate(v).weights for name, v in sources.items()}, args.out)
+    _emit_sequences({name: mixing_estimate(v) for name, v in sources.items()}, args.out)
     return 0
 
 
@@ -286,16 +294,18 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="Monte Carlo comparison of the estimators")
-    p.add_argument("--truth", type=truth, help="uniform:y | geometric:theta | mixture:w:y,...")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", default="pmf", choices=["pmf", "mixing"])
-    p.add_argument("--estimators", type=estimators, default=DEFAULT_ESTIMATORS, help="comma list: empirical,rear,gren")
-    p.add_argument("--metrics", type=metrics, default=DEFAULT_METRICS, help="comma list: hellinger,l1,l2,linf,l{k}")
-    p.add_argument("--config", help="JSON config file carrying the same fields")
+    p.add_argument("--truth", type=truth, action=_Given, help="uniform:y | geometric:theta | mixture:w:y,...")
+    p.add_argument("--n", type=int, default=100, action=_Given)
+    p.add_argument("--reps", type=int, default=1000, action=_Given)
+    p.add_argument("--seed", type=int, default=0, action=_Given)
+    p.add_argument("--target", default="pmf", choices=["pmf", "mixing"], action=_Given)
+    p.add_argument("--estimators", type=estimators, default=DEFAULT_ESTIMATORS, action=_Given,
+                   help="comma list: empirical,rear,gren")
+    p.add_argument("--metrics", type=metrics, default=DEFAULT_METRICS, action=_Given,
+                   help="comma list: hellinger,l1,l2,linf,l{k}")
+    p.add_argument("--config", help="JSON config file carrying the same fields; no other config flag may be given")
     p.add_argument("--out", required=True, help="output prefix for _raw.csv, _summary.csv, _meta.json")
-    p.set_defaults(fn=_cmd_simulate)
+    p.set_defaults(fn=_cmd_simulate, given=())
 
     p = sub.add_parser("risk", help="Monte Carlo risk of one estimator")
     p.add_argument("--truth", type=truth, required=True)

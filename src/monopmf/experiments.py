@@ -38,6 +38,14 @@ _INEQ_TOL = 1e-9
 _CHUNK_ELEMENTS = 4096
 
 
+def _as_int(value, name: str) -> int:
+    """`value` as an int; a bool, a string or a non-integral number is a ValueError."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class InequalityViolation(RuntimeError):
     """A replicate's rearranged or Grenander estimate is farther from a
     monotone truth than its empirical pmf, which the theory rules out."""
@@ -88,10 +96,12 @@ class TruthSpec:
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
+        if self.y is not None:
+            object.__setattr__(self, "y", _as_int(self.y, "y"))
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if self.ys is not None:
-            object.__setattr__(self, "ys", tuple(int(y) for y in self.ys))
+            object.__setattr__(self, "ys", tuple(_as_int(y, "ys") for y in self.ys))
 
     def to_pmf(self) -> Pmf:
         if self.family == "uniform":
@@ -196,9 +206,9 @@ class ExperimentConfig:
             spec.to_pmf()
             return ExperimentConfig(
                 truth=spec,
-                n=int(data["n"]),
-                reps=int(data["reps"]),
-                seed=int(data.get("seed", 0)),
+                n=_as_int(data["n"], "n"),
+                reps=_as_int(data["reps"], "reps"),
+                seed=_as_int(data.get("seed", 0), "seed"),
                 estimators=tuple(EstimatorKind.parse(e) for e in data.get("estimators", [])) or DEFAULT_ESTIMATORS,
                 metrics=tuple(MetricKind.parse(m) for m in data.get("metrics", [])) or DEFAULT_METRICS,
                 target=data.get("target", "pmf"),
@@ -292,7 +302,7 @@ def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, emp: np.nd
     """
     vectors = np.stack([estimate(kind, emp) for kind in cfg.estimators], axis=1)
     if cfg.target == "mixing":
-        vectors = mixing_estimate(vectors).weights
+        vectors = mixing_estimate(vectors)
     out = np.empty(vectors.shape[:2] + (len(cfg.metrics),))
     for m, metric in enumerate(cfg.metrics):
         out[:, :, m] = distance(vectors, reference, metric)
@@ -326,7 +336,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     from the truth than the empirical one.
     """
     truth = cfg.truth.to_pmf()
-    reference = mixing_estimate(truth).weights if cfg.target == "mixing" else truth.probs
+    reference = mixing_estimate(truth) if cfg.target == "mixing" else truth.probs
     raw = _replicates(truth, cfg.n, cfg.reps, cfg.seed, partial(replicate_distances, cfg, reference))
     if cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators:
         _check_inequality(cfg, raw)
@@ -364,14 +374,6 @@ def estimate_risk(
     return RiskEstimate(value=float(losses.mean()), se=float(losses.std(ddof=1) / math.sqrt(reps)))
 
 
-@dataclass(frozen=True)
-class FluctuationCdf:
-    """Empirical CDF table of sqrt(n) * (estimate_x - truth_x) over replicates."""
-
-    values: np.ndarray  # sorted replicate values
-    levels: np.ndarray  # CDF levels i/reps
-
-
 def fluctuation_cdf(
     truth: Pmf,
     x: int,
@@ -379,13 +381,13 @@ def fluctuation_cdf(
     reps: int,
     seed: int,
     est: EstimatorKind,
-) -> FluctuationCdf:
-    """Replicate distribution of the scaled fluctuation at support point x."""
+) -> np.ndarray:
+    """Sorted replicate values of sqrt(n) * (estimate_x - truth_x): the i-th
+    (from 0) is where the empirical CDF of the replicates reaches (i+1)/reps."""
     if not 0 <= x <= truth.support_max:
         raise ValueError("x must lie inside the truth support")
     root_n = math.sqrt(n)
     px = float(truth.probs[x])
     vals = _replicates(truth, n, reps, seed, lambda emp: root_n * (estimate(est, emp)[:, x] - px))
     vals.sort()
-    levels = np.arange(1, reps + 1) / float(reps)
-    return FluctuationCdf(values=vals, levels=levels)
+    return vals

@@ -25,15 +25,6 @@ _CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
-class LimitDraw:
-    """One joint realization of the limit fluctuations (Y, Y^R, Y^G)."""
-
-    y: np.ndarray
-    y_rear: np.ndarray
-    y_gren: np.ndarray
-
-
-@dataclass(frozen=True)
 class AsymptoticReport:
     """Closed-form limit moments of the fluctuation processes at a truth p.
 
@@ -50,12 +41,6 @@ class AsymptoticReport:
     e_hell_emp: float
     e_hell_gren: float
     e_l1_emp: float
-
-
-def draw_limit(p: Pmf, seed: int) -> LimitDraw:
-    """One draw of (Y, Y^R, Y^G) at truth p; pure in (p, seed)."""
-    y, y_rear, y_gren = draw_limit_batch(p, 1, seed)
-    return LimitDraw(y[0], y_rear[0], y_gren[0])
 
 
 def draw_limit_batch(p: Pmf, reps: int, seed: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pmf import MixingWeights, Pmf
+from .pmf import SUM_TOL, Pmf
 
 def rear(w) -> np.ndarray:
     """Values of w reordered to be non-increasing.
@@ -119,18 +119,22 @@ def limit_transform(y, blocks) -> tuple[np.ndarray, np.ndarray]:
     return y_rear, y_gren
 
 
-def mixing_estimate(p) -> MixingWeights:
+def mixing_estimate(p) -> np.ndarray:
     """Mixing weights of the uniform-mixture representation.
 
     weights[x] = -(x+1) * (p[x+1] - p[x]) with p[K+1] = 0.  The weights
     telescope to sum(p) = 1; they are non-negative exactly when p is
     non-increasing, so the raw empirical plug-in may go negative.  A stack
-    of sequences (shape (..., K+1)) gives a stack of weights, row by row.
+    of sequences (shape (..., K+1)) gives a stack of weights, row by row;
+    a row that does not sum to one is a ValueError.
     """
     probs = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
     if probs.ndim == 0 or probs.shape[-1] == 0:
         raise ValueError("expected a non-empty sequence")
-    shifted = np.zeros_like(probs)
-    shifted[..., :-1] = probs[..., 1:]
+    shifted = np.concatenate((probs[..., 1:], np.zeros(probs.shape[:-1] + (1,))), axis=-1)  # p[x+1], p[K+1] = 0
     weights = -(np.arange(probs.shape[-1]) + 1.0) * (shifted - probs)
-    return MixingWeights(weights)
+    totals = np.ravel(weights.sum(axis=-1))
+    bad = np.flatnonzero(np.abs(totals - 1.0) > SUM_TOL)
+    if bad.size:
+        raise ValueError(f"mixing weights must sum to 1, got {float(totals[bad[0]])!r}")
+    return weights

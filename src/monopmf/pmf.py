@@ -98,29 +98,6 @@ class Counts:
             raise ValueError("last count must be positive (K_obs is the max observed value)")
 
 
-@dataclass(frozen=True)
-class MixingWeights:
-    """Weights of the uniform-mixture representation of a pmf.
-
-    Entries sum to one by telescoping; they may be negative when derived
-    from a non-monotone (raw empirical) pmf.  A stack of pmfs gives a
-    stack of weight vectors along the last axis, each summing to one.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
-        if weights.ndim == 0 or weights.shape[-1] == 0:
-            raise ValueError("expected a non-empty sequence")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        totals = np.ravel(weights.sum(axis=-1))
-        bad = np.flatnonzero(np.abs(totals - 1.0) > SUM_TOL)
-        if bad.size:
-            raise ValueError(f"mixing weights must sum to 1, got {float(totals[bad[0]])!r}")
-
-
 def uniform_pmf(y: int) -> Pmf:
     """Uniform pmf on {0, ..., y}."""
     y = int(y)

@@ -82,7 +82,7 @@ def flat_block_gren_reference(theta: float, tau: int, reps: int, seed: int) -> n
     where Z is standard normal and B is the centered vector of tau i.i.d.
     N(0, 1/tau) variables (covariance delta/tau - 1/tau^2), independent of
     Z.  Distributionally equal to the block coordinates produced by
-    `draw_limit`, but built by an unrelated route; used as a cross-check.
+    `draw_limit_batch`, but built by an unrelated route; used as a cross-check.
     """
     tau = int(tau)
     if tau < 1:

@@ -198,6 +198,15 @@ class TestSimulate:
         {"seed": -1},
         {"seed": 2**64},
         {"estimators": [1]},
+        # integer fields are checked, not truncated
+        {"n": 1.9, "reps": 2.5, "seed": 3.7},
+        {"n": 1.9},
+        {"reps": 2.5},
+        {"seed": 3.7},
+        {"truth": {"family": "mixture", "weights": [0.5, 0.5], "ys": [1.7, 3.2]}},
+        {"n": True},
+        {"reps": "3"},
+        {"truth": {"family": "uniform", "y": 5.5}},
     ])
     def test_bad_config_content_exits_2(self, content, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -205,6 +214,33 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"monopmf: invalid config file {str(config)!r}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_integral_config_numbers_run_as_ints(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text('{"truth": {"family": "uniform", "y": 5.0}, "n": 1e1, "reps": 4.0, "seed": 2.0}')
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        flags = ["--truth", "uniform:5", "--n", "10", "--reps", "4", "--seed", "2"]
+        assert main(["simulate", *flags, "--out", str(tmp_path / "b")]) == 0
+        for suffix in ("_raw.csv", "_summary.csv", "_meta.json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--truth", "uniform:3"], "--truth"),
+        (["--n", "100"], "--n"),
+        (["--reps", "1000"], "--reps"),
+        (["--seed", "0"], "--seed"),
+        (["--se=9"], "--seed"),
+        (["--target", "pmf"], "--target"),
+        (["--estimators", "empirical,rearrangement,grenander"], "--estimators"),
+        (["--metrics", "hellinger,l1,l2"], "--metrics"),
+    ])
+    def test_config_flags_with_config_exit_1(self, flags, name, tmp_path, capsys):
+        # a flag next to --config is refused even when it repeats the default
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"truth": "uniform:3", "n": 10, "reps": 5}))
+        assert main(["simulate", "--config", str(config), *flags, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"monopmf: {name} cannot be combined with --config\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_run_too_large_for_memory_exits_1(self, tmp_path, capsys):

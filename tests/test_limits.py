@@ -13,7 +13,6 @@ from monopmf import (
     Pmf,
     asymptotics,
     constancy_blocks,
-    draw_limit,
     draw_limit_batch,
     geometric_pmf,
     gren_zero_probability,
@@ -39,10 +38,10 @@ def two_sample_threshold(n, m, c):
 
 class TestDrawLimit:
     def test_deterministic(self):
-        d1 = draw_limit(uniform_pmf(5), seed=42)
-        d2 = draw_limit(uniform_pmf(5), seed=42)
-        assert_array_equal(d1.y, d2.y)
-        assert_array_equal(d1.y_gren, d2.y_gren)
+        y1, _, gren1 = draw_limit_batch(uniform_pmf(5), 1, seed=42)
+        y2, _, gren2 = draw_limit_batch(uniform_pmf(5), 1, seed=42)
+        assert_array_equal(y1, y2)
+        assert_array_equal(gren1, gren2)
 
     def test_matches_blockwise_transform(self):
         p = mixture_of_uniforms([0.2, 0.8], [3, 7])
@@ -103,7 +102,7 @@ class TestDrawLimit:
 
     def test_requires_monotone(self):
         with pytest.raises(ValueError):
-            draw_limit(Pmf(np.array([0.2, 0.3, 0.5])), seed=0)
+            draw_limit_batch(Pmf(np.array([0.2, 0.3, 0.5])), 1, seed=0)
 
 
 class TestAsymptotics:

@@ -337,20 +337,20 @@ class TestPoolSegments:
 
 class TestMixingEstimate:
     def test_uniform_concentrates_at_top(self):
-        w = mixing_estimate(uniform_pmf(5)).weights
+        w = mixing_estimate(uniform_pmf(5))
         assert_allclose(w, [0, 0, 0, 0, 0, 1], atol=1e-15)
 
     def test_strictly_decreasing(self):
         p = Pmf(np.array([0.5, 0.3, 0.2]), monotone=True)
-        assert_allclose(mixing_estimate(p).weights, [0.2, 0.2, 0.6])
+        assert_allclose(mixing_estimate(p), [0.2, 0.2, 0.6])
 
     def test_raw_sequence_can_go_negative(self):
-        w = mixing_estimate(np.array([0.2, 0.3, 0.5])).weights
+        w = mixing_estimate(np.array([0.2, 0.3, 0.5]))
         assert_allclose(w, [-0.1, -0.4, 1.5])
 
     def test_round_trip_through_mixture(self):
         p = mixture_of_uniforms([0.25, 0.2, 0.15, 0.4], [1, 3, 5, 7])
-        w = mixing_estimate(p).weights
+        w = mixing_estimate(p)
         expected = np.zeros(8)
         expected[[1, 3, 5, 7]] = [0.25, 0.2, 0.15, 0.4]
         assert_allclose(w, expected, atol=1e-15)
@@ -359,6 +359,21 @@ class TestMixingEstimate:
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = rng.dirichlet(np.ones(rng.integers(1, 12)))
-            w = mixing_estimate(v).weights
+            w = mixing_estimate(v)
             assert abs(w.sum() - 1.0) < 1e-12
             assert (np.all(np.diff(v) <= 1e-15)) == bool(np.all(w >= -1e-15))
+
+    def test_weights_not_summing_to_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^mixing weights must sum to 1, got 0\.7$"):
+            mixing_estimate([0.5, 0.2])
+
+    def test_stack_reports_the_total_of_its_bad_row(self):
+        stack = np.array([[0.4, 0.3, 0.2, 0.1], [0.5, 0.2, 0.1, 0.1], [0.25] * 4])
+        with pytest.raises(ValueError, match=r"^mixing weights must sum to 1, got 0\.9$"):
+            mixing_estimate(stack)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4)])
+    def test_result_is_a_writable_array_of_the_input_shape(self, shape):
+        w = mixing_estimate(np.broadcast_to([0.4, 0.3, 0.2, 0.1], shape))
+        assert type(w) is np.ndarray and w.shape == shape and w.flags.writeable
+        assert_allclose(w, np.broadcast_to([0.1, 0.2, 0.3, 0.4], shape))
