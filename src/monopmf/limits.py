@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import constancy_blocks, limit_transform, pool_segments
+from .operators import constancy_blocks, limit_transform, pava
 from .pmf import Pmf
 from .rng import make_generator
 
@@ -99,7 +99,7 @@ def asymptotics(p: Pmf) -> AsymptoticReport:
     )
 
 
-def touch_count(z) -> int:
+def touch_count(z):
     """Number of contacts between the cumulative sums of z and their LCM.
 
     The walk starts at (0, 0); contacts are counted over j = 1..k (the
@@ -107,12 +107,13 @@ def touch_count(z) -> int:
     routine as `gren`.  Equal slopes are never pooled, so every segment
     ends at a contact and no interior point of a segment touches: the
     count is the number of segments, with no tolerance and no dependence
-    on the scale of z.
+    on the scale of z.  A 1-D z gives an int; a stack of walks (shape
+    (..., k)) gives an int64 array of counts, row by row.
     """
     v = np.asarray(z, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("touch_count requires a non-empty 1-D sequence")
-    return len(pool_segments(v.tolist())[1])
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("touch_count requires a non-empty sequence")
+    return pava(v)[1]
 
 
 def gren_zero_probability(y: int, reps: int, seed: int) -> float:

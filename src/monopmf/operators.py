@@ -7,6 +7,12 @@ computed with a single-pass monotone stack of hull segments (the pooled
 form of the hull is exactly the pool-adjacent-violators fit).  Both, like
 `limit_transform` and `mixing_estimate`, accept a stack of sequences
 (shape (..., L)) and work row by row along the last axis.
+
+`gren` has two paths with the same bits, chosen from the input's shape:
+a stack with at least max(128, 4L) rows and L <= 90 is pooled a column
+at a time for all rows at once (`column_sweep`, over row blocks of about
+2^15 values); a 1-D sequence, a shorter stack or a longer row runs the
+`pool_segments` loop once per row.
 """
 
 from __future__ import annotations
@@ -14,6 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from .pmf import SUM_TOL, Pmf
+
+#: Values per row block of `column_sweep`, which bounds its work arrays.
+_SWEEP_VALUES = 1 << 15
+
 
 def rear(w) -> np.ndarray:
     """Values of w reordered to be non-increasing.
@@ -55,6 +65,83 @@ def pool_segments(values) -> tuple[list[float], list[int]]:
     return totals, lengths
 
 
+def column_sweep(rows) -> tuple[np.ndarray, np.ndarray]:
+    """`pool_segments` on every row of a (r, L) stack at once: (fit, counts).
+
+    The hull stacks of all rows live in flat (r*L) arrays of totals,
+    lengths and means, row i's from i*L up to its top.  Column j is pushed
+    onto every stack after merge rounds, each of which pools the new
+    segment of every row whose previous mean is strictly smaller.  A row
+    makes the float operations of `pool_segments` in its order (t + total,
+    then t / c), so its fit has the same bits as the row fitted alone, and
+    an unpooled entry keeps its input bits.  counts[i] is the number of
+    segments of row i.
+    """
+    r, length = rows.shape
+    totals = np.empty(r * length)
+    lengths = np.empty(r * length, dtype=np.int64)
+    means = np.empty(r * length)
+    base = np.arange(0, r * length, length)
+    top = base.copy()  # flat index of each row's next free slot
+    every = np.arange(r)
+    for j in range(length):
+        t = rows[:, j].copy()
+        c = np.ones(r, dtype=np.int64)
+        m = t.copy()
+        live = every if j else every[:0]  # column 0 finds every stack empty
+        while live.size:
+            k = top[live] - 1
+            hit = means[k] < m[live]
+            live, k = live[hit], k[hit]
+            t[live] += totals[k]
+            c[live] += lengths[k]
+            m[live] = t[live] / c[live]
+            top[live] = k
+            live = live[k > base[live]]
+        totals[top] = t
+        lengths[top] = c
+        means[top] = m
+        top += 1
+    counts = top - base
+    used = (np.arange(length) < counts[:, None]).ravel()
+    return np.repeat(means[used], lengths[used]).reshape(r, length), counts
+
+
+def _pool_row(row: np.ndarray, fit: np.ndarray) -> int:
+    """Write the `pool_segments` fit of a 1-D row into `fit`, a copy of it
+    (unpooled entries keep their input bits); return its segment count."""
+    totals, lengths = pool_segments(row.tolist())
+    pos = 0
+    for t, c in zip(totals, lengths):
+        if c > 1:
+            fit[pos : pos + c] = t / c
+        pos += c
+    return len(lengths)
+
+
+def pava(v: np.ndarray):
+    """(fit, segment counts) of every row of a float stack v (shape (..., L)),
+    by the path the shape rule in `gren` picks; a 1-D v gives an int count."""
+    fit = v.copy()
+    if v.ndim == 1:
+        return fit, _pool_row(v, fit)
+    rows = v.reshape(-1, v.shape[-1])
+    fit_rows = fit.reshape(rows.shape)
+    r, length = rows.shape
+    block = max(1, _SWEEP_VALUES // length)
+    counts = np.empty(r, dtype=np.int64)
+    if min(r, block) >= max(128, 4 * length):
+        start = 0
+        for part in np.array_split(rows, r // block or 1):  # blocks of block..2*block-1 rows
+            stop = start + part.shape[0]
+            fit_rows[start:stop], counts[start:stop] = column_sweep(part)
+            start = stop
+    else:
+        for i in range(r):
+            counts[i] = _pool_row(rows[i], fit_rows[i])
+    return fit, counts.reshape(v.shape[:-1])
+
+
 def gren(w) -> np.ndarray:
     """Left slopes of the least concave majorant of the cumulative sums.
 
@@ -63,19 +150,19 @@ def gren(w) -> np.ndarray:
     sums to sum(w), and its partial sums dominate those of w.  A stack of
     sequences (shape (..., L)) is fitted row by row along its last axis;
     non-increasing rows are returned bitwise unchanged.
+
+    Two paths give the same bits: a stack whose row blocks of about 2^15
+    values hold at least max(128, 4L) rows, which needs L <= 90, is pooled
+    by `column_sweep`; a 1-D sequence or any other stack runs
+    `pool_segments` once per row.  Measured on normal rows,
+    loop -> sweep in ms: L=8, 32 rows 0.08 -> 0.11, 128 rows 0.32 -> 0.14,
+    1024 rows 2.5 -> 0.42; L=32, 64 rows 0.43 -> 0.66, 128 rows 0.86 ->
+    0.81; L=90, 128 rows 2.1 -> 2.4, 360 rows 5.9 -> 3.7.
     """
     v = np.asarray(w, dtype=float)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("gren requires a non-empty sequence")
-    out = v.copy()  # untouched segments keep the exact input value
-    rows = out.reshape(-1, v.shape[-1])
-    for i in range(rows.shape[0]):
-        pos = 0
-        for t, c in zip(*pool_segments(rows[i].tolist())):
-            if c > 1:
-                rows[i, pos : pos + c] = t / c
-            pos += c
-    return out
+    return pava(v)[0]
 
 
 def constancy_blocks(p: Pmf) -> list[tuple[int, int]]:

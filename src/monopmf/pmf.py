@@ -33,6 +33,14 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def as_int(value, name: str) -> int:
+    """`value` as an int; a bool, a string or a non-integral number is a ValueError."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_support(size: int) -> None:
     if size > MAX_SUPPORT:
         raise ValueError(f"support of {size} points exceeds the limit of {MAX_SUPPORT}")
@@ -100,7 +108,7 @@ class Counts:
 
 def uniform_pmf(y: int) -> Pmf:
     """Uniform pmf on {0, ..., y}."""
-    y = int(y)
+    y = as_int(y, "y")
     if y < 0:
         raise ValueError("y must be a non-negative integer")
     _check_support(y + 1)
@@ -142,7 +150,7 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
     y = np.asarray(ys, dtype=object)
     if w.ndim != 1 or y.ndim != 1 or w.size != y.size or w.size == 0:
         raise ValueError("weights and ys must be non-empty sequences of equal length")
-    y = np.array([int(v) for v in y], dtype=object)  # Python ints until the checks pass
+    y = np.array([as_int(v, "ys") for v in y], dtype=object)  # Python ints until the checks pass
     if np.any(w <= 0):
         raise ValueError("mixture weights must be positive")
     if abs(float(w.sum()) - 1.0) > SUM_TOL:

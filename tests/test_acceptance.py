@@ -174,7 +174,7 @@ def test_criterion_07_touchpoint_harmonic_law():
     details = []
     for k in (2, 3, 6):
         rng = make_generator(SEED + 70 + k)
-        counts = np.array([touch_count(row) for row in rng.standard_normal((10**5, k))])
+        counts = touch_count(rng.standard_normal((10**5, k)))
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         gap = abs(counts.mean() - harmonic(k))
         ok &= gap <= 3 * se

@@ -207,6 +207,11 @@ class TestSimulate:
         {"n": True},
         {"reps": "3"},
         {"truth": {"family": "uniform", "y": 5.5}},
+        # real fields are numbers, not strings or bools
+        {"truth": {"family": "geometric", "theta": "0.5"}},
+        {"truth": {"family": "geometric", "theta": False}},
+        {"truth": {"family": "geometric", "theta": 0.5, "tail_tol": "1e-9"}},
+        {"truth": {"family": "mixture", "weights": ["0.5", "0.5"], "ys": [1, 3]}},
     ])
     def test_bad_config_content_exits_2(self, content, tmp_path, capsys):
         config = tmp_path / "run.json"

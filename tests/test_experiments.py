@@ -99,6 +99,21 @@ class TestTruthSpec:
             with pytest.raises(ValueError):
                 TruthSpec.parse(text)
 
+    @pytest.mark.parametrize("fields", [
+        {"family": "geometric", "theta": "0.5"},
+        {"family": "geometric", "theta": True},
+        {"family": "geometric", "theta": 0.5, "tail_tol": "1e-9"},
+        {"family": "mixture", "weights": ["0.5", 0.5], "ys": [1, 3]},
+    ])
+    def test_real_fields_must_be_numbers(self, fields):
+        with pytest.raises(ValueError, match="must be a real number"):
+            TruthSpec(**fields)
+
+    def test_real_fields_stored_as_floats(self):
+        spec = TruthSpec("geometric", theta=0, tail_tol=np.float64(1e-9))
+        assert type(spec.theta) is float and type(spec.tail_tol) is float
+        assert spec.to_json_dict() == {"family": "geometric", "theta": 0.0, "tail_tol": 1e-9}
+
     def test_json_round_trip_fields(self):
         spec = TruthSpec.parse("mixture:0.2:3,0.8:7")
         d = spec.to_json_dict()

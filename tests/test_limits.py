@@ -185,6 +185,15 @@ class TestTouchCount:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             touch_count([])
+        with pytest.raises(ValueError):
+            touch_count(np.zeros((3, 0)))
+
+    def test_stack_counts_row_by_row(self):
+        z = np.random.default_rng(5).standard_normal((3, 200, 6))
+        counts = touch_count(z)
+        assert counts.dtype == np.int64 and counts.shape == (3, 200)
+        assert all(counts[idx] == touch_count(z[idx]) for idx in np.ndindex(3, 200))
+        assert type(touch_count(z[0, 0])) is int
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -206,7 +215,7 @@ class TestTouchCount:
         rng = np.random.Generator(np.random.Philox(key=321))
         for k in (2, 3):
             draws = rng.standard_normal((reps, k))
-            counts = np.array([touch_count(row) for row in draws])
+            counts = touch_count(draws)
             se = counts.std(ddof=1) / math.sqrt(reps)
             assert abs(counts.mean() - harmonic(k)) < 3 * se
             # interior touches exclude the always-present endpoint

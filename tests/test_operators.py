@@ -21,7 +21,7 @@ from monopmf import (
     touch_count,
     uniform_pmf,
 )
-from monopmf.operators import pool_segments
+from monopmf.operators import column_sweep, pool_segments
 from references import gren_oracle, gren_oracle_stack
 
 EXAMPLE_EMPIRICAL = np.array([0.20, 0.14, 0.11, 0.22, 0.15, 0.18])
@@ -333,6 +333,39 @@ class TestPoolSegments:
     def test_touch_count_on_scaled_walks(self, k, scale, seed):
         z = scale * np.random.default_rng(seed).standard_normal(k)
         assert touch_count(z) == len(reference_pool_segments(z.tolist())[1])
+
+
+class TestColumnSweep:
+    """column_sweep, called directly on stacks on both sides of gren's shape
+    rule, gives every row the bits and segment count of the per-row loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 600), st.integers(1, 120), st.integers(0, 2**32 - 1))
+    def test_rows_match_pool_segments(self, rows, length, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, length))
+        tied = rng.random(rows) < 0.3
+        a[tied] = np.round(4 * a[tied]) / 4  # ties, zeros and negatives
+        a[rng.random((rows, length)) < 0.05] *= -0.0  # signed zeros
+        n = int(rng.integers(1, 200))
+        counted = rng.random(rows) < 0.3
+        a[counted] = rng.multinomial(n, np.full(length, 1.0 / length), size=int(counted.sum())) / n
+        monotone = rng.random(rows) < 0.2
+        a[monotone] = -np.sort(-a[monotone], axis=1)
+        fit, counts = column_sweep(a)
+        assert counts.dtype == np.int64
+        for i in range(rows):
+            assert fit[i].tobytes() == gren(a[i]).tobytes()
+            assert counts[i] == len(pool_segments(a[i].tolist())[1])
+
+    def test_gren_on_a_stack_of_several_blocks(self):
+        # 9000 rows of 10 take the sweep in blocks of about 2^15 values
+        a = np.random.default_rng(3).multinomial(40, np.full(10, 0.1), size=9000) / 40
+        fit = gren(a)
+        counts = touch_count(a)
+        for i in range(a.shape[0]):
+            assert fit[i].tobytes() == gren(a[i]).tobytes()
+            assert counts[i] == touch_count(a[i])
 
 
 class TestMixingEstimate:

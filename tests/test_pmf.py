@@ -35,6 +35,15 @@ class TestConstructors:
         with pytest.raises(ValueError):
             uniform_pmf(-1)
 
+    @pytest.mark.parametrize("y", [5.5, "5", True])
+    def test_uniform_rejects_non_integral_support(self, y):
+        # checked, not truncated: 5.5 is not a support of 6 points
+        with pytest.raises(ValueError, match="y must be an integer"):
+            uniform_pmf(y)
+
+    def test_uniform_accepts_integral_float(self):
+        assert_array_equal(uniform_pmf(5.0).probs, uniform_pmf(5).probs)
+
     def test_geometric_degenerate(self):
         assert_array_equal(geometric_pmf(0.0).probs, [1.0])
 
@@ -81,6 +90,11 @@ class TestConstructors:
             mixture_of_uniforms([0.5, 0.5], [7, 3])  # not increasing
         with pytest.raises(ValueError):
             mixture_of_uniforms([0.4, 0.4], [3, 7])  # does not sum to 1
+
+    @pytest.mark.parametrize("ys", [[1.7, 3.2], [1, 3.5], ["1", 3]])
+    def test_mixture_rejects_non_integral_components(self, ys):
+        with pytest.raises(ValueError, match="ys must be an integer"):
+            mixture_of_uniforms([0.5, 0.5], ys)
 
     @pytest.mark.parametrize("ys", [[10**26], [-(10**26)], [3, 10**26], [10**26, 3]])
     def test_mixture_rejects_components_past_int64(self, ys):
