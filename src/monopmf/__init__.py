@@ -28,6 +28,7 @@ from .metrics import MetricKind, distance
 from .operators import (
     constancy_blocks,
     gren,
+    gren_counts,
     limit_transform,
     mixing_estimate,
     rear,
@@ -47,7 +48,7 @@ from .pmf import (
 )
 from .rng import mix_seed
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Counts",
@@ -68,6 +69,7 @@ __all__ = [
     "format_pmf",
     "geometric_pmf",
     "gren",
+    "gren_counts",
     "gren_zero_probability",
     "harmonic",
     "limit_transform",

@@ -34,7 +34,7 @@ from .experiments import (
 from .limits import asymptotics, draw_limit_batch
 from .metrics import MetricKind, distance
 from .operators import constancy_blocks, mixing_estimate
-from .pmf import empirical_pmf, float_label, format_pmf, parse_counts, parse_pmf
+from .pmf import float_label, format_pmf, parse_counts, parse_pmf
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
@@ -122,10 +122,15 @@ def _suffixed(path: str, name: str) -> str:
 
 
 def _estimates(args) -> dict:
-    """The estimates of args.estimator ("all" for each) from args.counts."""
-    emp = empirical_pmf(_load(args.counts, "counts", parse_counts)).probs
+    """The estimates of args.estimator ("all" for each) from args.counts; counts
+    the exact Grenander cannot take (n*(K+1) >= 2^63) are invalid data."""
     names = _ESTIMATOR_NAMES if args.estimator == "all" else (args.estimator,)
-    return {name: estimate(EstimatorKind.parse(name), emp) for name in names}
+
+    def estimates(text):
+        counts = parse_counts(text)
+        return {name: estimate(EstimatorKind.parse(name), counts.counts, counts.n) for name in names}
+
+    return _load(args.counts, "counts", estimates)
 
 
 def _emit_sequences(sequences: dict, out) -> None:

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .metrics import MetricKind, distance
-from .operators import gren, mixing_estimate, rear
-from .pmf import DEFAULT_TAIL_TOL, Pmf, as_int, float_label, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
+from .operators import gren_counts, mixing_estimate, rear
+from .pmf import DEFAULT_TAIL_TOL, Pmf, as_int, as_real, float_label, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
 from .rng import check_seed, mix_seed
 
 #: Slack for the replicate-wise monotone-estimator inequality check; the
@@ -36,16 +35,9 @@ _INEQ_TOL = 1e-9
 
 #: Values per chunk of the replicate pipeline: a chunk holds
 #: max(1, _CHUNK_ELEMENTS // max(n, K+1)) replicates, so chunks of short
-#: rows are tall enough for the column sweep of `gren`; 2^15 and more cost
-#: the mixing study over 5 % more peak memory.
+#: rows are tall enough to spread the per-call cost of the vectorised
+#: kernels; 2^15 and more cost the mixing study over 5 % more peak memory.
 _CHUNK_ELEMENTS = 1 << 14
-
-
-def _as_real(value, name: str) -> float:
-    """`value` as a float; a bool, a string or any other non-number is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 class InequalityViolation(RuntimeError):
@@ -82,12 +74,17 @@ DEFAULT_METRICS = (
 )
 
 
+#: The fields each truth family takes, in the order `to_json_dict` writes them.
+_FAMILY_FIELDS = {"uniform": ("y",), "geometric": ("theta", "tail_tol"), "mixture": ("weights", "ys")}
+
+
 @dataclass(frozen=True)
 class TruthSpec:
     """Declarative truth: a named family plus its parameters.
 
-    families: "uniform" (y), "geometric" (theta, tail_tol),
-    "mixture" (weights, ys).
+    families: "uniform" (y), "geometric" (theta, tail_tol, by default
+    DEFAULT_TAIL_TOL), "mixture" (weights, ys).  A field of another family
+    is a ValueError.
     """
 
     family: str
@@ -95,16 +92,24 @@ class TruthSpec:
     theta: float | None = None
     weights: tuple[float, ...] | None = None
     ys: tuple[int, ...] | None = None
-    tail_tol: float = DEFAULT_TAIL_TOL
+    tail_tol: float | None = None
 
     def __post_init__(self):
+        if self.family not in _FAMILY_FIELDS:
+            raise ValueError(f"unknown truth family {self.family!r}")
+        for name in ("y", "theta", "weights", "ys", "tail_tol"):
+            if getattr(self, name) is not None and name not in _FAMILY_FIELDS[self.family]:
+                raise ValueError(f"a {self.family} truth takes no {name!r}")
+        if self.family == "geometric" and self.tail_tol is None:
+            object.__setattr__(self, "tail_tol", DEFAULT_TAIL_TOL)
         if self.y is not None:
             object.__setattr__(self, "y", as_int(self.y, "y"))
         if self.theta is not None:
-            object.__setattr__(self, "theta", _as_real(self.theta, "theta"))
-        object.__setattr__(self, "tail_tol", _as_real(self.tail_tol, "tail_tol"))
+            object.__setattr__(self, "theta", as_real(self.theta, "theta"))
+        if self.tail_tol is not None:
+            object.__setattr__(self, "tail_tol", as_real(self.tail_tol, "tail_tol"))
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(_as_real(w, "weights") for w in self.weights))
+            object.__setattr__(self, "weights", tuple(as_real(w, "weights") for w in self.weights))
         if self.ys is not None:
             object.__setattr__(self, "ys", tuple(as_int(y, "ys") for y in self.ys))
 
@@ -113,9 +118,7 @@ class TruthSpec:
             return uniform_pmf(self.y)
         if self.family == "geometric":
             return geometric_pmf(self.theta, self.tail_tol)
-        if self.family == "mixture":
-            return mixture_of_uniforms(self.weights, self.ys)
-        raise ValueError(f"unknown truth family {self.family!r}")
+        return mixture_of_uniforms(self.weights, self.ys)
 
     @staticmethod
     def parse(text: str) -> "TruthSpec":
@@ -149,14 +152,10 @@ class TruthSpec:
 
     def to_json_dict(self) -> dict:
         out = {"family": self.family}
-        if self.y is not None:
-            out["y"] = self.y
-        if self.theta is not None:
-            out["theta"] = self.theta
-            out["tail_tol"] = self.tail_tol
-        if self.weights is not None:
-            out["weights"] = list(self.weights)
-            out["ys"] = list(self.ys)
+        for name in _FAMILY_FIELDS[self.family]:
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
 
@@ -267,22 +266,24 @@ def _summarize(cfg: ExperimentConfig, raw: np.ndarray) -> ExperimentSummary:
     return ExperimentSummary(config=cfg, raw=raw, stats=stats)
 
 
-def estimate(kind: EstimatorKind, emp):
-    """Estimator `kind` of the empirical pmf `emp`, row by row on a stack."""
+def estimate(kind: EstimatorKind, counts, n: int) -> np.ndarray:
+    """Estimator `kind` of the samples of size n whose integer counts are the
+    rows of `counts`: counts / n, the counts sorted and then divided (the
+    bits of rear(counts / n)), or the exact Grenander `gren_counts`."""
     if kind is EstimatorKind.EMPIRICAL:
-        return emp
+        return counts / n
     if kind is EstimatorKind.REARRANGEMENT:
-        return rear(emp)
-    return gren(emp)
+        return rear(counts) / n
+    return gren_counts(counts, n)[0]
 
 
 def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
-    """`stat(emp)` of every replicate, stacked in replicate order.
+    """`stat(counts)` of every replicate, stacked in replicate order.
 
     Replicates run in chunks of max(1, _CHUNK_ELEMENTS // max(n, K+1)).
-    Row j of a chunk's (rows, K+1) array `emp` is the empirical pmf of the
-    sample keyed by mix_seed(seed, i) for its j-th replicate i, padded with
-    zeros to K+1 points; `stat` maps it to one leading entry per row.
+    Row j of a chunk's int64 (rows, K+1) matrix `counts` tabulates the
+    sample of size n keyed by mix_seed(seed, i) for its j-th replicate i
+    over all K+1 support points; `stat` maps it to one leading entry per row.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
@@ -291,21 +292,22 @@ def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
     out = None
     for start in range(0, reps, rows):
         seeds = [mix_seed(seed, i) for i in range(start, min(start + rows, reps))]
-        block = stat(sample_counts(truth, n, seeds) / float(n))
+        block = stat(sample_counts(truth, n, seeds))
         if out is None:
             out = np.empty((reps,) + block.shape[1:])
         out[start : start + len(seeds)] = block
     return out
 
 
-def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, emp: np.ndarray) -> np.ndarray:
-    """Distances of each estimator of each empirical pmf row from `reference`.
+def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Distances of each estimator of each sample from `reference`.
 
     `reference` is the truth's pmf, or for target "mixing" its mixing
-    weights; `emp` has shape (rows, width), and rows of another width are
-    compared as if zero-padded.  Returns a (rows, estimators, metrics) array.
+    weights; `counts` has shape (rows, width), each row the integer counts
+    of a sample of size cfg.n, and rows of another width are compared as if
+    zero-padded.  Returns a (rows, estimators, metrics) array.
     """
-    vectors = np.stack([estimate(kind, emp) for kind in cfg.estimators], axis=1)
+    vectors = np.stack([estimate(kind, counts, cfg.n) for kind in cfg.estimators], axis=1)
     if cfg.target == "mixing":
         vectors = mixing_estimate(vectors)
     out = np.empty(vectors.shape[:2] + (len(cfg.metrics),))
@@ -371,8 +373,8 @@ def estimate_risk(
     if not (k >= 1.0):
         raise ValueError("loss order k must satisfy k >= 1")
 
-    def loss(emp):
-        diff = np.abs(estimate(est, emp) - truth.probs)
+    def loss(counts):
+        diff = np.abs(estimate(est, counts, n) - truth.probs)
         return diff.max(axis=1) if math.isinf(k) else np.sum(diff**k, axis=1)
 
     losses = _replicates(truth, n, reps, seed, loss)
@@ -393,6 +395,6 @@ def fluctuation_cdf(
         raise ValueError("x must lie inside the truth support")
     root_n = math.sqrt(n)
     px = float(truth.probs[x])
-    vals = _replicates(truth, n, reps, seed, lambda emp: root_n * (estimate(est, emp)[:, x] - px))
+    vals = _replicates(truth, n, reps, seed, lambda counts: root_n * (estimate(est, counts, n)[:, x] - px))
     vals.sort()
     return vals

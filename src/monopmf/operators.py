@@ -8,10 +8,15 @@ form of the hull is exactly the pool-adjacent-violators fit).  Both, like
 `limit_transform` and `mixing_estimate`, accept a stack of sequences
 (shape (..., L)) and work row by row along the last axis.
 
-`gren` has two paths with the same bits, chosen from the input's shape:
-a stack with at least max(128, 4L) rows and L <= 90 is pooled a column
-at a time for all rows at once (`column_sweep`, over row blocks of about
-2^15 values); a 1-D sequence, a shorter stack or a longer row runs the
+Integer counts take `gren_counts`, the estimators of an empirical sample
+in the Monte Carlo drivers and the CLI: the Grenander of the counts,
+decided exactly in int64 and divided by n once per block, so each value
+is the exact slope correctly rounded when n*(K+1) < 2^53.  Float input
+takes `gren` (limit draws, `touch_count`, public calls on a pmf), which
+has two paths with the same bits, chosen from the input's shape: a stack
+with at least max(128, 4L) rows and L <= 90 is pooled a column at a time
+for all rows at once (`column_sweep`, over row blocks of about 2^15
+values); a 1-D sequence, a shorter stack or a longer row runs the
 `pool_segments` loop once per row.
 """
 
@@ -19,10 +24,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pmf import SUM_TOL, Pmf
+from .pmf import SUM_TOL, Pmf, as_int
 
 #: Values per row block of `column_sweep`, which bounds its work arrays.
 _SWEEP_VALUES = 1 << 15
+
+#: Vertex-removal passes of `gren_counts` on all rows at once before the
+#: rows not yet done are finished one at a time (a strictly decreasing run
+#: that ends in a spike loses one vertex per pass).
+_HULL_PASSES = 32
 
 
 def rear(w) -> np.ndarray:
@@ -154,15 +164,91 @@ def gren(w) -> np.ndarray:
     Two paths give the same bits: a stack whose row blocks of about 2^15
     values hold at least max(128, 4L) rows, which needs L <= 90, is pooled
     by `column_sweep`; a 1-D sequence or any other stack runs
-    `pool_segments` once per row.  Measured on normal rows,
-    loop -> sweep in ms: L=8, 32 rows 0.08 -> 0.11, 128 rows 0.32 -> 0.14,
-    1024 rows 2.5 -> 0.42; L=32, 64 rows 0.43 -> 0.66, 128 rows 0.86 ->
-    0.81; L=90, 128 rows 2.1 -> 2.4, 360 rows 5.9 -> 3.7.
+    `pool_segments` once per row.
     """
     v = np.asarray(w, dtype=float)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("gren requires a non-empty sequence")
     return pava(v)[0]
+
+
+def _hull_row(x: list, s: list) -> list[int]:
+    """Indices of the vertices of the least concave majorant of the points
+    (x[i], s[i]), x increasing, by one exact monotone-chain sweep."""
+    hull: list[int] = []
+    for j, (xj, sj) in enumerate(zip(x, s)):
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            if (s[b] - s[a]) * (xj - x[b]) > (sj - s[b]) * (x[b] - x[a]):
+                break
+            hull.pop()
+        hull.append(j)
+    return hull
+
+
+def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Grenander of count rows: (fit, blocks) of an integer (..., L) stack.
+
+    Each row holds the counts of a sample of size n on {0, ..., L-1}.  Its
+    fit is the left slopes of the least concave majorant of the cumulative
+    counts S (S_{-1} = 0), divided by n; blocks holds each row's number of
+    maximal linear pieces of that majorant (equal slopes share one).  Every
+    pooling decision compares int64 cross products exactly, and a block of
+    total T and length c gets float(T) / float(n*c).  When n*L < 2^53 that
+    is the exact slope correctly rounded, whatever the chunking or scale,
+    and an unpooled entry has the bits of count / n.
+
+    The hull is found by vertex removal on all rows at once.  The first
+    pass, on the dense grid, drops every vertex where the counts do not
+    strictly decrease; each later pass drops every vertex next to a dropped
+    one whose left slope is at most its right one.  A dropped vertex lies
+    on or below the chord of its neighbours, so dropping them together
+    keeps the majorant.  After `_HULL_PASSES` passes the rows not yet done
+    are finished one at a time by `_hull_row`; every decision is exact, so
+    the switch point changes no bit.
+    """
+    c = np.asarray(counts)
+    if c.ndim == 0 or c.shape[-1] == 0 or not np.issubdtype(c.dtype, np.integer):
+        raise ValueError("gren_counts requires a non-empty sequence of integer counts")
+    length = c.shape[-1]
+    n = as_int(n, "n")
+    if n < 1 or n * length >= 1 << 63:  # the cross products must fit in int64
+        raise ValueError(f"gren_counts requires 1 <= n and n * L < 2^63, got n = {n} and L = {length}")
+    rows = c.reshape(-1, length).astype(np.int64, copy=False)
+    keep = np.ones((rows.shape[0], length + 1), dtype=bool)  # vertices x = -1..L-1
+    keep[:, 1:-1] = rows[:, :-1] > rows[:, 1:]
+    near = np.zeros_like(keep)  # interior vertices next to a dropped one
+    near[:, 1:-2] = ~keep[:, 2:-1]
+    near[:, 2:-1] |= ~keep[:, 1:-2]
+    s = np.zeros(keep.shape, dtype=np.int64)
+    np.cumsum(rows, axis=1, out=s[:, 1:])
+    kept = np.flatnonzero(keep)
+    x = kept % (length + 1) - 1
+    s, near = s.ravel()[kept], near.ravel()[kept]
+    for _ in range(_HULL_PASSES):
+        i = np.flatnonzero(near)
+        if not i.size:
+            break
+        drop = i[(s[i] - s[i - 1]) * (x[i + 1] - x[i]) <= (s[i + 1] - s[i]) * (x[i] - x[i - 1])]
+        keep = np.ones(x.size, dtype=bool)
+        keep[drop] = False
+        near = np.zeros(x.size, dtype=bool)
+        near[drop - 1] = near[drop + 1] = True
+        near &= (x >= 0) & (x < length - 1)
+        x, s, near = x[keep], s[keep], near[keep]
+    if near.any():
+        bounds = np.append(np.flatnonzero(x == -1), x.size)  # row i's vertices: bounds[i]:bounds[i+1]
+        keep = np.ones(x.size, dtype=bool)
+        for row in np.unique(np.searchsorted(bounds, np.flatnonzero(near), side="right") - 1):
+            lo, hi = bounds[row], bounds[row + 1]
+            keep[lo:hi] = False
+            keep[lo + np.array(_hull_row(x[lo:hi].tolist(), s[lo:hi].tolist()))] = True
+        x, s = x[keep], s[keep]
+    inner = x[1:] != -1  # consecutive vertices of one row bound a block
+    widths = np.diff(x)[inner]
+    fit = np.repeat(np.diff(s)[inner] / (n * widths).astype(float), widths)
+    blocks = np.diff(np.append(np.flatnonzero(x == -1), x.size)) - 1
+    return fit.reshape(c.shape), blocks.reshape(c.shape[:-1])
 
 
 def constancy_blocks(p: Pmf) -> list[tuple[int, int]]:

@@ -9,6 +9,7 @@ estimator is formed from observed counts and carries no shape guarantee.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,13 @@ def as_int(value, name: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """`value` as a float; a bool, a string or any other non-number is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_support(size: int) -> None:
@@ -122,7 +130,8 @@ def geometric_pmf(theta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Pmf:
     falls below `tail_tol`; the deficit is redistributed proportionally,
     which preserves monotonicity.
     """
-    theta = float(theta)
+    theta = as_real(theta, "theta")
+    tail_tol = as_real(tail_tol, "tail_tol")
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
     if not 0.0 < tail_tol < 1.0:

@@ -2,11 +2,13 @@
 
 Each is built by a route unrelated to the code it checks: the Grenander
 slopes by explicit greedy chord construction (one sequence at a time and
-vectorised over a stack), and the within-block Grenander limit law from an
-independent Gaussian construction.
+vectorised over a stack, and in exact rational arithmetic for counts), and
+the within-block Grenander limit law from an independent Gaussian
+construction.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -73,6 +75,43 @@ def gren_oracle_stack(w) -> np.ndarray:
         anchor[live] = best_b
         live = live[best_b < length - 1]
     return out
+
+
+def gren_fraction(counts, n) -> tuple[np.ndarray, int]:
+    """Exact Grenander of one row of counts: (fit, number of blocks).
+
+    Greedy chord construction on the integer cumulative counts in
+    `Fraction` arithmetic: from each anchor the next hull vertex is the
+    point of maximal chord slope, the farthest one on ties, so collinear
+    points share one block.  Each entry is float(T / (n*c)) of its block's
+    total T and length c, the correctly rounded exact value.  O(K * blocks).
+    """
+    c = [int(v) for v in counts]
+    if not c:
+        raise ValueError("gren_fraction requires a non-empty row")
+    s = [0]
+    for v in c:
+        s.append(s[-1] + v)  # s[j+1] = sum_{i<=j} counts_i
+    k = len(c) - 1
+    fit = np.empty(len(c))
+    blocks = 0
+    a = -1
+    while a < k:
+        best, best_b = None, a + 1
+        for b in range(a + 1, k + 1):
+            slope = Fraction(s[b + 1] - s[a + 1], b - a)
+            if best is None or slope >= best:
+                best, best_b = slope, b
+        fit[a + 1 : best_b + 1] = float(best / n)
+        blocks += 1
+        a = best_b
+    return fit, blocks
+
+
+def gren_fraction_stack(counts, n) -> tuple[np.ndarray, np.ndarray]:
+    """`gren_fraction` on each row of a (rows, L) count stack."""
+    rows = [gren_fraction(row, n) for row in np.asarray(counts)]
+    return np.array([fit for fit, _ in rows]).reshape(np.shape(counts)), np.array([b for _, b in rows])
 
 
 def flat_block_gren_reference(theta: float, tau: int, reps: int, seed: int) -> np.ndarray:

@@ -65,7 +65,7 @@ def test_criterion_02_distance_table():
         metrics=(MetricKind.hellinger(), MetricKind.ell(2), MetricKind.ell(1)),
     )
     counts = Counts(np.array([20, 14, 11, 22, 15, 18]), n=100)
-    dists = replicate_distances(cfg, cfg.truth.to_pmf().probs, counts.counts[None, :] / float(counts.n))
+    dists = replicate_distances(cfg, cfg.truth.to_pmf().probs, counts.counts[None, :])
     labels = [m.label for m in cfg.metrics]
     expected = {
         (EstimatorKind.EMPIRICAL, "hellinger"): 0.08043,

@@ -32,6 +32,7 @@ PUBLIC = [
     "format_pmf",
     "geometric_pmf",
     "gren",
+    "gren_counts",
     "gren_zero_probability",
     "harmonic",
     "limit_transform",

@@ -93,6 +93,14 @@ class TestEstimate:
         assert main(["estimate", "--counts", str(path)]) == 2
         assert "invalid counts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "mixing"])
+    def test_counts_too_large_for_exact_grenander_exit_2(self, command, tmp_path, capsys):
+        path = tmp_path / "big.counts"
+        path.write_text("".join(f"{x}\t{2**61}\n" for x in range(3)))  # n = 3 * 2^61, n * 3 >= 2^63
+        assert main([command, "--counts", str(path), "--estimator", "gren"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"monopmf: invalid counts file {str(path)!r}: gren_counts requires")
+
     def test_bad_flag_exits_1(self):
         with pytest.raises(SystemExit) as err:
             main(["estimate", "--counts", "x", "--estimator", "mle"])
@@ -212,6 +220,9 @@ class TestSimulate:
         {"truth": {"family": "geometric", "theta": False}},
         {"truth": {"family": "geometric", "theta": 0.5, "tail_tol": "1e-9"}},
         {"truth": {"family": "mixture", "weights": ["0.5", "0.5"], "ys": [1, 3]}},
+        # fields of another family
+        {"truth": {"family": "uniform", "y": 3, "weights": [1.0]}},
+        {"truth": {"family": "uniform", "y": 3, "theta": 0.5}},
     ])
     def test_bad_config_content_exits_2(self, content, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -382,6 +393,17 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             main(["--version"])
         assert err.value.code == 0
+
+    def test_one_version_everywhere(self, capsys, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        flag = capsys.readouterr().out.split()
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]["version"]
+        assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "2", "--out", str(tmp_path / "v")]) == 0
+        meta = json.loads((tmp_path / "v_meta.json").read_text())["version"]
+        assert flag == ["monopmf", project] and meta == project
 
 
 class TestModuleEntry:

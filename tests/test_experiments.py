@@ -21,6 +21,7 @@ from monopmf import (
     empirical_pmf,
     estimate_risk,
     fluctuation_cdf,
+    geometric_pmf,
     gren,
     mix_seed,
     mixing_estimate,
@@ -31,6 +32,7 @@ from monopmf import (
     uniform_pmf,
 )
 from monopmf.experiments import InequalityViolation, _check_inequality, replicate_distances
+from monopmf.pmf import DEFAULT_TAIL_TOL
 
 HELL = MetricKind.hellinger()
 L1 = MetricKind.ell(1)
@@ -108,6 +110,27 @@ class TestTruthSpec:
     def test_real_fields_must_be_numbers(self, fields):
         with pytest.raises(ValueError, match="must be a real number"):
             TruthSpec(**fields)
+
+    @pytest.mark.parametrize("fields,name", [
+        ({"family": "uniform", "y": 3, "weights": (1.0,)}, "weights"),
+        ({"family": "uniform", "y": 3, "theta": 0.5}, "theta"),
+        ({"family": "uniform", "y": 3, "tail_tol": 1e-9}, "tail_tol"),
+        ({"family": "geometric", "theta": 0.5, "ys": (3,)}, "ys"),
+        ({"family": "mixture", "weights": (1.0,), "ys": (3,), "y": 3}, "y"),
+    ])
+    def test_fields_of_another_family_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"^a {fields['family']} truth takes no '{name}'$"):
+            TruthSpec(**fields)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="^unknown truth family 'poisson'$"):
+            TruthSpec("poisson", y=3)
+
+    def test_geometric_tail_tol_defaults(self):
+        spec = TruthSpec("geometric", theta=0.5)
+        assert spec.tail_tol == DEFAULT_TAIL_TOL
+        assert spec.to_pmf().probs.tobytes() == geometric_pmf(0.5).probs.tobytes()
+        assert TruthSpec("uniform", y=3).to_json_dict() == {"family": "uniform", "y": 3}
 
     def test_real_fields_stored_as_floats(self):
         spec = TruthSpec("geometric", theta=0, tail_tol=np.float64(1e-9))
@@ -189,8 +212,7 @@ class TestRunExperiment:
             seed=0,
             metrics=(HELL, L2, L1),
         )
-        emp = TABLE_COUNTS.counts[None, :] / float(TABLE_COUNTS.n)
-        dists = replicate_distances(cfg, cfg.truth.to_pmf().probs, emp)
+        dists = replicate_distances(cfg, cfg.truth.to_pmf().probs, TABLE_COUNTS.counts[None, :])
         expected = {
             (EMP, HELL): 0.08043, (EMP, L2): 0.09129, (EMP, L1): 0.2,
             (REAR, HELL): 0.08043, (REAR, L2): 0.09129, (REAR, L1): 0.2,

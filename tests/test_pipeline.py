@@ -3,7 +3,8 @@
 Each driver (run_experiment, estimate_risk, fluctuation_cdf) and
 replicate_distances on given counts are compared bit for bit with a
 reference loop written here from the one-sample functions: sample,
-empirical_pmf, rear, gren, mixing_estimate, distance.
+empirical_pmf, rear, mixing_estimate, distance and the exact `Fraction`
+Grenander of tests/references.py.
 """
 
 import hashlib
@@ -25,7 +26,6 @@ from monopmf import (
     empirical_pmf,
     estimate_risk,
     fluctuation_cdf,
-    gren,
     mix_seed,
     mixing_estimate,
     rear,
@@ -38,6 +38,7 @@ from monopmf.cli import main
 from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
 from monopmf.rng import keyed_generators, make_generator
+from references import gren_fraction
 
 EMP = EstimatorKind.EMPIRICAL
 REAR = EstimatorKind.REARRANGEMENT
@@ -50,7 +51,7 @@ TRUTHS = ("uniform:5", "geometric:0.75", "mixture:0.2:3,0.8:7", "uniform:40")
 
 def reference_vectors(counts: Counts) -> dict:
     emp = empirical_pmf(counts).probs
-    return {EMP: emp, REAR: rear(emp), GREN: gren(emp)}
+    return {EMP: emp, REAR: rear(emp), GREN: gren_fraction(counts.counts, counts.n)[0]}
 
 
 def reference_raw(cfg: ExperimentConfig, samples=None) -> np.ndarray:
@@ -187,21 +188,23 @@ class TestRunExperimentBytes:
         cfg = ExperimentConfig(TruthSpec.parse("uniform:5"), n=103, reps=60, seed=4, metrics=metrics, target=target)
         samples = [Counts(np.array([20, 14, 11, 22, 15, 18, 0, 3]), n=103)]
         samples += [sample(uniform_pmf(7), 103, mix_seed(4, i)) for i in range(59)]
-        emp = np.zeros((len(samples), 8))
-        for row, counts in zip(emp, samples):
-            row[: counts.counts.size] = counts.counts / 103.0
+        matrix = np.zeros((len(samples), 8), dtype=np.int64)
+        for row, counts in zip(matrix, samples):
+            row[: counts.counts.size] = counts.counts
         truth = cfg.truth.to_pmf()
         reference = mixing_estimate(truth) if target == "mixing" else truth.probs
-        dists = replicate_distances(cfg, reference, emp)
+        dists = replicate_distances(cfg, reference, matrix)
         assert dists.tobytes() == reference_raw(cfg, samples).tobytes()
 
     def test_inequality_violation_names_first_replicate(self, monkeypatch):
         # a broken rearrangement that inflates a large first frequency must be
         # caught at the same replicate, metric and values as a
-        # one-replicate-at-a-time check
-        def broken(emp):
-            out = emp.copy()
-            out[..., 0] = np.where(emp[..., 0] > 0.65, 1.2 * emp[..., 0], emp[..., 0])
+        # one-replicate-at-a-time check; the pipeline rearranges the counts
+        # and then divides by n
+        def broken(counts):
+            out = np.array(counts, dtype=float)
+            first = out[..., 0]
+            out[..., 0] = np.where(first > 0.65 * out.sum(axis=-1), 1.2 * first, first)
             return out
 
         monkeypatch.setattr(experiments, "rear", broken)
@@ -209,10 +212,11 @@ class TestRunExperimentBytes:
         truth = cfg.truth.to_pmf()
         expected = None
         for i in range(cfg.reps):
-            emp = empirical_pmf(sample(truth, cfg.n, mix_seed(cfg.seed, i))).probs
+            counts = sample(truth, cfg.n, mix_seed(cfg.seed, i)).counts
+            emp = counts / cfg.n
             for metric in cfg.metrics:
                 d_emp = distance(emp, truth.probs, metric)
-                d_bad = distance(broken(emp), truth.probs, metric)
+                d_bad = distance(broken(counts) / cfg.n, truth.probs, metric)
                 if d_bad > d_emp + 1e-9:
                     expected = (
                         f"monotone-estimator inequality violated at replicate {i}: "
@@ -284,25 +288,27 @@ class TestOtherDrivers:
         assert table.tobytes() == vals.tobytes()
 
 
-# sha256 of each output file of two small `simulate` runs, recorded with
-# the one-replicate-at-a-time implementation that preceded the pipeline
+# sha256 of each output file of two small `simulate` runs, recorded at
+# version 0.2.0, whose Grenander estimates are the exact slopes of the
+# counts correctly rounded (`gren_counts`); the one-replicate-at-a-time
+# reference loop above checks the same values
 GOLDEN = {
     "pmf": (
         ["--truth", "mixture:0.2:3,0.8:7", "--n", "100", "--reps", "300", "--seed", "7",
          "--metrics", "hellinger,l1,l2,linf,l3"],
         {
-            "_raw.csv": "3f872cfb360813f33ac12fa5af4713fc35b1c66543aa842f554f3747fa13ce96",
-            "_summary.csv": "3ba609c4bba2b37567fa25629c81c3652497b901cd15e1260282dfb6a5aff5c9",
-            "_meta.json": "0f5bffcadd91ddae86d26b57d9149ff0ea327f148e7ca85cd4d9c8e7248424e4",
+            "_raw.csv": "eb98845be4ad0b181df473ecd5d84511a558000c198e8da18cfbe620c95952b4",
+            "_summary.csv": "120825a70a41a47a2b6dce51847583f167a5bb232546ee22c9f460c034d4d9f3",
+            "_meta.json": "1e0732b697c9b84d859f270c52ae28e31b56fa9ad591496740245d108e7890c2",
         },
     ),
     "mixing": (
         ["--truth", "geometric:0.75", "--n", "30", "--reps", "200", "--seed", "3",
          "--target", "mixing", "--estimators", "rear,gren"],
         {
-            "_raw.csv": "bca356002940bb4ffc5512c13ed61b90a35d1b54547bc4848669ee2e3c91ae41",
-            "_summary.csv": "9596497977c6c18db5cc3c9242d231d2a5f44bff610ba5a3f6605daf3d453ea7",
-            "_meta.json": "9bbcdeed9149535a56be50982133612929c87ccf2e34c1701124b984223d3a21",
+            "_raw.csv": "a7da6563d96c2e67bc3c325253a67070c1429a0a37b5f20354ee1c0c1aa5efb0",
+            "_summary.csv": "0c21801e281dddd2bdb5d3122a5450034fcab610e6ba046a867ad577b8d7bccc",
+            "_meta.json": "3c9d0d7134bca15d60371d62e520b6143ab0b12f5b1855e71c3e555881dbec3c",
         },
     ),
 }
@@ -329,12 +335,12 @@ LIMITS_GOLDEN = {
 
 
 # sha256 of the stdout of a risk run at the risk-large shape (K = 10^4,
-# n = 10^5), recorded with the unsorted inverse-CDF search that preceded
-# the sorted-uniform count kernel
+# n = 10^5), recorded at version 0.2.0 with the exact Grenander of the
+# counts
 RISK_GOLDEN = (
     ["risk", "--truth", "uniform:9999", "--n", "100000", "--k", "2", "--estimator", "gren",
      "--reps", "3", "--seed", "1"],
-    "1dc6d4ec22c51b9c7a38dad6a47db94650d28411c04bb0390fb4cdfa0aa396cd",
+    "2ab4270f4c15e1e4033ad974d4985e234bc86758c110f1cae09fea984bef5d33",
 )
 
 

@@ -70,6 +70,11 @@ class TestConstructors:
             with pytest.raises(ValueError):
                 geometric_pmf(theta)
 
+    @pytest.mark.parametrize("theta,tail_tol", [("0.5", 1e-12), (True, 1e-12), (None, 1e-12), (0.5, "1e-9")])
+    def test_geometric_takes_real_numbers_only(self, theta, tail_tol):
+        with pytest.raises(ValueError, match="must be a real number"):
+            geometric_pmf(theta, tail_tol)
+
     def test_mixture_single_component(self):
         assert_array_equal(
             mixture_of_uniforms([1.0], [5]).probs, uniform_pmf(5).probs
