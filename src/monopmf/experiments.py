@@ -9,10 +9,11 @@ depend on execution order and identical configs produce identical output.
 Every Monte Carlo driver here is one statistic over one chunked replicate
 map (`_replicates`): a chunk of replicates is sampled into a count matrix
 and the statistic, built on `estimate` (the one map from an estimator kind
-to its operator), is computed on its rows at once.  A chunk's work arrays
-hold about `_CHUNK_ELEMENTS` values, so memory stays bounded in the
-replicate count, and each row has the same bits as the replicate computed
-on its own.
+to its operator), is computed on its rows at once.  A chunk's count
+matrix holds about `_CHUNK_ELEMENTS` values whatever n is (its uniforms
+are sorted in blocks of their own, see `pmf.sample_counts`), so memory
+stays bounded in the replicate count, and each row has the same bits as
+the replicate computed on its own.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .rng import check_seed, mix_seed
 #: inequality is exact in real arithmetic.
 _INEQ_TOL = 1e-9
 
-#: Values per chunk of the replicate pipeline: a chunk holds
-#: max(1, _CHUNK_ELEMENTS // max(n, K+1)) replicates, so chunks of short
-#: rows are tall enough to spread the per-call cost of the vectorised
-#: kernels; 2^15 and more cost the mixing study over 5 % more peak memory.
+#: Count-matrix values per chunk of the replicate pipeline: a chunk holds
+#: max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, so chunks of
+#: short rows are tall enough to spread the per-call cost of the vectorised
+#: kernels while a chunk's estimator arrays stay a few times this size.
 _CHUNK_ELEMENTS = 1 << 14
 
 
@@ -249,19 +250,24 @@ class ExperimentSummary:
 
 
 def _summarize(cfg: ExperimentConfig, raw: np.ndarray) -> ExperimentSummary:
+    """Statistics of each (estimator, metric) column of `raw`.  The quartiles,
+    minima and maxima of all columns come from one axis-0 call each (the same
+    bits as column by column); mean and std stay per column, whose axis-0
+    reductions can differ in the last bit."""
+    q1, med, q3 = np.quantile(raw, [0.25, 0.5, 0.75], axis=0, method="median_unbiased")
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
     stats = {}
     for e, est in enumerate(cfg.estimators):
         for m, metric in enumerate(cfg.metrics):
             col = raw[:, e, m]
-            q1, med, q3 = np.quantile(col, [0.25, 0.5, 0.75], method="median_unbiased")
             stats[(est.value, metric.label)] = SummaryStats(
                 mean=float(col.mean()),
                 std=float(col.std(ddof=1)) if col.size > 1 else 0.0,
-                min=float(col.min()),
-                q1=float(q1),
-                median=float(med),
-                q3=float(q3),
-                max=float(col.max()),
+                min=float(lo[e, m]),
+                q1=float(q1[e, m]),
+                median=float(med[e, m]),
+                q3=float(q3[e, m]),
+                max=float(hi[e, m]),
             )
     return ExperimentSummary(config=cfg, raw=raw, stats=stats)
 
@@ -280,18 +286,19 @@ def estimate(kind: EstimatorKind, counts, n: int) -> np.ndarray:
 def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
     """`stat(counts)` of every replicate, stacked in replicate order.
 
-    Replicates run in chunks of max(1, _CHUNK_ELEMENTS // max(n, K+1)).
-    Row j of a chunk's int64 (rows, K+1) matrix `counts` tabulates the
-    sample of size n keyed by mix_seed(seed, i) for its j-th replicate i
-    over all K+1 support points; `stat` maps it to one leading entry per row.
+    Replicates run in chunks of max(1, _CHUNK_ELEMENTS // (K+1)), whatever
+    n is.  Row j of a chunk's int64 (rows, K+1) matrix `counts` tabulates
+    the sample of size n keyed by mix_seed(seed, i) for its j-th replicate
+    i over all K+1 support points; `stat` maps it to one leading entry per
+    row.  A chunk's seeds are derived in one vectorised mix_seed call.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
     check_seed(seed)
-    rows = max(1, _CHUNK_ELEMENTS // max(n, truth.support_size))
+    rows = max(1, _CHUNK_ELEMENTS // truth.support_size)
     out = None
     for start in range(0, reps, rows):
-        seeds = [mix_seed(seed, i) for i in range(start, min(start + rows, reps))]
+        seeds = mix_seed(seed, np.arange(start, min(start + rows, reps)))
         block = stat(sample_counts(truth, n, seeds))
         if out is None:
             out = np.empty((reps,) + block.shape[1:])

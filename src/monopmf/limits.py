@@ -106,9 +106,13 @@ def touch_count(z):
     endpoint always touches).  Hull segments come from the same pooling
     routine as `gren`.  Equal slopes are never pooled, so every segment
     ends at a contact and no interior point of a segment touches: the
-    count is the number of segments, with no tolerance and no dependence
-    on the scale of z.  A 1-D z gives an int; a stack of walks (shape
-    (..., k)) gives an int64 array of counts, row by row.
+    count is the number of segments, with no tolerance.  Scaling z by a
+    power of two (short of overflow and underflow) changes no float
+    operation, so it keeps the count; another scale can round two exactly
+    equal block slopes apart or together and so change it, which happens
+    only on ties (not on draws of a continuous law).  A 1-D z gives an int;
+    a stack of walks (shape (..., k)) gives an int64 array of counts, row
+    by row.
     """
     v = np.asarray(z, dtype=float)
     if v.ndim == 0 or v.shape[-1] == 0:

@@ -25,6 +25,9 @@ DEFAULT_TAIL_TOL = 1e-12
 #: Most support points a constructor accepts, checked before allocating.
 MAX_SUPPORT = 10**7
 
+#: Uniforms `sample_counts` fills and sorts at a time (one row when n is larger).
+_SORT_VALUES = 1 << 14
+
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -179,24 +182,32 @@ def sample_counts(p: Pmf, n: int, seeds) -> np.ndarray:
 
     Row i tabulates n draws from p on a generator keyed by seeds[i] (the
     stream of make_generator(seeds[i])), over all K+1 support points, so
-    rows may end in zeros.  The rows of uniforms are sorted and the K+1
-    cumulative probabilities are searched into each: the draws below
-    cum[x] are those the inverse-CDF search sends to {0, ..., x}, so the
-    counts equal that search's exactly, at O(n log n + K log n) per row
-    instead of O(n log K).  The work arrays hold len(seeds) * n values.
+    rows may end in zeros.  `seeds` is a uint64 array or a sequence of
+    integers.  The rows of uniforms are sorted and the K+1 cumulative
+    probabilities are searched into each: the draws below cum[x] are those
+    the inverse-CDF search sends to {0, ..., x}, so the counts equal that
+    search's exactly, at O(n log n + K log n) per row instead of O(n log K).
+    Uniforms are filled and sorted in blocks of max(1, _SORT_VALUES // n)
+    rows, so their buffer holds at most max(n, _SORT_VALUES) values however
+    many seeds there are; the count matrix holds len(seeds) * (K+1).
     """
     if n < 1:
         raise ValueError("sample size n must be positive")
-    seeds = list(seeds)
-    u = np.empty((len(seeds), int(n)))
-    for row, rng in zip(u, keyed_generators(seeds)):
-        rng.random(out=row)
-    u.sort(axis=1)
+    if not isinstance(seeds, np.ndarray):
+        seeds = list(seeds)
     cum = np.cumsum(p.probs)
     cum[-1] = 1.0  # guard against float shortfall; uniforms are < 1
     below = np.empty((len(seeds), p.support_size), dtype=np.int64)
-    for row, out in zip(u, below):
-        out[:] = row.searchsorted(cum)  # the draws u < cum[x]
+    step = max(1, _SORT_VALUES // int(n))
+    u = np.empty((min(len(seeds), step), int(n)))
+    rngs = keyed_generators(seeds)
+    for start in range(0, len(below), step):
+        block = u[: len(below) - start]
+        for row in block:
+            next(rngs).random(out=row)
+        block.sort(axis=1)
+        for row, out in zip(block, below[start:]):
+            out[:] = row.searchsorted(cum)  # the draws u < cum[x]
     return np.diff(below, axis=1, prepend=0)
 
 
@@ -262,5 +273,9 @@ def parse_pmf(text: str, monotone: bool = False) -> Pmf:
 
 def parse_counts(text: str) -> Counts:
     values = [int(v) for v in _parse_table(text, "counts")]
-    arr = np.array(values, dtype=np.int64)
-    return Counts(arr, n=int(arr.sum()))
+    if min(values) < 0:  # Python ints until the checks pass
+        raise ValueError("counts must be non-negative")
+    n = sum(values)
+    if n > np.iinfo(np.int64).max:
+        raise ValueError(f"counts must sum to less than 2^63, got {n}")
+    return Counts(np.array(values, dtype=np.int64), n=n)

@@ -28,32 +28,47 @@ def keyed_generators(seeds):
     """Yield, for each seed in turn, a generator whose stream equals
     make_generator(seed)'s.
 
-    One Philox is re-keyed in place through its state setter (key
-    [seed, 0], counter 0, empty buffer), which is several times cheaper
-    than building a new generator per seed.  Each yielded generator is
-    the same object, valid until the next one is requested.
+    `seeds` is a uint64 array or a sequence of integers, all checked before
+    the first generator is yielded.  One Philox is re-keyed in place through
+    its state setter from one reused state (key [seed, 0], counter 0, empty
+    buffer) whose key word alone changes, which is several times cheaper
+    than building a new generator per seed.  Each yielded generator is the
+    same object, valid until the next one is requested.
     """
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.array([check_seed(s) for s in seeds], dtype=np.uint64)
+    key = np.zeros(2, np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     bit_gen = np.random.Philox(key=0)
     rng = np.random.Generator(bit_gen)
     for seed in seeds:
-        bit_gen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([check_seed(seed), 0], np.uint64)},
-            "buffer": np.zeros(4, np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        key[0] = seed
+        bit_gen.state = state
         yield rng
 
 
-def mix_seed(seed: int, index: int) -> int:
+def mix_seed(seed: int, index):
     """Derive the seed for work item `index` from a base seed.
 
-    SplitMix64 finalizer over seed + (index+1)*golden-gamma; distinct
-    (seed, index) pairs map to well-separated 64-bit keys.
+    SplitMix64 finalizer over seed + (index+1)*golden-gamma, mod 2^64;
+    distinct (seed, index) pairs map to well-separated 64-bit keys.  An
+    integer `index` gives an int; an integer array of indices gives the
+    uint64 array of their seeds, element for element the same values.
     """
-    z = (int(seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    scalar = np.ndim(index) == 0
+    z = np.array(int(index) & _MASK64 if scalar else index, ndmin=1)
+    if z.dtype.kind not in "iu":
+        raise ValueError("mix_seed indices must be integers")
+    z = z.astype(np.uint64)  # wraps negative indices mod 2^64
+    z = (z + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(int(seed) & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return int(z[0]) if scalar else z.reshape(np.shape(index))

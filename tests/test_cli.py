@@ -101,6 +101,17 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"monopmf: invalid counts file {str(path)!r}: gren_counts requires")
 
+    @pytest.mark.parametrize("lines", [
+        f"0\t{2**63}\n",  # past int64 on its own
+        f"0\t{2**62}\n1\t{2**62}\n",  # sums to 2^63, which would wrap to a negative n
+    ], ids=["count", "sum"])
+    def test_counts_past_int64_exit_2(self, lines, tmp_path, capsys):
+        path = tmp_path / "huge.counts"
+        path.write_text(lines)
+        assert main(["estimate", "--counts", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"monopmf: invalid counts file {str(path)!r}: counts must sum to less than 2^63, got {2**63}\n"
+
     def test_bad_flag_exits_1(self):
         with pytest.raises(SystemExit) as err:
             main(["estimate", "--counts", "x", "--estimator", "mle"])

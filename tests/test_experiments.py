@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf.experiments import InequalityViolation, _check_inequality, replicate_distances
+from monopmf.experiments import InequalityViolation, SummaryStats, _check_inequality, _summarize, replicate_distances
 from monopmf.pmf import DEFAULT_TAIL_TOL
 
 HELL = MetricKind.hellinger()
@@ -353,6 +354,24 @@ class TestRunExperiment:
                 truth=TruthSpec("uniform", y=5), n=20, reps=50, seed=1,
                 estimators=estimators, metrics=metrics, target="mixing",
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(reps=st.integers(1, 4000), data_seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_summary_equals_column_loop(self, reps, data_seed, ties):
+        # the axis-0 quartiles, minima and maxima have the bits of one call per column
+        cfg = ExperimentConfig(TruthSpec("uniform", y=3), n=10, reps=reps, seed=0, metrics=(HELL, L1, L2, MetricKind.ell(3)))
+        raw = np.random.default_rng(data_seed).exponential(size=(reps, 3, 4))
+        if ties:
+            raw = np.round(raw, 1)
+        summary = _summarize(cfg, raw)
+        for e, est in enumerate(cfg.estimators):
+            for m, metric in enumerate(cfg.metrics):
+                col = raw[:, e, m]
+                q1, med, q3 = np.quantile(col, [0.25, 0.5, 0.75], method="median_unbiased")
+                std = float(col.std(ddof=1)) if col.size > 1 else 0.0
+                expected = SummaryStats(float(col.mean()), std, float(col.min()), float(q1), float(med), float(q3), float(col.max()))
+                got = summary.stat(est, metric)
+                assert np.array(astuple(got)).tobytes() == np.array(astuple(expected)).tobytes()
 
 
 class TestEstimateRisk:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
@@ -198,11 +198,25 @@ class TestTouchCount:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=12),
+        st.integers(-40, 40),
+    )
+    @example([0.0, 7.0, 10.0, 7.0, 3.0, 9.0], -30)
+    def test_scale_invariant(self, z, j):
+        # contact is structural (segment ends), not an absolute tolerance, and
+        # scaling by 2^j changes no float operation, so the count holds even on
+        # exact ties such as the block slopes 24/4 and 12/2 of the example
+        # (which 1e-9 * z rounds apart, so other scales are tested on draws)
+        z = np.array(z)
+        assert touch_count(np.ldexp(z, j)) == touch_count(z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
         st.sampled_from([1e-9, 1e-3, 0.5, 3.0, 1e6, 1e12]),
     )
-    def test_scale_invariant(self, z, scale):
-        # contact is structural (segment ends), not an absolute tolerance
-        z = np.array(z)
+    def test_scale_invariant_on_continuous_draws(self, data_seed, k, scale):
+        z = np.random.default_rng(data_seed).standard_normal(k)
         assert touch_count(scale * z) == touch_count(z)
 
     def test_scaled_draws_agree_with_hull_segments(self):

@@ -9,6 +9,7 @@ Grenander of tests/references.py.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf import experiments
+from monopmf import experiments, pmf
 from monopmf.cli import main
 from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
@@ -107,6 +108,54 @@ class TestCountRows:
         with pytest.raises(ValueError):
             sample(uniform_pmf(3), 10, seed=2**64)
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 300])
+    def test_sort_blocks_do_not_change_counts(self, n, monkeypatch):
+        # blocks of one row, of part of the seeds, of all of them and beyond
+        truth = TruthSpec.parse("mixture:0.2:3,0.8:7").to_pmf()
+        seeds = mix_seed(11, np.arange(23))
+        expected = np.stack([inverse_cdf_counts(truth, n, int(s)) for s in seeds])
+        for values in {1, n - 1, n, n + 1, 7 * n, 7 * n + 1, 22 * n, 23 * n, 24 * n}:
+            monkeypatch.setattr(pmf, "_SORT_VALUES", values)
+            assert sample_counts(truth, n, seeds).tobytes() == expected.tobytes()
+
+    def test_keyed_generators_take_lists_and_uint64_arrays(self):
+        seeds = [0, 1, 2**63, 2**64 - 1]
+        from_list = [rng.random(9).tobytes() for rng in keyed_generators(seeds)]
+        from_array = [rng.random(9).tobytes() for rng in keyed_generators(np.array(seeds, dtype=np.uint64))]
+        assert from_list == from_array == [make_generator(s).random(9).tobytes() for s in seeds]
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_keyed_generators_check_every_seed_first(self, bad):
+        with pytest.raises(ValueError, match="64-bit unsigned"):
+            next(keyed_generators([3, bad]))
+
+
+def splitmix64(seed: int, index: int) -> int:
+    """mix_seed written out in Python integers."""
+    mask = 2**64 - 1
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestMixSeed:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_array_equals_scalar(self, seed):
+        index = np.concatenate([np.arange(500), [2**40, 2**62, 2**63 - 1]])
+        seeds = mix_seed(seed, index)
+        assert seeds.dtype == np.uint64 and seeds.shape == index.shape
+        expected = [splitmix64(seed, int(i)) for i in index]
+        assert [int(s) for s in seeds] == [mix_seed(seed, int(i)) for i in index] == expected
+
+    def test_scalar_wraps_mod_2_64(self):
+        assert mix_seed(2**64 + 5, 2**64 + 3) == mix_seed(5, 3) == splitmix64(5, 3)
+        assert type(mix_seed(5, np.int64(3))) is int
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(ValueError):
+            mix_seed(0, np.array([0.5, 1.0]))
+
 
 def inverse_cdf_counts(p: Pmf, n: int, seed: int) -> np.ndarray:
     """Counts of n draws by searching each uniform into the cumulative
@@ -174,6 +223,35 @@ class TestRunExperimentBytes:
         monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", chunk)
         cfg = ExperimentConfig(TruthSpec.parse("mixture:0.2:3,0.8:7"), n=20, reps=45, seed=2, metrics=ALL_METRICS)
         assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
+
+    def test_chunk_rows_do_not_depend_on_n(self, monkeypatch):
+        sizes = []
+        original = experiments.sample_counts
+
+        def counting(p, n, seeds):
+            sizes.append(len(seeds))
+            return original(p, n, seeds)
+
+        monkeypatch.setattr(experiments, "sample_counts", counting)
+        run_experiment(ExperimentConfig(TruthSpec.parse("uniform:5"), n=1000, reps=300, seed=1))
+        assert sizes == [300]
+
+    def test_memory_bounded_in_n_and_chunk(self):
+        # At n = 10^5 a block of uniforms is one row of n float64 (2^14 // n
+        # rows, at least one), whatever the chunk height; sorting it may take
+        # one more such row.  The chunk's count and estimator arrays hold
+        # reps * (K+1) values times a few estimators and metrics (under 100 KB
+        # here), so 1 MiB covers them and the interpreter's own allocations.
+        # Uniforms for all 40 rows of the chunk at once would take 32 MB.
+        n = 10**5
+        cfg = ExperimentConfig(TruthSpec.parse("mixture:0.2:3,0.8:7"), n=n, reps=40, seed=6)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n + 2**20
 
     def test_estimator_order_and_repeats(self):
         cfg = ExperimentConfig(
