@@ -34,7 +34,6 @@ from .operators import (
     rear,
 )
 from .pmf import (
-    Counts,
     Pmf,
     empirical_pmf,
     format_counts,
@@ -51,7 +50,6 @@ from .rng import mix_seed
 __version__ = "0.2.0"
 
 __all__ = [
-    "Counts",
     "EstimatorKind",
     "ExperimentConfig",
     "ExperimentSummary",

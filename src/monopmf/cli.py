@@ -128,7 +128,8 @@ def _estimates(args) -> dict:
 
     def estimates(text):
         counts = parse_counts(text)
-        return {name: estimate(EstimatorKind.parse(name), counts.counts, counts.n) for name in names}
+        n = int(counts.sum())
+        return {name: estimate(EstimatorKind.parse(name), counts, n) for name in names}
 
     return _load(args.counts, "counts", estimates)
 

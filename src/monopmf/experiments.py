@@ -171,6 +171,8 @@ class ExperimentConfig:
     target: str = "pmf"  # "pmf" or "mixing"
 
     def __post_init__(self):
+        for name in ("n", "reps", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.n < 1 or self.reps < 1:
             raise ValueError("n and reps must be positive")
         check_seed(self.seed)
@@ -211,9 +213,9 @@ class ExperimentConfig:
             spec.to_pmf()
             return ExperimentConfig(
                 truth=spec,
-                n=as_int(data["n"], "n"),
-                reps=as_int(data["reps"], "reps"),
-                seed=as_int(data.get("seed", 0), "seed"),
+                n=data["n"],
+                reps=data["reps"],
+                seed=data.get("seed", 0),
                 estimators=tuple(EstimatorKind.parse(e) for e in data.get("estimators", [])) or DEFAULT_ESTIMATORS,
                 metrics=tuple(MetricKind.parse(m) for m in data.get("metrics", [])) or DEFAULT_METRICS,
                 target=data.get("target", "pmf"),
@@ -292,9 +294,10 @@ def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
     i over all K+1 support points; `stat` maps it to one leading entry per
     row.  A chunk's seeds are derived in one vectorised mix_seed call.
     """
+    reps = as_int(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be positive")
-    check_seed(seed)
+    check_seed(as_int(seed, "seed"))
     rows = max(1, _CHUNK_ELEMENTS // truth.support_size)
     out = None
     for start in range(0, reps, rows):
@@ -398,6 +401,7 @@ def fluctuation_cdf(
 ) -> np.ndarray:
     """Sorted replicate values of sqrt(n) * (estimate_x - truth_x): the i-th
     (from 0) is where the empirical CDF of the replicates reaches (i+1)/reps."""
+    x = as_int(x, "x")
     if not 0 <= x <= truth.support_max:
         raise ValueError("x must lie inside the truth support")
     root_n = math.sqrt(n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import constancy_blocks, limit_transform, pava
-from .pmf import Pmf
+from .pmf import Pmf, as_int
 from .rng import make_generator
 
 _CHUNK = 1 << 15
@@ -47,11 +47,12 @@ def draw_limit_batch(p: Pmf, reps: int, seed: int):
     """Vectorized draws: three (reps, K+1) arrays (y, y_rear, y_gren)."""
     if not p.monotone:
         raise ValueError("limit draws require a monotone truth")
+    reps = as_int(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be positive")
     probs = p.probs
     rng = make_generator(seed)
-    w = rng.standard_normal((int(reps), probs.size)) * np.sqrt(probs)
+    w = rng.standard_normal((reps, probs.size)) * np.sqrt(probs)
     y = w - probs * w.sum(axis=1, keepdims=True)
     y_rear, y_gren = limit_transform(y, constancy_blocks(p))
     return y, y_rear, y_gren
@@ -127,7 +128,8 @@ def gren_zero_probability(y: int, reps: int, seed: int) -> float:
     Y) stays at or below zero, in which case its least concave majorant is
     the zero line.
     """
-    y = int(y)
+    y = as_int(y, "y")
+    reps = as_int(reps, "reps")
     if y < 0:
         raise ValueError("y must be a non-negative integer")
     if reps < 1:

@@ -196,7 +196,8 @@ def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
     pooling decision compares int64 cross products exactly, and a block of
     total T and length c gets float(T) / float(n*c).  When n*L < 2^53 that
     is the exact slope correctly rounded, whatever the chunking or scale,
-    and an unpooled entry has the bits of count / n.
+    and an unpooled entry has the bits of count / n.  Counts outside [0, n]
+    or a row that does not sum to n is a ValueError, raised before any pass.
 
     The hull is found by vertex removal on all rows at once.  The first
     pass, on the dense grid, drops every vertex where the counts do not
@@ -214,6 +215,8 @@ def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
     n = as_int(n, "n")
     if n < 1 or n * length >= 1 << 63:  # the cross products must fit in int64
         raise ValueError(f"gren_counts requires 1 <= n and n * L < 2^63, got n = {n} and L = {length}")
+    if c.min() < 0 or c.max() > n:  # so no running sum of a row wraps past int64
+        raise ValueError(f"gren_counts requires counts in [0, n], got n = {n}")
     rows = c.reshape(-1, length).astype(np.int64, copy=False)
     keep = np.ones((rows.shape[0], length + 1), dtype=bool)  # vertices x = -1..L-1
     keep[:, 1:-1] = rows[:, :-1] > rows[:, 1:]
@@ -222,6 +225,8 @@ def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
     near[:, 2:-1] |= ~keep[:, 1:-2]
     s = np.zeros(keep.shape, dtype=np.int64)
     np.cumsum(rows, axis=1, out=s[:, 1:])
+    if np.any(s[:, -1] != n):
+        raise ValueError(f"gren_counts requires every row of counts to sum to n = {n}")
     kept = np.flatnonzero(keep)
     x = kept % (length + 1) - 1
     s, near = s.ravel()[kept], near.ravel()[kept]

@@ -29,8 +29,8 @@ MAX_SUPPORT = 10**7
 _SORT_VALUES = 1 << 14
 
 
-def _as_readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _as_readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-D sequence")
     arr.setflags(write=False)
@@ -95,26 +95,6 @@ class Pmf:
     def support_max(self) -> int:
         """Largest support point K."""
         return int(self.probs.size - 1)
-
-
-@dataclass(frozen=True)
-class Counts:
-    """Observed frequencies per support point from an i.i.d. sample of size n."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        counts = _as_readonly(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if self.n < 1:
-            raise ValueError("sample size n must be positive")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
-        if int(counts.sum()) != self.n:
-            raise ValueError("counts must sum to n")
-        if counts[-1] == 0:
-            raise ValueError("last count must be positive (K_obs is the max observed value)")
 
 
 def uniform_pmf(y: int) -> Pmf:
@@ -191,6 +171,7 @@ def sample_counts(p: Pmf, n: int, seeds) -> np.ndarray:
     rows, so their buffer holds at most max(n, _SORT_VALUES) values however
     many seeds there are; the count matrix holds len(seeds) * (K+1).
     """
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("sample size n must be positive")
     if not isinstance(seeds, np.ndarray):
@@ -198,8 +179,8 @@ def sample_counts(p: Pmf, n: int, seeds) -> np.ndarray:
     cum = np.cumsum(p.probs)
     cum[-1] = 1.0  # guard against float shortfall; uniforms are < 1
     below = np.empty((len(seeds), p.support_size), dtype=np.int64)
-    step = max(1, _SORT_VALUES // int(n))
-    u = np.empty((min(len(seeds), step), int(n)))
+    step = max(1, _SORT_VALUES // n)
+    u = np.empty((min(len(seeds), step), n))
     rngs = keyed_generators(seeds)
     for start in range(0, len(below), step):
         block = u[: len(below) - start]
@@ -211,20 +192,22 @@ def sample_counts(p: Pmf, n: int, seeds) -> np.ndarray:
     return np.diff(below, axis=1, prepend=0)
 
 
-def sample(p: Pmf, n: int, seed: int) -> Counts:
-    """Draw n i.i.d. observations from p and tabulate them.
+def sample(p: Pmf, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. observations from p and tabulate them: the int64 count
+    row of x = 0..K_obs, which sums to n and ends at the largest observed
+    value (the row of sample_counts(p, n, (seed,)) less its trailing zeros).
 
     Inverse-CDF sampling on a counter-based generator: identical
     (p, n, seed) triples produce identical counts on every platform.
     """
-    counts = sample_counts(p, n, (seed,))[0]
-    k_obs = int(np.nonzero(counts)[0][-1])
-    return Counts(counts[: k_obs + 1], n=int(n))
+    return np.trim_zeros(sample_counts(p, n, (seed,))[0], "b")
 
 
-def empirical_pmf(c: Counts) -> Pmf:
-    """Relative frequencies counts/n; interior zeros are retained."""
-    return Pmf(c.counts / float(c.n), monotone=False)
+def empirical_pmf(counts) -> Pmf:
+    """Relative frequencies counts / n of a count row, n its total; interior
+    zeros are retained."""
+    counts = np.asarray(counts)
+    return Pmf(counts / float(counts.sum()), monotone=False)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +219,8 @@ def format_pmf(p) -> str:
     return "".join(f"{x}\t{v:.17g}\n" for x, v in enumerate(values))
 
 
-def format_counts(c: Counts) -> str:
-    return "".join(f"{x}\t{int(v)}\n" for x, v in enumerate(c.counts))
+def format_counts(counts) -> str:
+    return "".join(f"{x}\t{int(v)}\n" for x, v in enumerate(counts))
 
 
 def float_label(x: float) -> str:
@@ -271,11 +254,17 @@ def parse_pmf(text: str, monotone: bool = False) -> Pmf:
     return Pmf(np.array(values), monotone=monotone)
 
 
-def parse_counts(text: str) -> Counts:
+def parse_counts(text: str) -> np.ndarray:
+    """The int64 count row of a counts file: non-negative counts whose total,
+    the sample size n, lies in [1, 2^63), and whose last is positive (K_obs)."""
     values = [int(v) for v in _parse_table(text, "counts")]
     if min(values) < 0:  # Python ints until the checks pass
         raise ValueError("counts must be non-negative")
     n = sum(values)
+    if n < 1:
+        raise ValueError("sample size n must be positive")
     if n > np.iinfo(np.int64).max:
         raise ValueError(f"counts must sum to less than 2^63, got {n}")
-    return Counts(np.array(values, dtype=np.int64), n=n)
+    if values[-1] == 0:
+        raise ValueError("last count must be positive (K_obs is the max observed value)")
+    return np.array(values, dtype=np.int64)

@@ -12,7 +12,6 @@ import numpy as np
 from scipy import stats
 
 from monopmf import (
-    Counts,
     EstimatorKind,
     ExperimentConfig,
     MetricKind,
@@ -64,8 +63,8 @@ def test_criterion_02_distance_table():
         truth=TruthSpec("uniform", y=5), n=100, reps=1, seed=0,
         metrics=(MetricKind.hellinger(), MetricKind.ell(2), MetricKind.ell(1)),
     )
-    counts = Counts(np.array([20, 14, 11, 22, 15, 18]), n=100)
-    dists = replicate_distances(cfg, cfg.truth.to_pmf().probs, counts.counts[None, :])
+    counts = np.array([20, 14, 11, 22, 15, 18])
+    dists = replicate_distances(cfg, cfg.truth.to_pmf().probs, counts[None, :])
     labels = [m.label for m in cfg.metrics]
     expected = {
         (EstimatorKind.EMPIRICAL, "hellinger"): 0.08043,

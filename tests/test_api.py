@@ -14,7 +14,6 @@ import monopmf
 from monopmf.cli import _atomic_write
 
 PUBLIC = [
-    "Counts",
     "EstimatorKind",
     "ExperimentConfig",
     "ExperimentSummary",

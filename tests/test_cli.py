@@ -14,10 +14,9 @@ from numpy.testing import assert_array_equal
 
 from monopmf import experiments, format_counts, format_pmf, parse_pmf, sample, uniform_pmf
 from monopmf.cli import main
-from monopmf.pmf import Counts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-TABLE_COUNTS = Counts(np.array([20, 14, 11, 22, 15, 18]), n=100)
+TABLE_COUNTS = np.array([20, 14, 11, 22, 15, 18])
 
 
 @pytest.fixture
@@ -61,7 +60,7 @@ class TestEstimate:
         out = tmp_path / "fit.pmf"
         main(["estimate", "--counts", str(counts_file), "--estimator", "all", "--out", str(out)])
         emp = parse_pmf((tmp_path / "fit.empirical.pmf").read_text())
-        assert_array_equal(emp.probs, TABLE_COUNTS.counts / 100.0)
+        assert_array_equal(emp.probs, TABLE_COUNTS / 100.0)
         for name in ("empirical", "rear", "gren"):
             fit = parse_pmf((tmp_path / f"fit.{name}.pmf").read_text())
             assert abs(fit.probs.sum() - 1.0) < 1e-12

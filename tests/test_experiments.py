@@ -12,7 +12,6 @@ from numpy.testing import assert_array_equal
 from scipy import stats
 
 from monopmf import (
-    Counts,
     EstimatorKind,
     ExperimentConfig,
     MetricKind,
@@ -24,6 +23,7 @@ from monopmf import (
     fluctuation_cdf,
     geometric_pmf,
     gren,
+    gren_zero_probability,
     mix_seed,
     mixing_estimate,
     mixture_of_uniforms,
@@ -33,7 +33,7 @@ from monopmf import (
     uniform_pmf,
 )
 from monopmf.experiments import InequalityViolation, SummaryStats, _check_inequality, _summarize, replicate_distances
-from monopmf.pmf import DEFAULT_TAIL_TOL
+from monopmf.pmf import DEFAULT_TAIL_TOL, sample_counts
 
 HELL = MetricKind.hellinger()
 L1 = MetricKind.ell(1)
@@ -43,7 +43,7 @@ EMP = EstimatorKind.EMPIRICAL
 REAR = EstimatorKind.REARRANGEMENT
 GREN = EstimatorKind.GRENANDER
 
-TABLE_COUNTS = Counts(np.array([20, 14, 11, 22, 15, 18]), n=100)
+TABLE_COUNTS = np.array([20, 14, 11, 22, 15, 18])
 
 
 @st.composite
@@ -213,7 +213,7 @@ class TestRunExperiment:
             seed=0,
             metrics=(HELL, L2, L1),
         )
-        dists = replicate_distances(cfg, cfg.truth.to_pmf().probs, TABLE_COUNTS.counts[None, :])
+        dists = replicate_distances(cfg, cfg.truth.to_pmf().probs, TABLE_COUNTS[None, :])
         expected = {
             (EMP, HELL): 0.08043, (EMP, L2): 0.09129, (EMP, L1): 0.2,
             (REAR, HELL): 0.08043, (REAR, L2): 0.09129, (REAR, L1): 0.2,
@@ -273,8 +273,7 @@ class TestRunExperiment:
         run_experiment(cfg)  # hellinger is safe here: both estimators give q >= 0
         truth = cfg.truth.to_pmf()
         for i in range(cfg.reps):
-            counts = sample(truth, cfg.n, mix_seed(cfg.seed, i))
-            emp = counts.counts / counts.n
+            emp = sample(truth, cfg.n, mix_seed(cfg.seed, i)) / cfg.n
             for vec in (rear(emp), gren(emp)):
                 w = mixing_estimate(vec)
                 assert abs(w.sum() - 1.0) <= 1e-10
@@ -300,7 +299,7 @@ class TestRunExperiment:
         for n in (20, 200, 2000):
             mono = 0
             for i in range(reps):
-                emp = sample(truth, n, mix_seed(100 + n, i)).counts / n
+                emp = sample(truth, n, mix_seed(100 + n, i)) / n
                 if np.all(np.diff(emp) <= 0):
                     mono += 1
                     assert_array_equal(rear(emp), emp)
@@ -451,3 +450,31 @@ class TestFluctuationCdf:
     def test_nonpositive_reps_rejected(self, reps):
         with pytest.raises(ValueError, match="reps must be positive"):
             fluctuation_cdf(uniform_pmf(2), 1, n=10, reps=reps, seed=1, est=EMP)
+
+
+U3 = TruthSpec("uniform", y=3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ExperimentConfig(U3, n=2.5, reps=10, seed=0, estimators=(EMP, REAR)),
+    lambda: ExperimentConfig(U3, n=True, reps=10, seed=0),
+    lambda: ExperimentConfig(U3, n=10, reps=2.5, seed=0),
+    lambda: ExperimentConfig(U3, n=10, reps=10, seed=2.5),
+    lambda: estimate_risk(U3.to_pmf(), 2.5, 2, EMP, 10, 0),
+    lambda: estimate_risk(U3.to_pmf(), 10, 2, EMP, 10.5, 0),
+    lambda: estimate_risk(U3.to_pmf(), 10, 2, EMP, 10, 2.5),
+    lambda: fluctuation_cdf(U3.to_pmf(), 1, 2.5, 10, 0, EMP),
+    lambda: fluctuation_cdf(U3.to_pmf(), 1.5, 10, 10, 0, EMP),
+    lambda: sample_counts(U3.to_pmf(), 2.5, [0]),
+    lambda: sample(U3.to_pmf(), 2.5, 0),
+    lambda: draw_limit_batch(U3.to_pmf(), 2.5, 0),
+    lambda: gren_zero_probability(2.7, 10, 0),
+    lambda: gren_zero_probability(3, 10.5, 0),
+], ids=[
+    "config-n", "config-n-bool", "config-reps", "config-seed", "risk-n", "risk-reps", "risk-seed",
+    "fluctuation-n", "fluctuation-x", "sample_counts-n", "sample-n", "limit-reps", "zero-y", "zero-reps",
+])
+def test_non_integral_sizes_rejected(call):
+    # a fractional size used to be truncated (or to crash) where it entered
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()

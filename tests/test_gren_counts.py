@@ -118,6 +118,18 @@ class TestAgainstOracle:
         with pytest.raises(ValueError, match=f"^gren_counts requires 1 <= n and n \\* L < 2\\^63, got n = {n} and L = {length}$"):
             gren_counts(np.zeros((1, length), dtype=np.int64), n)
 
+    @pytest.mark.parametrize("counts,n", [
+        ([1 << 61, 1 << 62, 5], 1),  # a count above n
+        ([-1, 2], 1),  # a negative count
+        (np.array([[2**63 + 5, 0]], dtype=np.uint64), 3),  # wraps to a negative int64
+        ([2**62, 2**62, 2**62, 2**62 + 7], 7),  # its running sum wraps back to n
+        ([[1, 2], [2, 2]], 3),  # the second row sums to 4
+        ([1, 1], 3),
+    ], ids=["above-n", "negative", "uint64", "wrapped-sum", "row-above-n", "row-below-n"])
+    def test_counts_outside_the_sample_rejected(self, counts, n):
+        with pytest.raises(ValueError, match=r"^gren_counts requires (counts in \[0, n\]|every row of counts to sum to n)"):
+            gren_counts(counts, n)
+
     def test_largest_sample_size_accepted(self):
         n = (2**63 - 1) // 3
         fit, blocks = gren_counts(np.array([[n, 0, 0]]), n)

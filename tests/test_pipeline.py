@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monopmf import (
-    Counts,
     EstimatorKind,
     ExperimentConfig,
     MetricKind,
@@ -34,7 +33,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf import experiments, pmf
+from monopmf import experiments, format_pmf, pmf
 from monopmf.cli import main
 from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
@@ -50,14 +49,14 @@ L_METRICS = ALL_METRICS[1:]
 TRUTHS = ("uniform:5", "geometric:0.75", "mixture:0.2:3,0.8:7", "uniform:40")
 
 
-def reference_vectors(counts: Counts) -> dict:
+def reference_vectors(counts: np.ndarray) -> dict:
     emp = empirical_pmf(counts).probs
-    return {EMP: emp, REAR: rear(emp), GREN: gren_fraction(counts.counts, counts.n)[0]}
+    return {EMP: emp, REAR: rear(emp), GREN: gren_fraction(counts, int(counts.sum()))[0]}
 
 
 def reference_raw(cfg: ExperimentConfig, samples=None) -> np.ndarray:
     """Distances of each replicate, one at a time; `samples` (a list of
-    Counts) replaces the seeded samples of cfg when given."""
+    count rows) replaces the seeded samples of cfg when given."""
     truth = cfg.truth.to_pmf()
     ref = mixing_estimate(truth) if cfg.target == "mixing" else truth.probs
     if samples is None:
@@ -91,7 +90,7 @@ class TestCountRows:
         matrix = sample_counts(truth, n, [mix_seed(seed, i) for i in range(rows)])
         assert matrix.shape == (rows, truth.support_size)
         for i in range(rows):
-            counts = sample(truth, n, mix_seed(seed, i)).counts
+            counts = sample(truth, n, mix_seed(seed, i))
             padded = np.zeros(truth.support_size, dtype=counts.dtype)
             padded[: counts.size] = counts
             assert matrix[i].tobytes() == padded.tobytes()
@@ -264,11 +263,11 @@ class TestRunExperimentBytes:
         # the counts reach past the truth's support, which the distances pad
         metrics = L_METRICS if target == "mixing" else ALL_METRICS
         cfg = ExperimentConfig(TruthSpec.parse("uniform:5"), n=103, reps=60, seed=4, metrics=metrics, target=target)
-        samples = [Counts(np.array([20, 14, 11, 22, 15, 18, 0, 3]), n=103)]
+        samples = [np.array([20, 14, 11, 22, 15, 18, 0, 3])]
         samples += [sample(uniform_pmf(7), 103, mix_seed(4, i)) for i in range(59)]
         matrix = np.zeros((len(samples), 8), dtype=np.int64)
         for row, counts in zip(matrix, samples):
-            row[: counts.counts.size] = counts.counts
+            row[: counts.size] = counts
         truth = cfg.truth.to_pmf()
         reference = mixing_estimate(truth) if target == "mixing" else truth.probs
         dists = replicate_distances(cfg, reference, matrix)
@@ -290,7 +289,7 @@ class TestRunExperimentBytes:
         truth = cfg.truth.to_pmf()
         expected = None
         for i in range(cfg.reps):
-            counts = sample(truth, cfg.n, mix_seed(cfg.seed, i)).counts
+            counts = sample(truth, cfg.n, mix_seed(cfg.seed, i))
             emp = counts / cfg.n
             for metric in cfg.metrics:
                 d_emp = distance(emp, truth.probs, metric)
@@ -422,6 +421,26 @@ RISK_GOLDEN = (
 )
 
 
+# sha256 of the outputs of the counts-file commands on the worked example
+# (counts 20,14,11,22,15,18 against a uniform:5 truth), recorded at version
+# 0.2.0: stdout, or each file the command writes
+COUNTS_GOLDEN = {
+    "estimate": (
+        ["estimate", "--estimator", "all", "--truth", "uniform5.pmf"],
+        {"stdout": "3875a2fd7520eebb4e5a9e47139a0d6fc34f09aba4b3f7691a39c5a667d94e3a"},
+    ),
+    "estimate_out": (
+        ["estimate", "--estimator", "all", "--out", "fit.pmf"],
+        {
+            "fit.empirical.pmf": "d911635485ab059b6e6c45623120a33eb88a03e8b22cecd6281d275bb9f1199d",
+            "fit.rear.pmf": "91a0f607956c01d7a72054c24f309907256a691785e1129eec2140c663597701",
+            "fit.gren.pmf": "86fc693fd5a8822a8c12ca1b895dab59bda4c06ab2ae7f817be1e7c3b82f3cd5",
+        },
+    ),
+    "mixing": (["mixing"], {"stdout": "7097064a561ac1963aced3ca3ac25061a9ad38c69d5b6d6bd8be0d0aae2b0988"}),
+}
+
+
 def check_digests(command, name, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the meta file records no paths, only the config
     args, digests = golden[name]
@@ -444,3 +463,16 @@ def test_risk_golden_digest(capsys):
     args, digest = RISK_GOLDEN
     assert main(args) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS_GOLDEN))
+def test_counts_golden_digests(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sample.counts").write_text("".join(f"{x}\t{c}\n" for x, c in enumerate([20, 14, 11, 22, 15, 18])))
+    (tmp_path / "uniform5.pmf").write_text(format_pmf(uniform_pmf(5)))
+    args, digests = COUNTS_GOLDEN[name]
+    assert main([*args, "--counts", "sample.counts"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    for target, digest in digests.items():
+        data = stdout if target == "stdout" else (tmp_path / target).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, target

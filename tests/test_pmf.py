@@ -1,11 +1,12 @@
 """Tests for pmf construction, sampling, and text formats."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from monopmf import (
-    Counts,
     Pmf,
     empirical_pmf,
     format_counts,
@@ -17,6 +18,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
+from monopmf.pmf import sample_counts
 
 
 class TestConstructors:
@@ -141,28 +143,28 @@ class TestPmfValidation:
 class TestSampling:
     def test_point_mass(self):
         c = sample(uniform_pmf(0), 7, seed=123)
-        assert_array_equal(c.counts, [7])
-        assert c.n == 7
+        assert_array_equal(c, [7])
+        assert c.sum() == 7
 
     def test_multinomial_moments(self):
         n = 10**5
         c = sample(uniform_pmf(5), n, seed=1)
         sigma = np.sqrt(n * (1 / 6) * (5 / 6))
-        assert c.counts.size == 6
-        assert np.all(np.abs(c.counts - n / 6) < 5 * sigma)
+        assert c.size == 6
+        assert np.all(np.abs(c - n / 6) < 5 * sigma)
 
     def test_determinism(self):
         p = geometric_pmf(0.75)
         a = sample(p, 1000, seed=99)
         b = sample(p, 1000, seed=99)
-        assert_array_equal(a.counts, b.counts)
-        assert a.counts.tobytes() == b.counts.tobytes()
+        assert_array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
 
     def test_seed_changes_output(self):
         p = uniform_pmf(5)
         a = sample(p, 1000, seed=1)
         b = sample(p, 1000, seed=2)
-        assert not np.array_equal(a.counts, b.counts)
+        assert not np.array_equal(a, b)
 
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
@@ -171,19 +173,28 @@ class TestSampling:
     def test_trailing_zeros_trimmed(self):
         # tiny n from a wide support rarely reaches the top of the support
         c = sample(uniform_pmf(50), 2, seed=7)
-        assert c.counts[-1] > 0
+        assert c[-1] > 0
+
+    @pytest.mark.parametrize("truth,n", [(uniform_pmf(50), 2), (uniform_pmf(5), 1000), (geometric_pmf(0.9), 30)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_row_is_the_trimmed_count_row(self, truth, n, seed):
+        c = sample(truth, n, seed)
+        assert c.ndim == 1 and c.dtype == np.int64
+        assert int(c.sum()) == n and c[-1] > 0
+        row = sample_counts(truth, n, (seed,))[0]
+        assert c.tobytes() == row[: c.size].tobytes() and not row[c.size :].any()
 
 
 class TestEmpirical:
     def test_example_counts(self):
-        c = Counts(np.array([20, 14, 11, 22, 15, 18]), n=100)
+        c = np.array([20, 14, 11, 22, 15, 18])
         assert_allclose(empirical_pmf(c).probs, [0.20, 0.14, 0.11, 0.22, 0.15, 0.18])
 
     def test_single_point(self):
-        assert_array_equal(empirical_pmf(Counts(np.array([5]), n=5)).probs, [1.0])
+        assert_array_equal(empirical_pmf(np.array([5])).probs, [1.0])
 
     def test_interior_zeros_retained(self):
-        p = empirical_pmf(Counts(np.array([3, 0, 1]), n=4))
+        p = empirical_pmf(np.array([3, 0, 1]))
         assert_allclose(p.probs, [0.75, 0.0, 0.25])
         assert not p.monotone
 
@@ -194,12 +205,13 @@ class TestEmpirical:
             assert abs(emp.probs.sum() - 1.0) < 1e-12
 
     def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            Counts(np.array([1, 2]), n=4)  # sum mismatch
-        with pytest.raises(ValueError):
-            Counts(np.array([1, 0]), n=1)  # trailing zero
-        with pytest.raises(ValueError):
-            Counts(np.array([0]), n=0)  # empty sample forbidden
+        for text, message in (
+            ("0\t1\n1\t0\n", "last count must be positive (K_obs is the max observed value)"),  # trailing zero
+            ("0\t0\n", "sample size n must be positive"),  # empty sample forbidden
+            ("0\t3\n1\t-1\n", "counts must be non-negative"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_counts(text)
 
 
 class TestTextFormats:
@@ -209,10 +221,11 @@ class TestTextFormats:
         assert_array_equal(p.probs, q.probs)
 
     def test_counts_round_trip(self):
-        c = sample(uniform_pmf(9), 500, seed=4)
-        d = parse_counts(format_counts(c))
-        assert_array_equal(c.counts, d.counts)
-        assert c.n == d.n
+        rows = [sample(uniform_pmf(9), 500, seed=4), [7], [20, 14, 11, 22, 15, 18], [3, 0, 0, 1], [2**62, 2**62 - 1]]
+        for row in rows:
+            row = np.asarray(row, dtype=np.int64)
+            d = parse_counts(format_counts(row))
+            assert d.dtype == np.int64 and d.tobytes() == row.tobytes()
 
     def test_rejects_gap(self):
         with pytest.raises(ValueError):
