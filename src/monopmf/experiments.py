@@ -27,8 +27,8 @@ import numpy as np
 
 from .metrics import MetricKind, distance
 from .operators import gren_counts, mixing_estimate, rear
-from .pmf import DEFAULT_TAIL_TOL, Pmf, as_int, as_real, float_label, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
-from .rng import check_seed, mix_seed
+from .pmf import DEFAULT_TAIL_TOL, Pmf, float_label, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
+from .rng import as_int, as_real, check_seed, mix_seed
 
 #: Slack for the replicate-wise monotone-estimator inequality check; the
 #: inequality is exact in real arithmetic.
@@ -171,11 +171,11 @@ class ExperimentConfig:
     target: str = "pmf"  # "pmf" or "mixing"
 
     def __post_init__(self):
-        for name in ("n", "reps", "seed"):
+        for name in ("n", "reps"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.n < 1 or self.reps < 1:
             raise ValueError("n and reps must be positive")
-        check_seed(self.seed)
         if not self.estimators or not self.metrics:
             raise ValueError("estimator and metric sets must be non-empty")
         if self.target not in ("pmf", "mixing"):
@@ -297,7 +297,7 @@ def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
     reps = as_int(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be positive")
-    check_seed(as_int(seed, "seed"))
+    check_seed(seed)
     rows = max(1, _CHUNK_ELEMENTS // truth.support_size)
     out = None
     for start in range(0, reps, rows):
@@ -379,7 +379,7 @@ def estimate_risk(
     """Monte Carlo mean and standard error of the l_k^k loss at `truth`."""
     if reps < 2:
         raise ValueError("risk estimation needs at least two replicates")
-    k = float(k)
+    k = as_real(k, "k")
     if not (k >= 1.0):
         raise ValueError("loss order k must satisfy k >= 1")
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import constancy_blocks, limit_transform, pava
-from .pmf import Pmf, as_int
-from .rng import make_generator
+from .pmf import Pmf
+from .rng import as_int, make_generator
 
 _CHUNK = 1 << 15
 
@@ -66,7 +66,7 @@ def harmonic(k: int) -> float:
     least concave majorant (Sparre Andersen); the interior contacts alone
     have mean H_k - 1.
     """
-    return float(sum(1.0 / i for i in range(1, int(k) + 1)))
+    return float(sum(1.0 / i for i in range(1, as_int(k, "k") + 1)))
 
 
 def asymptotics(p: Pmf) -> AsymptoticReport:
@@ -134,10 +134,10 @@ def gren_zero_probability(y: int, reps: int, seed: int) -> float:
         raise ValueError("y must be a non-negative integer")
     if reps < 1:
         raise ValueError("reps must be positive")
+    rng = make_generator(seed)  # checks the seed at y = 0 too
     if y == 0:
         return 1.0
     scale = math.sqrt(1.0 / (y + 1))
-    rng = make_generator(seed)
     hits = 0
     for start in range(0, reps, _CHUNK):
         w = rng.standard_normal((min(_CHUNK, reps - start), y + 1)) * scale

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pmf import float_label
+from .rng import as_real
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,7 @@ class MetricKind:
             return
         if self.name != "ell":
             raise ValueError(f"unknown metric {self.name!r}")
+        object.__setattr__(self, "k", as_real(self.k, "k"))
         if not (self.k >= 1.0):  # also rejects nan
             raise ValueError("l_k metrics require k >= 1")
 
@@ -36,7 +38,7 @@ class MetricKind:
 
     @staticmethod
     def ell(k: float) -> "MetricKind":
-        return MetricKind("ell", float(k))
+        return MetricKind("ell", k)
 
     @staticmethod
     def parse(label: str) -> "MetricKind":

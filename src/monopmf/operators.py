@@ -13,18 +13,17 @@ in the Monte Carlo drivers and the CLI: the Grenander of the counts,
 decided exactly in int64 and divided by n once per block, so each value
 is the exact slope correctly rounded when n*(K+1) < 2^53.  Float input
 takes `gren` (limit draws, `touch_count`, public calls on a pmf), which
-has two paths with the same bits, chosen from the input's shape: a stack
-with at least max(128, 4L) rows and L <= 90 is pooled a column at a time
-for all rows at once (`column_sweep`, over row blocks of about 2^15
-values); a 1-D sequence, a shorter stack or a longer row runs the
-`pool_segments` loop once per row.
+`pava` pools row by row (`_pool_row`) or a column at a time for all rows
+at once (`column_sweep`), with the same bits, by the shape rule in its
+docstring.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .pmf import SUM_TOL, Pmf, as_int
+from .pmf import SUM_TOL, Pmf
+from .rng import as_int
 
 #: Values per row block of `column_sweep`, which bounds its work arrays.
 _SWEEP_VALUES = 1 << 15
@@ -47,45 +46,17 @@ def rear(w) -> np.ndarray:
     return np.sort(v, axis=-1)[..., ::-1].copy()
 
 
-def pool_segments(values) -> tuple[list[float], list[int]]:
-    """Hull segments of the least concave majorant of the running sums.
-
-    Returns parallel lists (totals, lengths): segment i covers `lengths[i]`
-    consecutive indices and has slope totals[i]/lengths[i].  Segments are
-    pooled while a previous slope is strictly below the next one, so the
-    emitted slopes are non-increasing.  Already non-increasing input is
-    left untouched (every segment has length one).
-    """
-    totals: list[float] = []
-    lengths: list[int] = []
-    means: list[float] = []  # means[i] is totals[i] / lengths[i], divided once
-    for x in values:
-        t = m = float(x)
-        c = 1
-        # compare the divided means: they are what gets emitted, so the
-        # output is non-increasing as floats, not just in exact arithmetic
-        while means and means[-1] < m:
-            t += totals.pop()
-            c += lengths.pop()
-            means.pop()
-            m = t / c
-        totals.append(t)
-        lengths.append(c)
-        means.append(m)
-    return totals, lengths
-
-
 def column_sweep(rows) -> tuple[np.ndarray, np.ndarray]:
-    """`pool_segments` on every row of a (r, L) stack at once: (fit, counts).
+    """`_pool_row` on every row of a (r, L) stack at once: (fit, counts).
 
     The hull stacks of all rows live in flat (r*L) arrays of totals,
     lengths and means, row i's from i*L up to its top.  Column j is pushed
     onto every stack after merge rounds, each of which pools the new
     segment of every row whose previous mean is strictly smaller.  A row
-    makes the float operations of `pool_segments` in its order (t + total,
+    makes the float operations of `_pool_row` in its order (t + total,
     then t / c), so its fit has the same bits as the row fitted alone, and
     an unpooled entry keeps its input bits.  counts[i] is the number of
-    segments of row i.
+    segments of row i.  `pava` calls it on the stacks its shape rule picks.
     """
     r, length = rows.shape
     totals = np.empty(r * length)
@@ -118,20 +89,41 @@ def column_sweep(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pool_row(row: np.ndarray, fit: np.ndarray) -> int:
-    """Write the `pool_segments` fit of a 1-D row into `fit`, a copy of it
-    (unpooled entries keep their input bits); return its segment count."""
-    totals, lengths = pool_segments(row.tolist())
+    """Pool a 1-D row into `fit`, a copy of it; return its segment count.
+
+    A stack of segments (total, length, mean) pools the new one while the
+    previous mean is strictly below its own; each pooled mean is written
+    over its segment of `fit`, and an unpooled entry keeps its input bits.
+    """
+    stack: list[tuple[float, int, float]] = []
+    for t in row.tolist():
+        c, m = 1, t
+        # compare the divided means: they are what gets written, so the
+        # fit is non-increasing as floats, not just in exact arithmetic
+        while stack and stack[-1][2] < m:
+            total, length, _ = stack.pop()
+            t += total
+            c += length
+            m = t / c
+        stack.append((t, c, m))
     pos = 0
-    for t, c in zip(totals, lengths):
+    for _, c, m in stack:
         if c > 1:
-            fit[pos : pos + c] = t / c
+            fit[pos : pos + c] = m
         pos += c
-    return len(lengths)
+    return len(stack)
 
 
 def pava(v: np.ndarray):
-    """(fit, segment counts) of every row of a float stack v (shape (..., L)),
-    by the path the shape rule in `gren` picks; a 1-D v gives an int count."""
+    """(fit, segment counts) of every row of a float stack v (shape (..., L));
+    a 1-D v gives an int count.
+
+    The shape rule: a stack whose row blocks of `_SWEEP_VALUES` = 2^15
+    values hold at least max(128, 4L) rows (so L <= 90) is pooled block by
+    block by `column_sweep`, whose work arrays then stay near 2^15 values;
+    a 1-D v or any other stack runs `_pool_row` once per row.  Both paths
+    give the same bits.
+    """
     fit = v.copy()
     if v.ndim == 1:
         return fit, _pool_row(v, fit)
@@ -161,10 +153,8 @@ def gren(w) -> np.ndarray:
     sequences (shape (..., L)) is fitted row by row along its last axis;
     non-increasing rows are returned bitwise unchanged.
 
-    Two paths give the same bits: a stack whose row blocks of about 2^15
-    values hold at least max(128, 4L) rows, which needs L <= 90, is pooled
-    by `column_sweep`; a 1-D sequence or any other stack runs
-    `pool_segments` once per row.
+    `pava` pools it by one of two paths with the same bits, picked by the
+    shape rule in its docstring.
     """
     v = np.asarray(w, dtype=float)
     if v.ndim == 0 or v.shape[-1] == 0:

@@ -9,12 +9,11 @@ estimator is formed from observed counts and carries no shape guarantee.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import keyed_generators
+from .rng import as_int, as_real, keyed_generators
 
 #: Absolute tolerance for "sums to one" checks on probability vectors.
 SUM_TOL = 1e-12
@@ -35,21 +34,6 @@ def _as_readonly(values) -> np.ndarray:
         raise ValueError("expected a non-empty 1-D sequence")
     arr.setflags(write=False)
     return arr
-
-
-def as_int(value, name: str) -> int:
-    """`value` as an int; a bool, a string or a non-integral number is a ValueError."""
-    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def as_real(value, name: str) -> float:
-    """`value` as a float; a bool, a string or any other non-number is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def _check_support(size: int) -> None:

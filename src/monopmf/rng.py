@@ -8,13 +8,31 @@ with :func:`mix_seed`, which makes results independent of execution order.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+def as_int(value, name: str) -> int:
+    """`value` as an int; a bool, a string or a non-integral number is a ValueError."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """`value` as a float; a bool, a string or any other non-number is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def check_seed(seed: int) -> int:
-    if not 0 <= int(seed) <= _MASK64:
+    """`seed` as an int in [0, 2^64); anything else is a ValueError."""
+    if not 0 <= as_int(seed, "seed") <= _MASK64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(seed)
 
@@ -57,17 +75,19 @@ def keyed_generators(seeds):
 def mix_seed(seed: int, index):
     """Derive the seed for work item `index` from a base seed.
 
-    SplitMix64 finalizer over seed + (index+1)*golden-gamma, mod 2^64;
-    distinct (seed, index) pairs map to well-separated 64-bit keys.  An
-    integer `index` gives an int; an integer array of indices gives the
-    uint64 array of their seeds, element for element the same values.
+    SplitMix64 finalizer over seed + (index+1)*golden-gamma, mod 2^64, for
+    a seed that passes `check_seed`; distinct (seed, index) pairs map to
+    well-separated 64-bit keys.  An integer `index` gives an int; an
+    integer array of indices gives the uint64 array of their seeds, element
+    for element the same values.
     """
+    seed = check_seed(seed)
     scalar = np.ndim(index) == 0
-    z = np.array(int(index) & _MASK64 if scalar else index, ndmin=1)
+    z = np.array(as_int(index, "index") & _MASK64 if scalar else index, ndmin=1)
     if z.dtype.kind not in "iu":
         raise ValueError("mix_seed indices must be integers")
     z = z.astype(np.uint64)  # wraps negative indices mod 2^64
-    z = (z + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(int(seed) & _MASK64)
+    z = (z + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)

@@ -405,6 +405,10 @@ class TestEstimateRisk:
         with pytest.raises(ValueError):
             estimate_risk(uniform_pmf(3), 50, 0.5, EMP, reps=100, seed=1)
 
+    def test_k_must_be_a_real_number(self):
+        with pytest.raises(ValueError, match="k must be a real number"):
+            estimate_risk(uniform_pmf(3), 50, "2", EMP, reps=100, seed=1)
+
 
 class TestFluctuationCdf:
     def test_table_well_formed(self):

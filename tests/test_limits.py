@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
@@ -103,6 +103,10 @@ class TestDrawLimit:
     def test_requires_monotone(self):
         with pytest.raises(ValueError):
             draw_limit_batch(Pmf(np.array([0.2, 0.3, 0.5])), 1, seed=0)
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw_limit_batch(uniform_pmf(5), 1, seed=2.5)
 
 
 class TestAsymptotics:
@@ -207,7 +211,20 @@ class TestTouchCount:
         # exact ties such as the block slopes 24/4 and 12/2 of the example
         # (which 1e-9 * z rounds apart, so other scales are tested on draws)
         z = np.array(z)
-        assert touch_count(np.ldexp(z, j)) == touch_count(z)
+        # ... as long as no result is subnormal: entries of size 2^-966 or
+        # more are multiples of 2^-1018, and so is every sum of them, so no
+        # nonzero block sum is below 2^-1018 nor any mean of <= 12 below 2^-1022
+        scaled = np.ldexp(z, j)
+        both = np.concatenate([z, scaled])
+        assume(np.all((np.abs(both) >= 2.0**-966) | (both == 0)))
+        assert touch_count(scaled) == touch_count(z)
+
+    def test_scale_changes_count_below_the_normal_range(self):
+        # the domain test_scale_invariant leaves out: halving -5e-324
+        # underflows to -0.0, which ties with the 0.0 after it
+        z = np.array([-5e-324, 0.0])
+        assert touch_count(z) == 1
+        assert touch_count(np.ldexp(z, -1)) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -240,6 +257,12 @@ class TestTouchCount:
         assert harmonic(3) == pytest.approx(11 / 6, abs=1e-15)
         assert harmonic(6) == pytest.approx(2.45, abs=1e-12)
 
+    def test_harmonic_takes_integer_orders_only(self):
+        assert harmonic(2.0) == harmonic(2) == 1.5
+        for k in (2.5, "2", True):  # not truncated to H_2 or read as H_1
+            with pytest.raises(ValueError, match="k must be an integer"):
+                harmonic(k)
+
 
 class TestGrenZeroProbability:
     def test_point_support(self):
@@ -253,6 +276,11 @@ class TestGrenZeroProbability:
         a = gren_zero_probability(4, reps=10**4, seed=33)
         b = gren_zero_probability(4, reps=10**4, seed=33)
         assert a == b
+
+    @pytest.mark.parametrize("y", [0, 4])
+    def test_fractional_seed_rejected(self, y):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            gren_zero_probability(y, reps=10, seed=2.5)
 
     def test_matches_direct_gren_event(self):
         # the bridge criterion agrees with checking y_gren == 0 directly

@@ -74,6 +74,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             MetricKind.ell(0.5)
 
+    @pytest.mark.parametrize("k", ["2", True])
+    def test_ell_takes_real_numbers_only(self, k):
+        # not read as l2 or l1
+        with pytest.raises(ValueError, match="k must be a real number"):
+            MetricKind.ell(k)
+
     def test_parse_and_labels(self):
         assert MetricKind.parse("hellinger") == HELL
         assert MetricKind.parse("l1") == L1

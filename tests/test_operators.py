@@ -21,7 +21,7 @@ from monopmf import (
     touch_count,
     uniform_pmf,
 )
-from monopmf.operators import column_sweep, pool_segments
+from monopmf.operators import column_sweep
 from references import gren_oracle, gren_oracle_stack
 
 EXAMPLE_EMPIRICAL = np.array([0.20, 0.14, 0.11, 0.22, 0.15, 0.18])
@@ -280,8 +280,8 @@ class TestStackContract:
 
 
 def reference_pool_segments(values):
-    """The pooling loop with both means divided out at every comparison,
-    which pool_segments must match bit for bit."""
+    """(totals, lengths) of the pooling loop with both means divided out at
+    every comparison, whose means the per-row loop must write bit for bit."""
     totals: list[float] = []
     lengths: list[int] = []
     for x in values:
@@ -295,18 +295,26 @@ def reference_pool_segments(values):
     return totals, lengths
 
 
-def same_segments(a, b):
-    """Bitwise equality of two (totals, lengths) pairs (-0.0 != 0.0)."""
-    return np.array(a[0]).tobytes() == np.array(b[0]).tobytes() and a[1] == b[1]
+def assert_pools_like_reference(values):
+    """1-D gren and touch_count, which run the per-row loop, give the fit of
+    the reference loop bit for bit (-0.0 != 0.0) and its segment count."""
+    totals, lengths = reference_pool_segments(values)
+    if not values:
+        with pytest.raises(ValueError):
+            gren(values)
+        return
+    fit = np.repeat(np.divide(totals, lengths), lengths)  # t / 1 keeps the input bits
+    assert gren(values).tobytes() == fit.tobytes()
+    assert touch_count(values) == len(lengths)
 
 
 class TestPoolSegments:
-    """pool_segments emits the segments and sums of the divide-every-time loop."""
+    """The per-row loop pools the segments of the divide-every-time loop."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(stack_values, max_size=60))
     def test_matches_reference_loop(self, values):
-        assert same_segments(pool_segments(values), reference_pool_segments(values))
+        assert_pools_like_reference(values)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -321,8 +329,7 @@ class TestPoolSegments:
         if levels is not None:
             values = np.round(values * levels / 4) / levels
             values[rng.random(size) < 0.1] *= -0.0
-        values = values.tolist()
-        assert same_segments(pool_segments(values), reference_pool_segments(values))
+        assert_pools_like_reference(values.tolist())
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -356,7 +363,7 @@ class TestColumnSweep:
         assert counts.dtype == np.int64
         for i in range(rows):
             assert fit[i].tobytes() == gren(a[i]).tobytes()
-            assert counts[i] == len(pool_segments(a[i].tolist())[1])
+            assert counts[i] == len(reference_pool_segments(a[i].tolist())[1])
 
     def test_gren_on_a_stack_of_several_blocks(self):
         # 9000 rows of 10 take the sweep in blocks of about 2^15 values

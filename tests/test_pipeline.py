@@ -106,6 +106,11 @@ class TestCountRows:
             sample(uniform_pmf(3), 10, seed=-1)
         with pytest.raises(ValueError):
             sample(uniform_pmf(3), 10, seed=2**64)
+        # a fractional seed is not truncated to seed 2
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample(uniform_pmf(3), 10, seed=2.5)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            make_generator(2.5)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 300])
     def test_sort_blocks_do_not_change_counts(self, n, monkeypatch):
@@ -148,12 +153,19 @@ class TestMixSeed:
         assert [int(s) for s in seeds] == [mix_seed(seed, int(i)) for i in index] == expected
 
     def test_scalar_wraps_mod_2_64(self):
-        assert mix_seed(2**64 + 5, 2**64 + 3) == mix_seed(5, 3) == splitmix64(5, 3)
+        assert mix_seed(5, 2**64 + 3) == mix_seed(5, 3) == splitmix64(5, 3)
         assert type(mix_seed(5, np.int64(3))) is int
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 2.5])
+    def test_bad_seed_rejected(self, seed):
+        # not wrapped mod 2^64, read as seed 1 or truncated to seed 2
+        with pytest.raises(ValueError, match="^seed must be"):
+            mix_seed(seed, 1)
+
     def test_non_integer_indices_rejected(self):
-        with pytest.raises(ValueError):
-            mix_seed(0, np.array([0.5, 1.0]))
+        for index in (np.array([0.5, 1.0]), 2.5, True):  # a scalar is not read as index 2 or 1
+            with pytest.raises(ValueError):
+                mix_seed(0, index)
 
 
 def inverse_cdf_counts(p: Pmf, n: int, seed: int) -> np.ndarray:
@@ -390,10 +402,19 @@ GOLDEN = {
     ),
 }
 
-# sha256 of each output file of two small `limits` runs, recorded with the
-# row-by-row limit transform and the in-memory draws file that preceded
-# the stack operators and the streamed writer
+# sha256 of each output file of small `limits` runs: "uniform" and
+# "mixture" recorded with the row-by-row limit transform and the in-memory
+# draws file that preceded the stack operators and the streamed writer (both
+# stacks now take the column sweep); "loop", a 100 x 100 stack that takes
+# the per-row loop, recorded before that loop absorbed its segment helper
 LIMITS_GOLDEN = {
+    "loop": (
+        ["--truth", "uniform:99", "--reps", "100", "--seed", "5"],
+        {
+            "_draws.csv": "d3a600e384e23ae50f7416479d6fa1115cd504d079b2eee553719538a68cc2c8",
+            "_aggregate.csv": "7a35d8ea29e4f9631063109a99ef1645d76fefa783fb759744228141138ec073",
+        },
+    ),
     "uniform": (
         ["--truth", "uniform:9", "--reps", "500", "--seed", "3"],
         {
