@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    _SHORT_NAMES,
     DEFAULT_ESTIMATORS,
     DEFAULT_METRICS,
     EstimatorKind,
@@ -41,9 +42,6 @@ _HUMAN_FMT = "%.5g"
 
 #: Lines per piece of a streamed CSV file.
 _CSV_CHUNK_ROWS = 4096
-
-#: Estimator names of the estimate and mixing commands, in output order.
-_ESTIMATOR_NAMES = ("empirical", "rear", "gren")
 
 
 class DataError(Exception):
@@ -124,12 +122,12 @@ def _suffixed(path: str, name: str) -> str:
 def _estimates(args) -> dict:
     """The estimates of args.estimator ("all" for each) from args.counts; counts
     the exact Grenander cannot take (n*(K+1) >= 2^63) are invalid data."""
-    names = _ESTIMATOR_NAMES if args.estimator == "all" else (args.estimator,)
+    kinds = {name: kind for kind, name in _SHORT_NAMES.items() if args.estimator in ("all", name)}
 
     def estimates(text):
         counts = parse_counts(text)
         n = int(counts.sum())
-        return {name: estimate(EstimatorKind.parse(name), counts, n) for name in names}
+        return {name: estimate(kind, counts, n) for name, kind in kinds.items()}
 
     return _load(args.counts, "counts", estimates)
 
@@ -146,11 +144,11 @@ def _emit_sequences(sequences: dict, out) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    truth = None if args.truth is None else _load(args.truth, "pmf", parse_pmf)  # checked before any file is written
     estimates = _estimates(args)
     # a written pmf ends at its last positive entry (rear can sort interior zeros to the tail)
     _emit_sequences({name: np.trim_zeros(v, "b") for name, v in estimates.items()}, args.out)
-    if args.truth is not None:
-        truth = _load(args.truth, "pmf", parse_pmf)
+    if truth is not None:
         metrics = [MetricKind.hellinger(), MetricKind.ell(1), MetricKind.ell(2), MetricKind.ell(math.inf)]
         print("estimator\t" + "\t".join(m.label for m in metrics))
         for name, values in estimates.items():
@@ -294,7 +292,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate a pmf from a counts file")
     p.add_argument("--counts", required=True, help="counts file, lines 'x<TAB>count'")
-    p.add_argument("--estimator", default="all", choices=[*_ESTIMATOR_NAMES, "all"])
+    p.add_argument("--estimator", default="all", choices=[*_SHORT_NAMES.values(), "all"])
     p.add_argument("--out", help="output pmf file (estimator name inserted when several)")
     p.add_argument("--truth", help="pmf file; prints a distance table when given")
     p.set_defaults(fn=_cmd_estimate)
@@ -337,7 +335,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--counts", help="counts file, estimator applied first")
     group.add_argument("--pmf", help="pmf file, weights computed directly")
-    p.add_argument("--estimator", default="all", choices=[*_ESTIMATOR_NAMES, "all"])
+    p.add_argument("--estimator", default="all", choices=[*_SHORT_NAMES.values(), "all"])
     p.add_argument("--out", help="output weights file")
     p.set_defaults(fn=_cmd_mixing)
     return parser

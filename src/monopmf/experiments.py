@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -53,18 +53,16 @@ class EstimatorKind(enum.Enum):
 
     @staticmethod
     def parse(label: str) -> "EstimatorKind":
-        aliases = {
-            "empirical": EstimatorKind.EMPIRICAL,
-            "rear": EstimatorKind.REARRANGEMENT,
-            "rearrangement": EstimatorKind.REARRANGEMENT,
-            "gren": EstimatorKind.GRENANDER,
-            "grenander": EstimatorKind.GRENANDER,
-        }
-        try:
-            return aliases[label.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown estimator {label!r}") from None
+        """The kind whose value or short name is `label`, in any case."""
+        text = label.strip().lower()
+        for kind, name in _SHORT_NAMES.items():
+            if text in (kind.value, name):
+                return kind
+        raise ValueError(f"unknown estimator {label!r}")
 
+
+#: Each estimator's short name, which the CLI reads and writes, in definition order.
+_SHORT_NAMES = dict(zip(EstimatorKind, ("empirical", "rear", "gren")))
 
 DEFAULT_ESTIMATORS = tuple(EstimatorKind)  # all three, in definition order
 
@@ -75,18 +73,20 @@ DEFAULT_METRICS = (
 )
 
 
-#: The fields each truth family takes, in the order `to_json_dict` writes them.
-_FAMILY_FIELDS = {"uniform": ("y",), "geometric": ("theta", "tail_tol"), "mixture": ("weights", "ys")}
+#: Each truth family's pmf constructor and its fields, in constructor and `to_json_dict` order: a
+#: field's type, whether it holds one value per mixture component, and its default.  A spec string
+#: gives the fields that have no default.
+_FAMILIES = {
+    "uniform": (uniform_pmf, {"y": (int, False, None)}),
+    "geometric": (geometric_pmf, {"theta": (float, False, None), "tail_tol": (float, False, DEFAULT_TAIL_TOL)}),
+    "mixture": (mixture_of_uniforms, {"weights": (float, True, None), "ys": (int, True, None)}),
+}
 
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """Declarative truth: a named family plus its parameters.
-
-    families: "uniform" (y), "geometric" (theta, tail_tol, by default
-    DEFAULT_TAIL_TOL), "mixture" (weights, ys).  A field of another family
-    is a ValueError.
-    """
+    """Declarative truth: a family of `_FAMILIES` and its fields; a field of
+    another family is a ValueError."""
 
     family: str
     y: int | None = None
@@ -96,64 +96,54 @@ class TruthSpec:
     tail_tol: float | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILY_FIELDS:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown truth family {self.family!r}")
-        for name in ("y", "theta", "weights", "ys", "tail_tol"):
-            if getattr(self, name) is not None and name not in _FAMILY_FIELDS[self.family]:
+        own = _FAMILIES[self.family][1]
+        for name in (f.name for f in fields(self)[1:]):
+            if getattr(self, name) is not None and name not in own:
                 raise ValueError(f"a {self.family} truth takes no {name!r}")
-        if self.family == "geometric" and self.tail_tol is None:
-            object.__setattr__(self, "tail_tol", DEFAULT_TAIL_TOL)
-        if self.y is not None:
-            object.__setattr__(self, "y", as_int(self.y, "y"))
-        if self.theta is not None:
-            object.__setattr__(self, "theta", as_real(self.theta, "theta"))
-        if self.tail_tol is not None:
-            object.__setattr__(self, "tail_tol", as_real(self.tail_tol, "tail_tol"))
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(as_real(w, "weights") for w in self.weights))
-        if self.ys is not None:
-            object.__setattr__(self, "ys", tuple(as_int(y, "ys") for y in self.ys))
+        for name, (kind, per_component, default) in own.items():
+            value = default if getattr(self, name) is None else getattr(self, name)
+            if value is not None:
+                check = partial(as_int if kind is int else as_real, name=name)
+                object.__setattr__(self, name, tuple(map(check, value)) if per_component else check(value))
 
     def to_pmf(self) -> Pmf:
-        if self.family == "uniform":
-            return uniform_pmf(self.y)
-        if self.family == "geometric":
-            return geometric_pmf(self.theta, self.tail_tol)
-        return mixture_of_uniforms(self.weights, self.ys)
+        make, own = _FAMILIES[self.family]
+        return make(*(getattr(self, name) for name in own))
 
     @staticmethod
     def parse(text: str) -> "TruthSpec":
-        """Parse "uniform:y", "geometric:theta", "mixture:w1:y1,w2:y2,...";"""
+        """Parse "uniform:y", "geometric:theta", "mixture:w1:y1,w2:y2,...": the fields
+        with no default, ':'-separated, in a comma list of components if per component."""
         head, _, body = text.strip().partition(":")
         family = head.strip().lower()
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown truth family in {text!r}")
+        given = {name: (kind, per) for name, (kind, per, default) in _FAMILIES[family][1].items() if default is None}
+        per_component = any(per for _, per in given.values())
+        items = [item.split(":") for item in (body.split(",") if per_component else [body])]
         try:
-            if family == "uniform":
-                return TruthSpec("uniform", y=int(body))
-            if family == "geometric":
-                return TruthSpec("geometric", theta=float(body))
-            if family == "mixture":
-                weights, ys = [], []
-                for item in body.split(","):
-                    w_text, _, y_text = item.partition(":")
-                    weights.append(float(w_text))
-                    ys.append(int(y_text))
-                return TruthSpec("mixture", weights=tuple(weights), ys=tuple(ys))
+            if any(len(item) != len(given) for item in items):
+                raise ValueError(f"expected {':'.join(given)}" + (" per component" if per_component else ""))
+            columns = [tuple(map(kind, column)) for (kind, _), column in zip(given.values(), zip(*items))]
+            return TruthSpec(family, **{name: c if per_component else c[0] for name, c in zip(given, columns)})
         except (ValueError, TypeError) as exc:
             raise ValueError(f"malformed truth spec {text!r}: {exc}") from None
-        raise ValueError(f"unknown truth family in {text!r}")
 
     @property
     def label(self) -> str:
-        if self.family == "uniform":
-            return f"uniform:{self.y}"
-        if self.family == "geometric":
-            return f"geometric:{float_label(self.theta)}"
-        parts = ",".join(f"{float_label(w)}:{y}" for w, y in zip(self.weights, self.ys))
-        return f"mixture:{parts}"
+        """The spec string `parse` reads back as this truth."""
+        columns = []
+        for name, (kind, per_component, default) in _FAMILIES[self.family][1].items():
+            if default is None:
+                values = getattr(self, name) if per_component else (getattr(self, name),)
+                columns.append([float_label(v) if kind is float else str(v) for v in values])
+        return f"{self.family}:" + ",".join(map(":".join, zip(*columns)))
 
     def to_json_dict(self) -> dict:
         out = {"family": self.family}
-        for name in _FAMILY_FIELDS[self.family]:
+        for name in _FAMILIES[self.family][1]:
             value = getattr(self, name)
             if value is not None:
                 out[name] = list(value) if isinstance(value, tuple) else value
@@ -282,7 +272,9 @@ def estimate(kind: EstimatorKind, counts, n: int) -> np.ndarray:
         return counts / n
     if kind is EstimatorKind.REARRANGEMENT:
         return rear(counts) / n
-    return gren_counts(counts, n)[0]
+    if kind is EstimatorKind.GRENANDER:
+        return gren_counts(counts, n)[0]
+    raise ValueError(f"unknown estimator {kind!r}")
 
 
 def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
@@ -377,6 +369,7 @@ def estimate_risk(
     seed: int,
 ) -> RiskEstimate:
     """Monte Carlo mean and standard error of the l_k^k loss at `truth`."""
+    reps = as_int(reps, "reps")
     if reps < 2:
         raise ValueError("risk estimation needs at least two replicates")
     k = as_real(k, "k")
@@ -401,7 +394,7 @@ def fluctuation_cdf(
 ) -> np.ndarray:
     """Sorted replicate values of sqrt(n) * (estimate_x - truth_x): the i-th
     (from 0) is where the empirical CDF of the replicates reaches (i+1)/reps."""
-    x = as_int(x, "x")
+    x, n = as_int(x, "x"), as_int(n, "n")
     if not 0 <= x <= truth.support_max:
         raise ValueError("x must lie inside the truth support")
     root_n = math.sqrt(n)

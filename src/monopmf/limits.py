@@ -59,14 +59,17 @@ def draw_limit_batch(p: Pmf, reps: int, seed: int):
 
 
 def harmonic(k: int) -> float:
-    """H_k = sum_{i=1}^{k} 1/i.
+    """H_k = sum_{i=1}^{k} 1/i for an integer k >= 0 (H_0 = 0).
 
     Also the expected number of contacts (`touch_count`, endpoint
     included) between a walk of k i.i.d. continuous increments and its
     least concave majorant (Sparre Andersen); the interior contacts alone
     have mean H_k - 1.
     """
-    return float(sum(1.0 / i for i in range(1, as_int(k, "k") + 1)))
+    k = as_int(k, "k")
+    if k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k}")
+    return float(sum(1.0 / i for i in range(1, k + 1)))
 
 
 def asymptotics(p: Pmf) -> AsymptoticReport:

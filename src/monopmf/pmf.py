@@ -57,6 +57,8 @@ class Pmf:
     def __post_init__(self):
         probs = _as_readonly(self.probs)
         object.__setattr__(self, "probs", probs)
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("pmf entries must be finite")
         if np.any(probs < 0):
             raise ValueError("pmf entries must be non-negative")
         total = float(probs.sum())

@@ -88,6 +88,12 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert list(inspect.signature(_atomic_write).parameters) == ["path", "text"]
 
 
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == monopmf.__version__
+
+
 def test_readme_quickstart_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1

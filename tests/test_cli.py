@@ -111,6 +111,23 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err == f"monopmf: invalid counts file {str(path)!r}: counts must sum to less than 2^63, got {2**63}\n"
 
+    def test_missing_truth_writes_no_estimate(self, counts_file, tmp_path, capsys):
+        missing = tmp_path / "missing.pmf"
+        code = main(["estimate", "--counts", str(counts_file), "--truth", str(missing), "--out", str(tmp_path / "fit.pmf")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"monopmf: cannot read pmf file {str(missing)!r}")
+        assert [p.name for p in tmp_path.iterdir()] == [counts_file.name]
+
+    @pytest.mark.parametrize("command", ["estimate", "mixing"])
+    def test_non_finite_pmf_exits_2(self, command, counts_file, tmp_path, capsys):
+        pmf = tmp_path / "nan.pmf"
+        pmf.write_text("0\tnan\n1\t0.5\n")
+        args = ["--counts", str(counts_file), "--truth", str(pmf)] if command == "estimate" else ["--pmf", str(pmf)]
+        assert main([command, *args]) == 2
+        out, err = capsys.readouterr()
+        assert "nan" not in out
+        assert err == f"monopmf: invalid pmf file {str(pmf)!r}: pmf entries must be finite\n"
+
     def test_bad_flag_exits_1(self):
         with pytest.raises(SystemExit) as err:
             main(["estimate", "--counts", "x", "--estimator", "mle"])

@@ -466,8 +466,10 @@ U3 = TruthSpec("uniform", y=3)
     lambda: ExperimentConfig(U3, n=10, reps=10, seed=2.5),
     lambda: estimate_risk(U3.to_pmf(), 2.5, 2, EMP, 10, 0),
     lambda: estimate_risk(U3.to_pmf(), 10, 2, EMP, 10.5, 0),
+    lambda: estimate_risk(U3.to_pmf(), 10, 2, EMP, "5", 0),
     lambda: estimate_risk(U3.to_pmf(), 10, 2, EMP, 10, 2.5),
     lambda: fluctuation_cdf(U3.to_pmf(), 1, 2.5, 10, 0, EMP),
+    lambda: fluctuation_cdf(U3.to_pmf(), 1, "10", 5, 1, EMP),
     lambda: fluctuation_cdf(U3.to_pmf(), 1.5, 10, 10, 0, EMP),
     lambda: sample_counts(U3.to_pmf(), 2.5, [0]),
     lambda: sample(U3.to_pmf(), 2.5, 0),
@@ -475,10 +477,19 @@ U3 = TruthSpec("uniform", y=3)
     lambda: gren_zero_probability(2.7, 10, 0),
     lambda: gren_zero_probability(3, 10.5, 0),
 ], ids=[
-    "config-n", "config-n-bool", "config-reps", "config-seed", "risk-n", "risk-reps", "risk-seed",
-    "fluctuation-n", "fluctuation-x", "sample_counts-n", "sample-n", "limit-reps", "zero-y", "zero-reps",
+    "config-n", "config-n-bool", "config-reps", "config-seed", "risk-n", "risk-reps", "risk-reps-str", "risk-seed",
+    "fluctuation-n", "fluctuation-n-str", "fluctuation-x", "sample_counts-n", "sample-n", "limit-reps", "zero-y", "zero-reps",
 ])
 def test_non_integral_sizes_rejected(call):
     # a fractional size used to be truncated (or to crash) where it entered
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("kind", ["empirical", None], ids=["string", "none"])
+def test_unknown_estimator_kind_rejected(kind):
+    # anything that is not an EstimatorKind used to be taken for the Grenander
+    with pytest.raises(ValueError, match="^unknown estimator "):
+        estimate_risk(U3.to_pmf(), 10, 2, kind, 50, 1)
+    with pytest.raises(ValueError, match="^unknown estimator "):
+        fluctuation_cdf(U3.to_pmf(), 1, 10, 50, 1, kind)

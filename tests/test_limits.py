@@ -263,6 +263,12 @@ class TestTouchCount:
             with pytest.raises(ValueError, match="k must be an integer"):
                 harmonic(k)
 
+    def test_harmonic_rejects_negative_orders(self):
+        assert harmonic(0) == 0.0
+        for k in (-1, -3):  # not an empty sum
+            with pytest.raises(ValueError, match="^k must be a non-negative integer, got "):
+                harmonic(k)
+
 
 class TestGrenZeroProbability:
     def test_point_support(self):

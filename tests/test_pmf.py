@@ -126,6 +126,12 @@ class TestPmfValidation:
         with pytest.raises(ValueError):
             Pmf(np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("probs", [[float("nan"), 0.5], [0.5, float("nan"), 0.5], [0.5, float("inf")]])
+    def test_rejects_non_finite_entries(self, probs):
+        # a NaN entry used to pass the sum check, which compares nan - 1 with a tolerance
+        with pytest.raises(ValueError, match="^pmf entries must be finite$"):
+            Pmf(np.array(probs))
+
     def test_rejects_trailing_zero(self):
         with pytest.raises(ValueError):
             Pmf(np.array([0.5, 0.5, 0.0]))
