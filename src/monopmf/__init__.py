@@ -47,7 +47,7 @@ from .pmf import (
 )
 from .rng import mix_seed
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "EstimatorKind",

@@ -35,7 +35,7 @@ from .experiments import (
 from .limits import asymptotics, draw_limit_batch
 from .metrics import MetricKind, distance
 from .operators import constancy_blocks, mixing_estimate
-from .pmf import float_label, format_pmf, parse_counts, parse_pmf
+from .pmf import COUNT_STREAM, float_label, format_pmf, parse_counts, parse_pmf
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
@@ -209,7 +209,7 @@ def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
             text += f"{est.value},{metric.label},{values}\r\n"
     _atomic_write(f"{prefix}_summary.csv", text)
 
-    meta = {"version": __version__, **cfg.to_json(), "quantile_method": "median_unbiased"}
+    meta = {"version": __version__, "count_stream": COUNT_STREAM, **cfg.to_json(), "quantile_method": "median_unbiased"}
     _atomic_write(f"{prefix}_meta.json", json.dumps(meta, indent=2) + "\n")
 
 

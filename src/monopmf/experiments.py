@@ -10,10 +10,10 @@ Every Monte Carlo driver here is one statistic over one chunked replicate
 map (`_replicates`): a chunk of replicates is sampled into a count matrix
 and the statistic, built on `estimate` (the one map from an estimator kind
 to its operator), is computed on its rows at once.  A chunk's count
-matrix holds about `_CHUNK_ELEMENTS` values whatever n is (its uniforms
-are sorted in blocks of their own, see `pmf.sample_counts`), so memory
-stays bounded in the replicate count, and each row has the same bits as
-the replicate computed on its own.
+matrix holds about `_CHUNK_ELEMENTS` values whatever n is (each row is
+one multinomial draw, see `pmf.sample_counts`), so memory stays bounded
+in n and in the replicate count, and each row has the same bits as the
+replicate computed on its own.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ class TruthSpec:
         for name, (kind, per_component, default) in own.items():
             value = default if getattr(self, name) is None else getattr(self, name)
             if value is not None:
+                if per_component and not isinstance(value, (list, tuple, np.ndarray)):
+                    raise ValueError(f"{name} must be a list with one value per component, got {value!r}")
                 check = partial(as_int if kind is int else as_real, name=name)
                 object.__setattr__(self, name, tuple(map(check, value)) if per_component else check(value))
 
@@ -197,8 +199,16 @@ class ExperimentConfig:
         """The config of a JSON object in the format of `to_json` (the truth may
         also be a spec string; other keys are ignored).  The truth is built
         once, so a bad truth or field is a ValueError raised before any work."""
+        if not isinstance(data, dict):
+            raise ValueError(f"the config must be a JSON object, got {type(data).__name__}")
+        for key, kind in (("estimators", "estimator"), ("metrics", "metric")):
+            names = data.get(key, [])
+            if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+                raise ValueError(f"{key} must be a list of {kind} names, got {names!r}")
         try:
             truth = data["truth"]
+            if not isinstance(truth, (str, dict)):
+                raise ValueError(f"truth must be a spec string or an object, got {truth!r}")
             spec = TruthSpec.parse(truth) if isinstance(truth, str) else TruthSpec(**truth)
             spec.to_pmf()
             return ExperimentConfig(
@@ -210,7 +220,9 @@ class ExperimentConfig:
                 metrics=tuple(MetricKind.parse(m) for m in data.get("metrics", [])) or DEFAULT_METRICS,
                 target=data.get("target", "pmf"),
             )
-        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        except (AttributeError, OverflowError, TypeError) as exc:
             raise ValueError(str(exc)) from None
 
 

@@ -24,8 +24,9 @@ DEFAULT_TAIL_TOL = 1e-12
 #: Most support points a constructor accepts, checked before allocating.
 MAX_SUPPORT = 10**7
 
-#: Uniforms `sample_counts` fills and sorts at a time (one row when n is larger).
-_SORT_VALUES = 1 << 14
+#: Version of the count stream `sample_counts` draws (one multinomial per seed), which a run's
+#: _meta.json records; up to 0.2.0 stream 1 counted sorted uniforms and no version was recorded.
+COUNT_STREAM = 2
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -146,36 +147,21 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
 def sample_counts(p: Pmf, n: int, seeds) -> np.ndarray:
     """Count matrix of one sample of size n per seed.
 
-    Row i tabulates n draws from p on a generator keyed by seeds[i] (the
-    stream of make_generator(seeds[i])), over all K+1 support points, so
-    rows may end in zeros.  `seeds` is a uint64 array or a sequence of
-    integers.  The rows of uniforms are sorted and the K+1 cumulative
-    probabilities are searched into each: the draws below cum[x] are those
-    the inverse-CDF search sends to {0, ..., x}, so the counts equal that
-    search's exactly, at O(n log n + K log n) per row instead of O(n log K).
-    Uniforms are filled and sorted in blocks of max(1, _SORT_VALUES // n)
-    rows, so their buffer holds at most max(n, _SORT_VALUES) values however
-    many seeds there are; the count matrix holds len(seeds) * (K+1).
+    Row i is make_generator(seeds[i]).multinomial(n, p.probs): the counts of
+    n draws from p over all K+1 support points, so rows may end in zeros.
+    numpy draws them as conditional binomials, in O(K) per row whatever n
+    is, so the int64 (len(seeds), K+1) matrix is all the memory a call
+    takes.  `seeds` is a uint64 array or a sequence of integers.
     """
     n = as_int(n, "n")
-    if n < 1:
-        raise ValueError("sample size n must be positive")
+    if not 1 <= n <= np.iinfo(np.int64).max:
+        raise ValueError(f"sample size n must lie in [1, 2^63), got {n}")
     if not isinstance(seeds, np.ndarray):
         seeds = list(seeds)
-    cum = np.cumsum(p.probs)
-    cum[-1] = 1.0  # guard against float shortfall; uniforms are < 1
-    below = np.empty((len(seeds), p.support_size), dtype=np.int64)
-    step = max(1, _SORT_VALUES // n)
-    u = np.empty((min(len(seeds), step), n))
-    rngs = keyed_generators(seeds)
-    for start in range(0, len(below), step):
-        block = u[: len(below) - start]
-        for row in block:
-            next(rngs).random(out=row)
-        block.sort(axis=1)
-        for row, out in zip(block, below[start:]):
-            out[:] = row.searchsorted(cum)  # the draws u < cum[x]
-    return np.diff(below, axis=1, prepend=0)
+    counts = np.empty((len(seeds), p.support_size), dtype=np.int64)
+    for row, rng in zip(counts, keyed_generators(seeds)):
+        row[:] = rng.multinomial(n, p.probs)
+    return counts
 
 
 def sample(p: Pmf, n: int, seed: int) -> np.ndarray:
@@ -183,8 +169,9 @@ def sample(p: Pmf, n: int, seed: int) -> np.ndarray:
     row of x = 0..K_obs, which sums to n and ends at the largest observed
     value (the row of sample_counts(p, n, (seed,)) less its trailing zeros).
 
-    Inverse-CDF sampling on a counter-based generator: identical
-    (p, n, seed) triples produce identical counts on every platform.
+    A multinomial draw on a counter-based generator: identical (p, n, seed)
+    triples give identical counts under one numpy version (numpy promises
+    no stream across versions; tests/test_pipeline.py pins some rows).
     """
     return np.trim_zeros(sample_counts(p, n, (seed,))[0], "b")
 

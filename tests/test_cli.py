@@ -14,6 +14,7 @@ from numpy.testing import assert_array_equal
 
 from monopmf import experiments, format_counts, format_pmf, parse_pmf, sample, uniform_pmf
 from monopmf.cli import main
+from monopmf.pmf import COUNT_STREAM
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TABLE_COUNTS = np.array([20, 14, 11, 22, 15, 18])
@@ -287,12 +288,49 @@ class TestSimulate:
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_run_too_large_for_memory_exits_1(self, tmp_path, capsys):
-        # one sample of 10^17 uniforms (710 PiB) cannot be allocated anywhere
+        # the distances of 10^17 replicates (6.25 EiB) cannot be allocated anywhere
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"truth": "uniform:3", "n": 10**17, "reps": 1}))
+        config.write_text(json.dumps({"truth": "uniform:3", "n": 10, "reps": 10**17}))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("monopmf: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("command", ["simulate", "risk"])
+    def test_sample_size_of_2_63_exits_1(self, command, tmp_path, capsys):
+        n = 2**63
+        if command == "simulate":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"truth": "uniform:3", "n": n, "reps": 1}))
+            argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "x")]
+        else:
+            argv = ["risk", "--truth", "uniform:3", "--n", str(n), "--reps", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"monopmf: sample size n must lie in [1, 2^63), got {n}\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["run.json"] if command == "simulate" else [])
+
+    @pytest.mark.parametrize("content,message", [
+        ({"truth": {"family": "mixture", "weights": 3, "ys": [1]}, "n": 10, "reps": 5},
+         "weights must be a list with one value per component, got 3"),
+        ({"truth": {"family": "mixture", "weights": [1.0], "ys": 3}, "n": 10, "reps": 5},
+         "ys must be a list with one value per component, got 3"),
+        ({"truth": "uniform:3", "n": 10, "reps": 5, "estimators": "gren"},
+         "estimators must be a list of estimator names, got 'gren'"),
+        ({"truth": "uniform:3", "n": 10, "reps": 5, "metrics": "l1"},
+         "metrics must be a list of metric names, got 'l1'"),
+        ({"truth": "uniform:3", "n": 10, "reps": 5, "estimators": [3]},
+         "estimators must be a list of estimator names, got [3]"),
+        ({"truth": 3, "n": 10, "reps": 5}, "truth must be a spec string or an object, got 3"),
+        ({"truth": "uniform:3", "reps": 5}, "missing field 'n'"),
+        ([1, 2], "the config must be a JSON object, got list"),
+        ("uniform:3", "the config must be a JSON object, got str"),
+    ], ids=["weights", "ys", "estimators-str", "metrics-str", "estimators-int", "truth-int", "no-n", "list", "str"])
+    def test_config_fault_names_the_field(self, content, message, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(content))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"monopmf: invalid config file {str(config)!r}: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     @pytest.mark.parametrize("argv", [
@@ -431,6 +469,10 @@ class TestOtherCommands:
         assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "2", "--out", str(tmp_path / "v")]) == 0
         meta = json.loads((tmp_path / "v_meta.json").read_text())["version"]
         assert flag == ["monopmf", project] and meta == project
+
+    def test_meta_records_count_stream(self, tmp_path):
+        assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "2", "--out", str(tmp_path / "v")]) == 0
+        assert json.loads((tmp_path / "v_meta.json").read_text())["count_stream"] == COUNT_STREAM == 2
 
 
 class TestModuleEntry:

@@ -33,7 +33,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf import experiments, format_pmf, pmf
+from monopmf import experiments, format_pmf
 from monopmf.cli import main
 from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
@@ -112,16 +112,6 @@ class TestCountRows:
         with pytest.raises(ValueError, match="seed must be an integer"):
             make_generator(2.5)
 
-    @pytest.mark.parametrize("n", [1, 2, 9, 300])
-    def test_sort_blocks_do_not_change_counts(self, n, monkeypatch):
-        # blocks of one row, of part of the seeds, of all of them and beyond
-        truth = TruthSpec.parse("mixture:0.2:3,0.8:7").to_pmf()
-        seeds = mix_seed(11, np.arange(23))
-        expected = np.stack([inverse_cdf_counts(truth, n, int(s)) for s in seeds])
-        for values in {1, n - 1, n, n + 1, 7 * n, 7 * n + 1, 22 * n, 23 * n, 24 * n}:
-            monkeypatch.setattr(pmf, "_SORT_VALUES", values)
-            assert sample_counts(truth, n, seeds).tobytes() == expected.tobytes()
-
     def test_keyed_generators_take_lists_and_uint64_arrays(self):
         seeds = [0, 1, 2**63, 2**64 - 1]
         from_list = [rng.random(9).tobytes() for rng in keyed_generators(seeds)]
@@ -168,18 +158,22 @@ class TestMixSeed:
                 mix_seed(0, index)
 
 
-def inverse_cdf_counts(p: Pmf, n: int, seed: int) -> np.ndarray:
-    """Counts of n draws by searching each uniform into the cumulative
-    probabilities, the stream that sample_counts must keep."""
-    cum = np.cumsum(p.probs)
-    cum[-1] = 1.0
-    u = make_generator(seed).random(n)
-    return np.bincount(np.searchsorted(cum, u, side="right"), minlength=p.support_size)
+# sha256 of the little-endian int64 bytes of sample_counts at fixed
+# (truth, n, seeds), recorded with numpy 2.4.6: small n*p takes numpy's
+# binomial inversion and large n*p its BTPE sampler, and numpy promises
+# neither stream across versions
+COUNT_ROWS_GOLDEN = {
+    ("uniform:9", 1000, (0, 1, 2**64 - 1)): "eed4e113f7ed2f457b085779fb2fa67167dbe97a5a0fe4f6796522e47e014e2d",
+    ("geometric:0.75", 20, (5, 6)): "71512938dd3238535a2a6eeff06c2c150fe042300632e32f0fac1460a11c5ae6",
+    ("mixture:0.2:3,0.8:7", 10**12, (7,)): "27b9afd8362d8609e727b7cd2bdd24a98e25550555c37f05cd2a27ec6c86fdf2",
+    ("uniform:9999", 100000, (1,)): "2d73c60ec9d5d4c8439e59cfe5d33e45ee0cbdb8fd52b4a1789229f081972bfa",
+}
 
 
 class TestCountStream:
-    """sample_counts reproduces the inverse-CDF stream bit for bit (compared
-    with the formula written out here, not with sample, which shares its code)."""
+    """Each row of sample_counts is one multinomial draw on its seed's
+    generator (compared with the numpy call written out here, not with
+    sample, which shares its code)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -190,28 +184,41 @@ class TestCountStream:
         seed=st.integers(0, 2**64 - 1),
         rows=st.integers(1, 3),
     )
-    def test_rows_equal_inverse_cdf_search(self, size, n, zeros, data_seed, seed, rows):
-        # interior zeros give repeated cumulative probabilities
+    def test_rows_equal_multinomial(self, size, n, zeros, data_seed, seed, rows):
+        # interior zeros are categories that are never drawn
         rng = np.random.default_rng(data_seed)
         w = rng.random(size) * (rng.random(size) >= zeros)
         w[-1] = 0.01 + rng.random()
         truth = Pmf(w / w.sum())
         seeds = [mix_seed(seed, i) for i in range(rows)]
         matrix = sample_counts(truth, n, seeds)
+        assert matrix.dtype == np.int64 and matrix.shape == (rows, truth.support_size)
         for row, s in zip(matrix, seeds):
-            assert row.tobytes() == inverse_cdf_counts(truth, n, s).tobytes()
+            assert row.tobytes() == make_generator(s).multinomial(n, truth.probs).astype(np.int64).tobytes()
 
     @pytest.mark.parametrize("k", [9, 21, 57])
     @pytest.mark.parametrize("tiny", [5e-324, 1e-300, 1e-17])
     def test_cumulative_sum_above_one(self, k, tiny):
-        # k equal entries of 1/k sum to more than 1.0 in floats, so the
-        # guard cum[-1] = 1.0 leaves the cumulative probabilities unsorted
+        # k equal entries of 1/k sum to more than 1.0 in floats; such a
+        # truth is still a pmf, and its counts are a sample of size n
         truth = Pmf(np.append(np.full(k, 1.0 / k), tiny))
         assert np.cumsum(truth.probs)[-2] > 1.0
         matrix = sample_counts(truth, 5000, range(4))
         assert np.all(matrix >= 0)
-        for s, row in enumerate(matrix):
-            assert row.tobytes() == inverse_cdf_counts(truth, 5000, s).tobytes()
+        assert np.all(matrix.sum(axis=1) == 5000)
+
+    @pytest.mark.parametrize("case", list(COUNT_ROWS_GOLDEN), ids=lambda case: f"{case[0]}-n{case[1]}")
+    def test_rows_digest(self, case):
+        truth, n, seeds = case
+        matrix = sample_counts(TruthSpec.parse(truth).to_pmf(), n, seeds)
+        digest = hashlib.sha256(matrix.astype("<i8").tobytes()).hexdigest()
+        assert digest == COUNT_ROWS_GOLDEN[case], f"numpy {np.__version__} draws another count stream"
+
+    def test_sample_size_of_2_63_rejected(self):
+        for n in (0, 2**63, 2**64):
+            with pytest.raises(ValueError, match=r"^sample size n must lie in \[1, 2\^63\)"):
+                sample_counts(uniform_pmf(3), n, [1])
+        assert sample_counts(uniform_pmf(3), 2**63 - 1, [1]).sum() == 2**63 - 1
 
 
 class TestRunExperimentBytes:
@@ -248,21 +255,19 @@ class TestRunExperimentBytes:
         assert sizes == [300]
 
     def test_memory_bounded_in_n_and_chunk(self):
-        # At n = 10^5 a block of uniforms is one row of n float64 (2^14 // n
-        # rows, at least one), whatever the chunk height; sorting it may take
-        # one more such row.  The chunk's count and estimator arrays hold
-        # reps * (K+1) values times a few estimators and metrics (under 100 KB
-        # here), so 1 MiB covers them and the interpreter's own allocations.
-        # Uniforms for all 40 rows of the chunk at once would take 32 MB.
-        n = 10**5
-        cfg = ExperimentConfig(TruthSpec.parse("mixture:0.2:3,0.8:7"), n=n, reps=40, seed=6)
-        tracemalloc.start()
-        try:
-            run_experiment(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 8 * n + 2**20
+        # A chunk's count matrix and estimator arrays hold reps * (K+1)
+        # values times a few estimators and metrics (under 100 KB here),
+        # whatever n is, so 1 MiB covers them and the interpreter's own
+        # allocations at n = 10^5 and at n = 10^12 alike.
+        for n in (10**5, 10**12):
+            cfg = ExperimentConfig(TruthSpec.parse("mixture:0.2:3,0.8:7"), n=n, reps=40, seed=6)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20, n
 
     def test_estimator_order_and_repeats(self):
         cfg = ExperimentConfig(
@@ -378,26 +383,26 @@ class TestOtherDrivers:
 
 
 # sha256 of each output file of two small `simulate` runs, recorded at
-# version 0.2.0, whose Grenander estimates are the exact slopes of the
-# counts correctly rounded (`gren_counts`); the one-replicate-at-a-time
-# reference loop above checks the same values
+# version 0.3.0 (count stream 2, numpy 2.4.6), whose Grenander estimates
+# are the exact slopes of the counts correctly rounded (`gren_counts`); the
+# one-replicate-at-a-time reference loop above checks the same values
 GOLDEN = {
     "pmf": (
         ["--truth", "mixture:0.2:3,0.8:7", "--n", "100", "--reps", "300", "--seed", "7",
          "--metrics", "hellinger,l1,l2,linf,l3"],
         {
-            "_raw.csv": "eb98845be4ad0b181df473ecd5d84511a558000c198e8da18cfbe620c95952b4",
-            "_summary.csv": "120825a70a41a47a2b6dce51847583f167a5bb232546ee22c9f460c034d4d9f3",
-            "_meta.json": "1e0732b697c9b84d859f270c52ae28e31b56fa9ad591496740245d108e7890c2",
+            "_raw.csv": "d6ec30b4207aaf6c8af87d8b77193df8bbd1cd70d4c6d33bd2d921444a60df06",
+            "_summary.csv": "571ef0a59bacee92252724734fe56bd31bfaf3822144644180f3e3c160602a69",
+            "_meta.json": "ffa82ca908b2669c3f866b4eef9c2c3818b85860b05fab5fd42a2083e53bb48a",
         },
     ),
     "mixing": (
         ["--truth", "geometric:0.75", "--n", "30", "--reps", "200", "--seed", "3",
          "--target", "mixing", "--estimators", "rear,gren"],
         {
-            "_raw.csv": "a7da6563d96c2e67bc3c325253a67070c1429a0a37b5f20354ee1c0c1aa5efb0",
-            "_summary.csv": "0c21801e281dddd2bdb5d3122a5450034fcab610e6ba046a867ad577b8d7bccc",
-            "_meta.json": "3c9d0d7134bca15d60371d62e520b6143ab0b12f5b1855e71c3e555881dbec3c",
+            "_raw.csv": "a80050ced80cc68254c2519989975ba16906501f47976b427aee53c0e491629f",
+            "_summary.csv": "1c5f0c22f5e1d6d825faf29091c1e6543945471dac996920f65389ac933cb41e",
+            "_meta.json": "004bc04e534fdb79fc2645bbc6064571e0cec3594f947469550937b82d808fca",
         },
     ),
 }
@@ -433,12 +438,12 @@ LIMITS_GOLDEN = {
 
 
 # sha256 of the stdout of a risk run at the risk-large shape (K = 10^4,
-# n = 10^5), recorded at version 0.2.0 with the exact Grenander of the
-# counts
+# n = 10^5), recorded at version 0.3.0 (count stream 2, numpy 2.4.6) with
+# the exact Grenander of the counts
 RISK_GOLDEN = (
     ["risk", "--truth", "uniform:9999", "--n", "100000", "--k", "2", "--estimator", "gren",
      "--reps", "3", "--seed", "1"],
-    "2ab4270f4c15e1e4033ad974d4985e234bc86758c110f1cae09fea984bef5d33",
+    "bdd542344406fc5ddf2c37de305ebb45c1d9e8539ed7009154934c91b8c9ed63",
 )
 
 
