@@ -4,7 +4,8 @@ Subcommands: estimate, simulate, risk, limits, asymptotics, mixing.
 Exit codes: 0 success, 1 usage error, unwritable output file or a run
 too large for memory, 2 input data error, 3 a simulated replicate failed
 the monotone-estimator inequality check.  All files are written atomically (temp file + rename)
-and machine-readable numbers carry 17 significant digits.
+and machine-readable numbers carry 17 significant digits.  A streamed CSV formats each
+distinct value of a piece once; its bytes equal those of %.17g applied to every value.
 """
 
 from __future__ import annotations
@@ -99,6 +100,15 @@ def _atomic_write_chunks(path: str, chunks) -> None:
         raise OutputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
+def _check_writable(path: str) -> None:
+    """OutputError, with the message writing `path` would give, if no file
+    can be made in its directory; run before work whose output goes there."""
+    try:
+        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+    except OSError as exc:
+        raise OutputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _atomic_write(path: str, text: str) -> None:
     _atomic_write_chunks(path, (text,))
 
@@ -173,6 +183,16 @@ def _config_from_args(args) -> ExperimentConfig:
     )
 
 
+def _format_floats(a) -> list[str]:
+    """The %.17g text of every entry of float array `a`, in C order.  Each
+    distinct bit pattern (so 0.0 and -0.0, and each NaN payload, apart) is
+    formatted once and its text shared by every entry that holds it."""
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64).ravel()
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array([_MACHINE_FMT % v for v in patterns.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def _csv_pieces(header: str, lines_per_record: int, records: int, piece):
     """A CSV file in pieces of about _CSV_CHUNK_ROWS lines: `header`, then
     piece(start, stop) for consecutive ranges of records.  Every CSV the
@@ -192,11 +212,9 @@ def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
     raw = summary.raw.reshape(cfg.reps, len(labels))
 
     def raw_lines(start, stop):
-        return "".join(
-            f"{i},{label}{v:.17g}\r\n"
-            for i, values in enumerate(raw[start:stop].tolist(), start)
-            for label, v in zip(labels, values)
-        )
+        # zip stops at the end of its first argument before it takes from the second
+        texts = iter(_format_floats(raw[start:stop]))
+        return "".join(f"{i},{label}{v}\r\n" for i in range(start, stop) for label, v in zip(labels, texts))
 
     header = "replicate,estimator,metric,value\r\n"
     _atomic_write_chunks(f"{prefix}_raw.csv", _csv_pieces(header, len(labels), cfg.reps, raw_lines))
@@ -214,7 +232,9 @@ def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    write_experiment(args.out, run_experiment(_config_from_args(args)))
+    cfg = _config_from_args(args)
+    _check_writable(f"{args.out}_raw.csv")
+    write_experiment(args.out, run_experiment(cfg))
     return 0
 
 
@@ -237,15 +257,14 @@ def _cmd_risk(args) -> int:
 
 def _cmd_limits(args) -> int:
     truth = args.truth.to_pmf()
+    _check_writable(f"{args.out}_draws.csv")
     y, y_rear, y_gren = draw_limit_batch(truth, args.reps, args.seed)
+    points = range(truth.support_size)
 
     def draw_lines(start, stop):
-        rows = np.stack((y[start:stop], y_rear[start:stop], y_gren[start:stop]), axis=-1).tolist()
-        return "".join(
-            f"{i},{x},{a:.17g},{b:.17g},{c:.17g}\r\n"
-            for i, row in enumerate(rows, start)
-            for x, (a, b, c) in enumerate(row)
-        )
+        texts = iter(_format_floats(np.stack((y[start:stop], y_rear[start:stop], y_gren[start:stop]), axis=-1)))
+        triples = zip(texts, texts, texts)
+        return "".join(f"{i},{x},{a},{b},{c}\r\n" for i in range(start, stop) for x, (a, b, c) in zip(points, triples))
 
     header = "draw,x,y,y_rear,y_gren\r\n"
     _atomic_write_chunks(f"{args.out}_draws.csv", _csv_pieces(header, truth.support_size, args.reps, draw_lines))

@@ -209,6 +209,13 @@ class ExperimentConfig:
             truth = data["truth"]
             if not isinstance(truth, (str, dict)):
                 raise ValueError(f"truth must be a spec string or an object, got {truth!r}")
+            if isinstance(truth, dict):
+                if "family" not in truth:
+                    raise ValueError("truth needs a 'family'")
+                known = {f.name for f in fields(TruthSpec)}
+                for key in truth:
+                    if key not in known:
+                        raise ValueError(f"unknown truth field {key!r}")
             spec = TruthSpec.parse(truth) if isinstance(truth, str) else TruthSpec(**truth)
             spec.to_pmf()
             return ExperimentConfig(

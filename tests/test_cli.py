@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from monopmf import experiments, format_counts, format_pmf, parse_pmf, sample, uniform_pmf
+from monopmf import cli, experiments, format_counts, format_pmf, parse_pmf, sample, uniform_pmf
 from monopmf.cli import main
 from monopmf.pmf import COUNT_STREAM
 
@@ -325,7 +327,10 @@ class TestSimulate:
         ({"truth": "uniform:3", "reps": 5}, "missing field 'n'"),
         ([1, 2], "the config must be a JSON object, got list"),
         ("uniform:3", "the config must be a JSON object, got str"),
-    ], ids=["weights", "ys", "estimators-str", "metrics-str", "estimators-int", "truth-int", "no-n", "list", "str"])
+        ({"truth": {"y": 3}, "n": 10, "reps": 5}, "truth needs a 'family'"),
+        ({"truth": {"family": "uniform", "y": 3, "foo": 1}, "n": 10, "reps": 5}, "unknown truth field 'foo'"),
+    ], ids=["weights", "ys", "estimators-str", "metrics-str", "estimators-int", "truth-int", "no-n", "list", "str",
+            "truth-no-family", "truth-unknown-field"])
     def test_config_fault_names_the_field(self, content, message, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(content))
@@ -333,16 +338,17 @@ class TestSimulate:
         assert capsys.readouterr().err == f"monopmf: invalid config file {str(config)!r}: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
-    @pytest.mark.parametrize("argv", [
-        ["limits", "--truth", "uniform:3", "--reps", "3"],
-        ["simulate", "--truth", "uniform:3", "--reps", "3"],
+    @pytest.mark.parametrize("argv,work,first", [
+        (["limits", "--truth", "uniform:3", "--reps", "3"], "draw_limit_batch", "x_draws.csv"),
+        (["simulate", "--truth", "uniform:3", "--reps", "3"], "run_experiment", "x_raw.csv"),
     ], ids=["limits", "simulate"])
-    def test_unwritable_output_exits_1(self, argv, tmp_path, capsys):
+    def test_unwritable_output_exits_1(self, argv, work, first, tmp_path, capsys, monkeypatch):
+        # the output directory is checked before any replicate or draw is made
+        monkeypatch.setattr(cli, work, lambda *args: pytest.fail(f"{work} ran before --out was checked"))
         code = main([*argv, "--out", str(tmp_path / "missing" / "x")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("monopmf: cannot write ") and "missing" in err
+        path = str(tmp_path / "missing" / first)
+        assert capsys.readouterr().err == f"monopmf: cannot write {path!r}: No such file or directory\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -501,3 +507,29 @@ class TestFileModes:
             os.umask(old)
         for name in ("run_raw.csv", "run_summary.csv", "run_meta.json", "fit.pmf"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name
+
+
+# bit patterns: 0.0, -0.0, inf, -inf, NaN, -NaN, a NaN with a payload, a
+# signalling NaN, the smallest subnormal, minus the largest subnormal, 1.0
+_EDGE_FLOATS = np.array([
+    0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+    0x7FF8000000000001, 0x7FF0000000000001, 0x1, 0x800FFFFFFFFFFFFF, 0x3FF0000000000000,
+], dtype=np.uint64).view(np.float64).tolist()
+
+
+@st.composite
+def float_tables(draw):
+    """A (rows, m) float array with repeated entries, or a strided or transposed view of one."""
+    rows, m = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), min_size=1, max_size=6))
+    a = np.array(draw(st.lists(st.sampled_from(pool), min_size=rows * m, max_size=rows * m)), dtype=np.float64)
+    a = a.reshape(rows, m)
+    view = draw(st.sampled_from(["c", "strided", "reversed", "transposed"]))
+    return {"c": a, "strided": a[::2, ::2], "reversed": a[:, ::-1], "transposed": a.T}[view]
+
+
+class TestFormatFloats:
+    @settings(max_examples=300, deadline=None)
+    @given(float_tables())
+    def test_equals_per_value_format(self, a):
+        assert cli._format_floats(a) == ["%.17g" % v for v in a.ravel().tolist()]

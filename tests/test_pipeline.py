@@ -33,7 +33,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf import experiments, format_pmf
+from monopmf import cli, experiments, format_pmf
 from monopmf.cli import main
 from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
@@ -483,6 +483,15 @@ def test_simulate_golden_digests(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(LIMITS_GOLDEN))
 def test_limits_golden_digests(name, tmp_path, monkeypatch):
     check_digests("limits", name, LIMITS_GOLDEN, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40, 10**6])
+@pytest.mark.parametrize("command,name,golden", [("simulate", "pmf", GOLDEN), ("limits", "mixture", LIMITS_GOLDEN)],
+                         ids=["simulate", "limits"])
+def test_golden_digests_whatever_the_piece_size(command, name, golden, rows, tmp_path, monkeypatch):
+    # a streamed CSV formats each piece on its own, so no byte may depend on where a piece ends
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", rows)
+    check_digests(command, name, golden, tmp_path, monkeypatch)
 
 
 def test_risk_golden_digest(capsys):
