@@ -4,8 +4,8 @@ Subcommands: estimate, simulate, risk, limits, asymptotics, mixing.
 Exit codes: 0 success, 1 usage error, unwritable output file or a run
 too large for memory, 2 input data error, 3 a simulated replicate failed
 the monotone-estimator inequality check.  All files are written atomically (temp file + rename)
-and machine-readable numbers carry 17 significant digits.  A streamed CSV formats each
-distinct value of a piece once; its bytes equal those of %.17g applied to every value.
+and machine-readable numbers carry 17 significant digits.  A streamed CSV is written in pieces, each one
+join of text fragments that formats each distinct value once; its bytes equal %.17g of every value.
 """
 
 from __future__ import annotations
@@ -183,41 +183,44 @@ def _config_from_args(args) -> ExperimentConfig:
     )
 
 
-def _format_floats(a) -> list[str]:
-    """The %.17g text of every entry of float array `a`, in C order.  Each
-    distinct bit pattern (so 0.0 and -0.0, and each NaN payload, apart) is
-    formatted once and its text shared by every entry that holds it."""
-    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64).ravel()
-    patterns, inverse = np.unique(bits, return_inverse=True)
+def _format_floats(a) -> np.ndarray:
+    """The %.17g texts of float array `a`, an object array of its shape; each distinct
+    bit pattern (so 0.0 and -0.0, and each NaN payload, apart) is formatted once."""
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+    patterns, inverse = np.unique(bits.ravel(), return_inverse=True)
     texts = np.array([_MACHINE_FMT % v for v in patterns.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    return texts[inverse].reshape(bits.shape)
 
 
-def _csv_pieces(header: str, lines_per_record: int, records: int, piece):
-    """A CSV file in pieces of about _CSV_CHUNK_ROWS lines: `header`, then
-    piece(start, stop) for consecutive ranges of records.  Every CSV the
-    CLI writes ends its lines in CR LF and has no field that needs quoting,
-    so its bytes equal csv.writer's."""
-    yield header
-    step = max(1, _CSV_CHUNK_ROWS // lines_per_record)
-    for start in range(0, records, step):
-        yield piece(start, min(start + step, records))
+def _write_table(path: str, header: str, mids: list[str], columns) -> None:
+    """Write CSV `path` in pieces of about _CSV_CHUNK_ROWS lines, each one join of an object array of
+    fragments: `header`, then f"{i}{mids[j]}{t_1},...,{t_m}\r\n" for each record i and j < len(mids),
+    t_k the %.17g text of columns[k-1][i, j].  No field needs quoting: the bytes equal csv.writer's."""
+    records, m = len(columns[0]), len(columns)
+    step = max(1, _CSV_CHUNK_ROWS // len(mids))
+    fragments = np.full((min(step, records), len(mids), 2 * m + 2), ",", dtype=object)
+    fragments[:, :, 1] = mids
+    fragments[:, :, -1] = "\r\n"
+
+    def pieces():
+        yield header
+        for start in range(0, records, step):
+            stop = min(start + step, records)
+            piece = fragments[: stop - start]
+            piece[:, :, 0] = np.array([str(i) for i in range(start, stop)], dtype=object)[:, None]
+            piece[:, :, 2::2] = _format_floats(np.stack([c[start:stop] for c in columns], axis=-1))
+            yield "".join(piece.ravel().tolist())
+
+    _atomic_write_chunks(path, pieces())
 
 
 def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
     """Write `prefix`_raw.csv (one line per replicate, estimator and metric),
     `prefix`_summary.csv (the statistics) and `prefix`_meta.json (the config)."""
     cfg = summary.config
-    labels = [f"{est.value},{metric.label}," for est in cfg.estimators for metric in cfg.metrics]
+    labels = [f",{est.value},{metric.label}," for est in cfg.estimators for metric in cfg.metrics]
     raw = summary.raw.reshape(cfg.reps, len(labels))
-
-    def raw_lines(start, stop):
-        # zip stops at the end of its first argument before it takes from the second
-        texts = iter(_format_floats(raw[start:stop]))
-        return "".join(f"{i},{label}{v}\r\n" for i in range(start, stop) for label, v in zip(labels, texts))
-
-    header = "replicate,estimator,metric,value\r\n"
-    _atomic_write_chunks(f"{prefix}_raw.csv", _csv_pieces(header, len(labels), cfg.reps, raw_lines))
+    _write_table(f"{prefix}_raw.csv", "replicate,estimator,metric,value\r\n", labels, (raw,))
 
     text = "estimator,metric,mean,std,min,q1,median,q3,max\r\n"
     for est in cfg.estimators:
@@ -259,15 +262,8 @@ def _cmd_limits(args) -> int:
     truth = args.truth.to_pmf()
     _check_writable(f"{args.out}_draws.csv")
     y, y_rear, y_gren = draw_limit_batch(truth, args.reps, args.seed)
-    points = range(truth.support_size)
-
-    def draw_lines(start, stop):
-        texts = iter(_format_floats(np.stack((y[start:stop], y_rear[start:stop], y_gren[start:stop]), axis=-1)))
-        triples = zip(texts, texts, texts)
-        return "".join(f"{i},{x},{a},{b},{c}\r\n" for i in range(start, stop) for x, (a, b, c) in zip(points, triples))
-
-    header = "draw,x,y,y_rear,y_gren\r\n"
-    _atomic_write_chunks(f"{args.out}_draws.csv", _csv_pieces(header, truth.support_size, args.reps, draw_lines))
+    points = [f",{x}," for x in range(truth.support_size)]
+    _write_table(f"{args.out}_draws.csv", "draw,x,y,y_rear,y_gren\r\n", points, (y, y_rear, y_gren))
 
     text = "x,mean_y,mean_y_rear,mean_y_gren,mean_sq_y,mean_sq_y_rear,mean_sq_y_gren,var_limit\r\n"
     for x, px in enumerate(truth.probs):

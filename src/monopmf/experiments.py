@@ -170,6 +170,10 @@ class ExperimentConfig:
             raise ValueError("n and reps must be positive")
         if not self.estimators or not self.metrics:
             raise ValueError("estimator and metric sets must be non-empty")
+        labels = {"estimator": [e.value for e in self.estimators], "metric": [m.label for m in self.metrics]}
+        for kind, names in labels.items():
+            if len(set(names)) < len(names):
+                raise ValueError(f"{kind} {max(names, key=names.count)!r} given more than once")
         if self.target not in ("pmf", "mixing"):
             raise ValueError("target must be 'pmf' or 'mixing'")
         if (

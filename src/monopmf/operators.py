@@ -290,17 +290,17 @@ def limit_transform(y, blocks) -> tuple[np.ndarray, np.ndarray]:
 def mixing_estimate(p) -> np.ndarray:
     """Mixing weights of the uniform-mixture representation.
 
-    weights[x] = -(x+1) * (p[x+1] - p[x]) with p[K+1] = 0.  The weights
-    telescope to sum(p) = 1; they are non-negative exactly when p is
-    non-increasing, so the raw empirical plug-in may go negative.  A stack
-    of sequences (shape (..., K+1)) gives a stack of weights, row by row;
-    a row that does not sum to one is a ValueError.
+    weights[x] = (x+1) * (p[x] - p[x+1]) with p[K+1] = 0, +0.0 on a flat
+    stretch.  The weights telescope to sum(p) = 1; they are non-negative
+    exactly when p is non-increasing, so the raw empirical plug-in may go
+    negative.  A stack of sequences (shape (..., K+1)) gives a stack of
+    weights, row by row; a row that does not sum to one is a ValueError.
     """
     probs = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
     if probs.ndim == 0 or probs.shape[-1] == 0:
         raise ValueError("expected a non-empty sequence")
     shifted = np.concatenate((probs[..., 1:], np.zeros(probs.shape[:-1] + (1,))), axis=-1)  # p[x+1], p[K+1] = 0
-    weights = -(np.arange(probs.shape[-1]) + 1.0) * (shifted - probs)
+    weights = (np.arange(probs.shape[-1]) + 1.0) * (probs - shifted)
     totals = np.ravel(weights.sum(axis=-1))
     bad = np.flatnonzero(np.abs(totals - 1.0) > SUM_TOL)
     if bad.size:

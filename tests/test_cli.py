@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -329,14 +330,28 @@ class TestSimulate:
         ("uniform:3", "the config must be a JSON object, got str"),
         ({"truth": {"y": 3}, "n": 10, "reps": 5}, "truth needs a 'family'"),
         ({"truth": {"family": "uniform", "y": 3, "foo": 1}, "n": 10, "reps": 5}, "unknown truth field 'foo'"),
+        ({"truth": "uniform:3", "n": 10, "reps": 5, "estimators": ["gren", "rear", "Grenander"]},
+         "estimator 'grenander' given more than once"),
+        ({"truth": "uniform:3", "n": 10, "reps": 5, "metrics": ["l2", "l1", "l1.0"]}, "metric 'l1' given more than once"),
     ], ids=["weights", "ys", "estimators-str", "metrics-str", "estimators-int", "truth-int", "no-n", "list", "str",
-            "truth-no-family", "truth-unknown-field"])
+            "truth-no-family", "truth-unknown-field", "estimators-repeated", "metrics-repeated"])
     def test_config_fault_names_the_field(self, content, message, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(content))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"monopmf: invalid config file {str(config)!r}: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--estimators", "gren,rear,grenander", "estimator 'grenander' given more than once"),
+        ("--metrics", "l2,l1,l1.0", "metric 'l1' given more than once"),
+    ], ids=["estimators", "metrics"])
+    def test_repeated_estimator_or_metric_exits_1(self, flag, value, message, tmp_path, capsys, monkeypatch):
+        # a repeat would write every one of its rows twice
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("run_experiment ran on a repeat"))
+        assert main(["simulate", "--truth", "uniform:3", flag, value, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"monopmf: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,work,first", [
         (["limits", "--truth", "uniform:3", "--reps", "3"], "draw_limit_batch", "x_draws.csv"),
@@ -460,6 +475,17 @@ class TestOtherCommands:
         assert abs(weights.sum() - 1.0) < 1e-12
         assert np.all(weights >= -1e-15)
 
+    @pytest.mark.parametrize("source", ["counts", "pmf"])
+    def test_mixing_prints_no_negative_zero(self, source, counts_file, tmp_path, capsys):
+        # a weight inside a flat stretch of the pmf is +0.0: gren pools the worked example's
+        # counts into flat blocks, and a uniform pmf is one flat stretch
+        path = tmp_path / "p.pmf"
+        path.write_text(format_pmf(uniform_pmf(5)))
+        assert main(["mixing", f"--{source}", str(counts_file if source == "counts" else path)]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        values = [l.split("\t")[1] for l in lines]
+        assert "0" in values and "-0" not in values
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--version"])
@@ -532,4 +558,28 @@ class TestFormatFloats:
     @settings(max_examples=300, deadline=None)
     @given(float_tables())
     def test_equals_per_value_format(self, a):
-        assert cli._format_floats(a) == ["%.17g" % v for v in a.ravel().tolist()]
+        assert cli._format_floats(a).ravel().tolist() == ["%.17g" % v for v in a.ravel().tolist()]
+
+
+class TestWriteTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_per_line_format(self, data):
+        records = data.draw(st.integers(0, 25), label="records")
+        mids = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=5), label="mids")
+        m = data.draw(st.sampled_from([1, 3]), label="fields")
+        rows = data.draw(st.sampled_from([1, 7, 40, 10**6]), label="piece")
+        pool = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), min_size=1, max_size=6))
+        size = records * len(mids)
+        columns = [np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)),
+                            dtype=np.float64).reshape(records, len(mids)) for _ in range(m)]
+        expected = "h\r\n" + "".join(
+            f"{i}{mid}" + ",".join("%.17g" % c[i, j] for c in columns) + "\r\n"
+            for i in range(records) for j, mid in enumerate(mids)
+        )
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CSV_CHUNK_ROWS", rows)
+            path = os.path.join(tmp, "t.csv")
+            cli._write_table(path, "h\r\n", mids, columns)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.encode("utf-8")

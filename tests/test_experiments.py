@@ -67,8 +67,8 @@ def truth_specs(draw, tail_tol=True):
 def experiment_configs(draw):
     k = st.one_of(st.floats(1.0, 1e6), st.integers(1, 10).map(float), st.just(math.inf))
     metric = st.one_of(st.just(HELL), k.map(MetricKind.ell))
-    estimators = tuple(draw(st.lists(st.sampled_from(list(EstimatorKind)), min_size=1, max_size=4)))
-    metrics = tuple(draw(st.lists(metric, min_size=1, max_size=4)))
+    estimators = tuple(draw(st.lists(st.sampled_from(list(EstimatorKind)), min_size=1, max_size=3, unique=True)))
+    metrics = tuple(draw(st.lists(metric, min_size=1, max_size=4, unique_by=lambda m: m.label)))
     target = draw(st.sampled_from(["pmf", "mixing"]))
     if target == "mixing" and EMP in estimators and HELL in metrics:
         target = "pmf"
