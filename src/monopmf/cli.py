@@ -244,6 +244,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_risk(args) -> int:
     truth = args.truth.to_pmf()
     est = EstimatorKind.parse(args.estimator)
+    scale = None
+    if 1 <= args.k < math.inf:  # other orders print no scaled lines, or fail in estimate_risk
+        try:
+            scale = args.n ** (args.k / 2.0)
+        except OverflowError:
+            raise ValueError(f"the scale n^(k/2) overflows a float at n = {args.n}, k = {float_label(args.k)}") from None
     result = estimate_risk(truth, args.n, args.k, est, args.reps, args.seed)
     print(f"estimator\t{est.value}")
     print(f"k\t{float_label(args.k)}")
@@ -251,8 +257,7 @@ def _cmd_risk(args) -> int:
     print(f"reps\t{args.reps}")
     print(f"risk_mean\t{_MACHINE_FMT % result.value}")
     print(f"risk_se\t{_MACHINE_FMT % result.se}")
-    if not math.isinf(args.k):
-        scale = args.n ** (args.k / 2.0)
+    if scale is not None:
         print(f"scaled_risk\t{_MACHINE_FMT % (scale * result.value)}")
         print(f"scaled_se\t{_MACHINE_FMT % (scale * result.se)}")
     return 0

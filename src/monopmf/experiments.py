@@ -265,12 +265,28 @@ class ExperimentSummary:
 
 
 def _summarize(cfg: ExperimentConfig, raw: np.ndarray) -> ExperimentSummary:
-    """Statistics of each (estimator, metric) column of `raw`.  The quartiles,
-    minima and maxima of all columns come from one axis-0 call each (the same
-    bits as column by column); mean and std stay per column, whose axis-0
-    reductions can differ in the last bit."""
-    q1, med, q3 = np.quantile(raw, [0.25, 0.5, 0.75], axis=0, method="median_unbiased")
-    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    """Statistics of each (estimator, metric) column of `raw`.
+
+    One sort along the replicate axis gives all five order statistics: min,
+    max and the quartiles of Hyndman & Fan's type 8, interpolated by numpy's
+    "median_unbiased" rule (its virtual index, end clamps and two-sided
+    lerp), so each has the bits of np.quantile, min and max column by
+    column.  A column holding NaN gives NaN throughout.  Mean and std stay
+    per column, whose axis-0 reductions can differ in the last bit.
+    """
+    ordered = np.sort(raw, axis=0)  # NaN sorts last
+    reps = len(ordered)
+    nan = np.isnan(ordered[-1])
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        v = reps * q + (1 / 3.0 + q * (1 - 1 / 3.0 - 1 / 3.0)) - 1  # numpy's bits: not 1 - 2/3
+        i = -1 if v >= reps - 1 else 0 if v < 0 else math.floor(v)
+        a, b = ordered[i], ordered[i + 1 if 0 <= v < reps - 1 else i]
+        g = v - i
+        d = b - a
+        quartiles.append(np.where(nan, ordered[-1], b - d * (1 - g) if g >= 0.5 else a + d * g))
+    q1, med, q3 = quartiles
+    lo, hi = np.where(nan, ordered[-1], ordered[0]), ordered[-1]
     stats = {}
     for e, est in enumerate(cfg.estimators):
         for m, metric in enumerate(cfg.metrics):

@@ -234,7 +234,8 @@ def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
     if near.any():
         bounds = np.append(np.flatnonzero(x == -1), x.size)  # row i's vertices: bounds[i]:bounds[i+1]
         keep = np.ones(x.size, dtype=bool)
-        for row in np.unique(np.searchsorted(bounds, np.flatnonzero(near), side="right") - 1):
+        owners = np.searchsorted(bounds, np.flatnonzero(near), side="right") - 1  # sorted, so distinct by diff
+        for row in owners[np.diff(owners, prepend=-1) != 0]:
             lo, hi = bounds[row], bounds[row + 1]
             keep[lo:hi] = False
             keep[lo + np.array(_hull_row(x[lo:hi].tolist(), s[lo:hi].tolist()))] = True

@@ -439,6 +439,14 @@ class TestOtherCommands:
         assert main(["asymptotics", "--truth", truth]) == 0
         assert capsys.readouterr().out.startswith(f"truth\t{truth}\n")
 
+    def test_risk_scale_overflow_exits_1_before_any_replicate(self, capsys, monkeypatch):
+        # n^(k/2) = 10^500 is past the largest float, so scaled_risk cannot be printed
+        monkeypatch.setattr(cli, "estimate_risk", None)  # a replicate would call it
+        assert main(["risk", "--truth", "uniform:3", "--n", "100000", "--k", "200", "--reps", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "monopmf: the scale n^(k/2) overflows a float at n = 100000, k = 200\n"
+
     def test_risk_output(self, capsys):
         code = main(["risk", "--truth", "uniform:2", "--n", "50", "--k", "2",
                      "--estimator", "empirical", "--reps", "2000", "--seed", "4"])
@@ -518,6 +526,43 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert "empirical" in proc.stdout
+
+
+#: Each benchmark workload's command at a tiny size: (target, argv), the target "cli" or a script.
+_WORKLOAD_SHAPES = {
+    "simulate": ("cli", ["simulate", "--truth", "mixture:0.2:3,0.8:7", "--n", "100", "--out", "run", "--reps", "300"]),
+    "risk": ("cli", ["risk", "--truth", "uniform:9999", "--n", "100000", "--k", "2", "--estimator", "gren", "--reps", "3"]),
+    "limits": ("cli", ["limits", "--truth", "uniform:9", "--out", "run", "--reps", "200"]),
+    "mixing_comparison": (str(SRC.parent / "scripts" / "mixing_comparison.py"), ["--outdir", ".", "--reps", "20"]),
+}
+
+_RUN_AND_REPORT = """
+import runpy, sys
+target, argv = sys.argv[1], sys.argv[2:]
+if target == "cli":
+    from monopmf.cli import main
+    code = main(argv)
+else:
+    sys.argv = [target, *argv]
+    try:
+        runpy.run_path(target, run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+class TestImports:
+    @pytest.mark.parametrize("shape", list(_WORKLOAD_SHAPES))
+    def test_workload_leaves_numpy_ma_unloaded(self, shape, tmp_path):
+        # importing numpy.ma costs about 15 ms per process; np.quantile and a bare
+        # np.unique pull it in, so no summary or operator may call them
+        target, argv = _WORKLOAD_SHAPES[shape]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT, target, *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestFileModes:

@@ -6,7 +6,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy import stats
@@ -355,22 +355,39 @@ class TestRunExperiment:
             )
 
     @settings(max_examples=60, deadline=None)
-    @given(reps=st.integers(1, 4000), data_seed=st.integers(0, 2**32 - 1), ties=st.booleans())
-    def test_summary_equals_column_loop(self, reps, data_seed, ties):
-        # the axis-0 quartiles, minima and maxima have the bits of one call per column
+    @given(
+        reps=st.integers(1, 4000),
+        data_seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        planted=st.sampled_from([None, math.nan, math.inf]),
+    )
+    @example(reps=1, data_seed=0, ties=False, planted=None)  # every virtual index is clamped
+    @example(reps=2, data_seed=1, ties=False, planted=None)  # q1 clamped to the first value, q3 to the last
+    @example(reps=3, data_seed=2, ties=True, planted=None)  # the smallest size with no clamp
+    @example(reps=2, data_seed=3, ties=False, planted=math.inf)  # inf - inf where q3 is clamped
+    @example(reps=41, data_seed=4, ties=False, planted=math.nan)
+    @example(reps=41, data_seed=5, ties=True, planted=math.inf)
+    def test_summary_equals_column_loop(self, reps, data_seed, ties, planted):
+        # the order statistics read from one sort have the bits of np.quantile, min and max
+        # column by column; the data are non-negative, as distances are, since np.quantile's
+        # partition and np.sort may order tied -0.0 and +0.0 differently
         cfg = ExperimentConfig(TruthSpec("uniform", y=3), n=10, reps=reps, seed=0, metrics=(HELL, L1, L2, MetricKind.ell(3)))
-        raw = np.random.default_rng(data_seed).exponential(size=(reps, 3, 4))
+        rng = np.random.default_rng(data_seed)
+        raw = rng.exponential(size=(reps, 3, 4))
         if ties:
             raw = np.round(raw, 1)
-        summary = _summarize(cfg, raw)
-        for e, est in enumerate(cfg.estimators):
-            for m, metric in enumerate(cfg.metrics):
-                col = raw[:, e, m]
-                q1, med, q3 = np.quantile(col, [0.25, 0.5, 0.75], method="median_unbiased")
-                std = float(col.std(ddof=1)) if col.size > 1 else 0.0
-                expected = SummaryStats(float(col.mean()), std, float(col.min()), float(q1), float(med), float(q3), float(col.max()))
-                got = summary.stat(est, metric)
-                assert np.array(astuple(got)).tobytes() == np.array(astuple(expected)).tobytes()
+        if planted is not None:  # in the first column, and in one entry of another
+            raw[reps // 2, 0, 0] = raw[rng.integers(reps), rng.integers(3), rng.integers(4)] = planted
+        with np.errstate(invalid="ignore"):  # inf - inf in the lerp and the std
+            summary = _summarize(cfg, raw)
+            for e, est in enumerate(cfg.estimators):
+                for m, metric in enumerate(cfg.metrics):
+                    col = raw[:, e, m]
+                    q1, med, q3 = np.quantile(col, [0.25, 0.5, 0.75], method="median_unbiased")
+                    std = float(col.std(ddof=1)) if col.size > 1 else 0.0
+                    expected = SummaryStats(float(col.mean()), std, float(col.min()), float(q1), float(med), float(q3), float(col.max()))
+                    got = summary.stat(est, metric)
+                    assert np.array(astuple(got)).tobytes() == np.array(astuple(expected)).tobytes()
 
 
 class TestEstimateRisk:

@@ -7,6 +7,11 @@ checked exactly: sum preservation, monotonicity, majorisation,
 idempotence and scale equivariance.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +99,24 @@ class TestAgainstOracle:
         expected_fit, expected_blocks = gren_fraction(row, n)
         assert fit[0].tobytes() == expected_fit.tobytes()
         assert blocks.tolist() == [expected_blocks]
+
+    def test_hull_fallback_leaves_numpy_ma_unloaded(self):
+        # a long decreasing run ending in a spike outlasts the hull passes and reaches
+        # _hull_row; picking its rows must not import numpy.ma (about 15 ms per process)
+        code = (
+            "import sys\n"
+            "from monopmf import operators\n"
+            "calls, hull = [], operators._hull_row\n"
+            "operators._hull_row = lambda *a: calls.append(a) or hull(*a)\n"
+            "row = list(range(400, 300, -1)) + [10**6]\n"
+            "operators.gren_counts([row], sum(row))\n"
+            "print(len(calls), 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1 False\n"
 
     def test_one_row(self):
         fit, blocks = gren_counts([20, 14, 11, 22, 15, 18], 100)
