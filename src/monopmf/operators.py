@@ -9,13 +9,13 @@ form of the hull is exactly the pool-adjacent-violators fit).  Both, like
 (shape (..., L)) and work row by row along the last axis.
 
 Integer counts take `gren_counts`, the estimators of an empirical sample
-in the Monte Carlo drivers and the CLI: the Grenander of the counts,
-decided exactly in int64 and divided by n once per block, so each value
-is the exact slope correctly rounded when n*(K+1) < 2^53.  Float input
-takes `gren` (limit draws, `touch_count`, public calls on a pmf), which
-`pava` pools row by row (`_pool_row`) or a column at a time for all rows
-at once (`column_sweep`), with the same bits, by the shape rule in its
-docstring.
+in the Monte Carlo drivers and the CLI: the Grenander of the counts, its
+hull found by exact int64 vertex-removal passes over all rows at once,
+divided by n once per block, so each value is the exact slope correctly
+rounded when n*(K+1) < 2^53.  Float input takes `gren` (limit draws,
+`touch_count`, public calls on a pmf), which `pava` pools row by row
+(`_pool_row`) or a column at a time for all rows at once (`column_sweep`),
+with the same bits, by the shape rule in its docstring.
 """
 
 from __future__ import annotations
@@ -191,12 +191,15 @@ def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
 
     The hull is found by vertex removal on all rows at once.  The first
     pass, on the dense grid, drops every vertex where the counts do not
-    strictly decrease; each later pass drops every vertex next to a dropped
-    one whose left slope is at most its right one.  A dropped vertex lies
-    on or below the chord of its neighbours, so dropping them together
-    keeps the majorant.  After `_HULL_PASSES` passes the rows not yet done
-    are finished one at a time by `_hull_row`; every decision is exact, so
-    the switch point changes no bit.
+    strictly decrease.  Each later pass takes the steps dx, ds between the
+    surviving vertices of all rows and drops every vertex inside a row whose
+    left slope is at most its right one (ds[i-1]*dx[i] <= ds[i]*dx[i-1]).
+    Such a vertex lies on or below a chord of its row, so dropping any
+    number of them at once keeps the majorant.  The passes stop at the
+    first that drops nothing; after `_HULL_PASSES` passes the rows that
+    still have such a vertex are finished one at a time by `_hull_row`.
+    Every decision is exact, so the switch point changes no bit.  A stack
+    of no rows gives an empty fit and blocks.
     """
     c = np.asarray(counts)
     if c.ndim == 0 or c.shape[-1] == 0 or not np.issubdtype(c.dtype, np.integer):
@@ -205,44 +208,37 @@ def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
     n = as_int(n, "n")
     if n < 1 or n * length >= 1 << 63:  # the cross products must fit in int64
         raise ValueError(f"gren_counts requires 1 <= n and n * L < 2^63, got n = {n} and L = {length}")
-    if c.min() < 0 or c.max() > n:  # so no running sum of a row wraps past int64
+    if c.size and (c.min() < 0 or c.max() > n):  # so no running sum of a row wraps past int64
         raise ValueError(f"gren_counts requires counts in [0, n], got n = {n}")
     rows = c.reshape(-1, length).astype(np.int64, copy=False)
     keep = np.ones((rows.shape[0], length + 1), dtype=bool)  # vertices x = -1..L-1
     keep[:, 1:-1] = rows[:, :-1] > rows[:, 1:]
-    near = np.zeros_like(keep)  # interior vertices next to a dropped one
-    near[:, 1:-2] = ~keep[:, 2:-1]
-    near[:, 2:-1] |= ~keep[:, 1:-2]
     s = np.zeros(keep.shape, dtype=np.int64)
     np.cumsum(rows, axis=1, out=s[:, 1:])
     if np.any(s[:, -1] != n):
         raise ValueError(f"gren_counts requires every row of counts to sum to n = {n}")
     kept = np.flatnonzero(keep)
-    x = kept % (length + 1) - 1
-    s, near = s.ravel()[kept], near.ravel()[kept]
-    for _ in range(_HULL_PASSES):
-        i = np.flatnonzero(near)
-        if not i.size:
+    x, s = kept % (length + 1) - 1, s.ravel()[kept]
+    for passes in range(_HULL_PASSES + 1):
+        dx, ds = np.diff(x), np.diff(s)  # dx < 0 from one row's end to the next row's start
+        keep = np.ones(x.size, dtype=bool)
+        np.logical_not((dx[:-1] > 0) & (dx[1:] > 0) & (ds[:-1] * dx[1:] <= ds[1:] * dx[:-1]), out=keep[1:-1])
+        done = keep.all()
+        if done or passes == _HULL_PASSES:
             break
-        drop = i[(s[i] - s[i - 1]) * (x[i + 1] - x[i]) <= (s[i + 1] - s[i]) * (x[i] - x[i - 1])]
-        keep = np.ones(x.size, dtype=bool)
-        keep[drop] = False
-        near = np.zeros(x.size, dtype=bool)
-        near[drop - 1] = near[drop + 1] = True
-        near &= (x >= 0) & (x < length - 1)
-        x, s, near = x[keep], s[keep], near[keep]
-    if near.any():
+        x, s = x[keep], s[keep]
+    if not done:
         bounds = np.append(np.flatnonzero(x == -1), x.size)  # row i's vertices: bounds[i]:bounds[i+1]
-        keep = np.ones(x.size, dtype=bool)
-        owners = np.searchsorted(bounds, np.flatnonzero(near), side="right") - 1  # sorted, so distinct by diff
+        owners = np.searchsorted(bounds, np.flatnonzero(~keep), side="right") - 1  # sorted, so distinct by diff
         for row in owners[np.diff(owners, prepend=-1) != 0]:
             lo, hi = bounds[row], bounds[row + 1]
             keep[lo:hi] = False
             keep[lo + np.array(_hull_row(x[lo:hi].tolist(), s[lo:hi].tolist()))] = True
         x, s = x[keep], s[keep]
-    inner = x[1:] != -1  # consecutive vertices of one row bound a block
-    widths = np.diff(x)[inner]
-    fit = np.repeat(np.diff(s)[inner] / (n * widths).astype(float), widths)
+        dx, ds = np.diff(x), np.diff(s)
+    inner = dx > 0  # consecutive vertices of one row bound a block
+    widths = dx[inner]
+    fit = np.repeat(ds[inner] / (n * widths).astype(float), widths)
     blocks = np.diff(np.append(np.flatnonzero(x == -1), x.size)) - 1
     return fit.reshape(c.shape), blocks.reshape(c.shape[:-1])
 

@@ -48,18 +48,19 @@ def keyed_generators(seeds):
 
     `seeds` is a uint64 array or a sequence of integers, all checked before
     the first generator is yielded.  One Philox is re-keyed in place through
-    its state setter from one reused state (key [seed, 0], counter 0, empty
-    buffer) whose key word alone changes, which is several times cheaper
-    than building a new generator per seed.  Each yielded generator is the
-    same object, valid until the next one is requested.
+    its state setter from one reused state of plain Python ints (key
+    [seed, 0], counter 0, empty buffer, which the setter reads faster than
+    numpy scalars) whose key word alone changes, several times cheaper than
+    a new generator per seed.  Each yielded generator is the same object,
+    valid until the next one is requested.
     """
-    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
-        seeds = np.array([check_seed(s) for s in seeds], dtype=np.uint64)
-    key = np.zeros(2, np.uint64)
+    isarray = isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64
+    seeds = seeds.tolist() if isarray else [check_seed(s) for s in seeds]
+    key = [0, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": key},
-        "buffer": np.zeros(4, np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

@@ -10,6 +10,7 @@ idempotence and scale equivariance.
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,46 @@ class TestAgainstOracle:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "1 False\n"
+
+    def test_spike_row_among_ordinary_rows_reaches_the_fallback_once(self, monkeypatch):
+        # only the row that outlasts the passes is finished by _hull_row
+        spike = list(range(400, 300, -1)) + [10**6]
+        n = sum(spike)
+        counts = np.random.default_rng(11).multinomial(n, np.full(len(spike), 1 / len(spike)), size=5)
+        counts[2] = spike
+        calls, hull = [], operators._hull_row
+        monkeypatch.setattr(operators, "_hull_row", lambda *a: calls.append(a) or hull(*a))
+        fit, blocks = gren_counts(counts, n)
+        expected_fit, expected_blocks = gren_fraction_stack(counts, n)
+        assert len(calls) == 1 and calls[0][0][-1] == len(spike) - 1
+        assert fit.tobytes() == expected_fit.tobytes() and blocks.tolist() == expected_blocks.tolist()
+
+    @pytest.mark.parametrize("length", [1000, 4999, 20000])
+    @pytest.mark.parametrize("truth", ["flat", "slow", "levels"])
+    def test_wide_rows_equal_monotone_chain(self, length, truth):
+        # the risk-large regime: K + 1 in the thousands, n about 10 (K + 1)
+        n = 10 * length + 7
+        weights = {
+            "flat": np.ones(length),
+            "slow": np.linspace(2.0, 1.0, length),
+            "levels": np.repeat([3.0, 2.0, 1.0], [length // 3, length // 3, length - 2 * (length // 3)]),
+        }[truth]
+        counts = np.random.default_rng(length).multinomial(n, weights / weights.sum(), size=3)
+        fit, blocks = gren_counts(counts, n)
+        for row, fit_row, b in zip(counts, fit, blocks):
+            s = [0, *np.cumsum(row).tolist()]
+            xs = list(range(-1, length))
+            hull = operators._hull_row(xs, s)
+            expected = np.empty(length)
+            for a, z in zip(hull, hull[1:]):
+                expected[a:z] = float(Fraction(s[z] - s[a], n * (z - a)))
+            assert fit_row.tobytes() == expected.tobytes() and b == len(hull) - 1
+
+    @pytest.mark.parametrize("shape", [(0, 5), (2, 0, 3)])
+    def test_stack_of_no_rows(self, shape):
+        fit, blocks = gren_counts(np.zeros(shape, dtype=np.int64), 10)
+        assert fit.shape == shape and fit.dtype == np.float64
+        assert blocks.shape == shape[:-1] and blocks.dtype == np.int64
 
     def test_one_row(self):
         fit, blocks = gren_counts([20, 14, 11, 22, 15, 18], 100)

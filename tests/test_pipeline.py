@@ -118,6 +118,19 @@ class TestCountRows:
         from_array = [rng.random(9).tobytes() for rng in keyed_generators(np.array(seeds, dtype=np.uint64))]
         assert from_list == from_array == [make_generator(s).random(9).tobytes() for s in seeds]
 
+    def test_keyed_generators_reset_the_whole_state(self):
+        # each row starts from make_generator's state, even after the previous
+        # row left half of a 64-bit word (has_uint32) or a part-used buffer
+        def plain(state):
+            return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
+        seeds = [0, 2**63, 2**64 - 1, 0]
+        for seed, rng in zip(seeds, keyed_generators(seeds)):
+            assert plain(rng.bit_generator.state) == plain(make_generator(seed).bit_generator.state)
+            rng.integers(0, 7, size=3, dtype=np.uint32)  # leaves has_uint32 set
+            rng.random(1)  # part-uses the four-word buffer
+            assert rng.bit_generator.state["has_uint32"] == 1 and rng.bit_generator.state["buffer_pos"] < 4
+
     @pytest.mark.parametrize("bad", [-1, 2**64])
     def test_keyed_generators_check_every_seed_first(self, bad):
         with pytest.raises(ValueError, match="64-bit unsigned"):
