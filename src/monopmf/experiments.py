@@ -3,17 +3,17 @@
 An experiment fixes a truth, a sample size, and a replicate count; each
 replicate draws a sample, forms the requested estimators (of the pmf or of
 its mixing distribution), and records the requested distances from the
-truth.  Replicate i uses the seed mix_seed(cfg.seed, i), so results do not
-depend on execution order and identical configs produce identical output.
+truth.  Identical configs produce identical output.
 
 Every Monte Carlo driver here is one statistic over one chunked replicate
-map (`_replicates`): a chunk of replicates is sampled into a count matrix
+map (`_replicates`): a block of replicates is sampled into a count matrix
 and the statistic, built on `estimate` (the one map from an estimator kind
-to its operator), is computed on its rows at once.  A chunk's count
-matrix holds about `_CHUNK_ELEMENTS` values whatever n is (each row is
-one multinomial draw, see `pmf.sample_counts`), so memory stays bounded
-in n and in the replicate count, and each row has the same bits as the
-replicate computed on its own.
+to its operator), is computed on its rows at once.  A block holds
+B = max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, and its
+count matrix is one multinomial call on the seed mix_seed(cfg.seed, b) of
+its block number b (count stream 3, see `_replicates`).  So memory stays
+bounded in n and in the replicate count, and each row has the same bits
+as the replicate computed on its own from that block's row.
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ from .rng import as_int, as_real, check_seed, mix_seed
 #: inequality is exact in real arithmetic.
 _INEQ_TOL = 1e-9
 
-#: Count-matrix values per chunk of the replicate pipeline: a chunk holds
-#: max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, so chunks of
-#: short rows are tall enough to spread the per-call cost of the vectorised
-#: kernels while a chunk's estimator arrays stay a few times this size.
+#: Count-matrix values per block of the replicate pipeline: a block holds
+#: max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, so blocks of
+#: short rows are tall enough to spread the per-call cost of the sampler and
+#: the vectorised kernels while a block's estimator arrays stay a few times
+#: this size.  The block height is part of count stream 3, so changing this
+#: value changes the samples.
 _CHUNK_ELEMENTS = 1 << 14
 
 
@@ -319,11 +321,12 @@ def estimate(kind: EstimatorKind, counts, n: int) -> np.ndarray:
 def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
     """`stat(counts)` of every replicate, stacked in replicate order.
 
-    Replicates run in chunks of max(1, _CHUNK_ELEMENTS // (K+1)), whatever
-    n is.  Row j of a chunk's int64 (rows, K+1) matrix `counts` tabulates
-    the sample of size n keyed by mix_seed(seed, i) for its j-th replicate
-    i over all K+1 support points; `stat` maps it to one leading entry per
-    row.  A chunk's seeds are derived in one vectorised mix_seed call.
+    Replicates run in blocks of B = max(1, _CHUNK_ELEMENTS // (K+1)),
+    whatever n is: replicate i is row i % B of block b = i // B, whose int64
+    (rows, K+1) matrix `counts` is sample_counts(truth, n, mix_seed(seed, b),
+    rows), the last block's rows cut at reps.  numpy's rows do not depend on
+    how many follow, so a replicate's counts depend on (seed, i, n, truth, B)
+    and not on reps.  `stat` maps `counts` to one leading entry per row.
     """
     reps = as_int(reps, "reps")
     if reps < 1:
@@ -332,11 +335,10 @@ def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
     rows = max(1, _CHUNK_ELEMENTS // truth.support_size)
     out = None
     for start in range(0, reps, rows):
-        seeds = mix_seed(seed, np.arange(start, min(start + rows, reps)))
-        block = stat(sample_counts(truth, n, seeds))
+        block = stat(sample_counts(truth, n, mix_seed(seed, start // rows), min(rows, reps - start)))
         if out is None:
             out = np.empty((reps,) + block.shape[1:])
-        out[start : start + len(seeds)] = block
+        out[start : start + rows] = block
     return out
 
 

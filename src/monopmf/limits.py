@@ -21,7 +21,8 @@ from .operators import constancy_blocks, limit_transform, pava
 from .pmf import Pmf
 from .rng import as_int, make_generator
 
-_CHUNK = 1 << 15
+#: Normal draws per chunk of `gren_zero_probability`, max(1, _CHUNK // (y+1)) rows.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,10 @@ def gren_zero_probability(y: int, reps: int, seed: int) -> float:
     if y == 0:
         return 1.0
     scale = math.sqrt(1.0 / (y + 1))
+    rows = max(1, _CHUNK // (y + 1))
     hits = 0
-    for start in range(0, reps, _CHUNK):
-        w = rng.standard_normal((min(_CHUNK, reps - start), y + 1)) * scale
+    for start in range(0, reps, rows):
+        w = rng.standard_normal((min(rows, reps - start), y + 1)) * scale
         fluct = w - w.mean(axis=1, keepdims=True)
         bridge = np.cumsum(fluct[:, :-1], axis=1)  # interior points; endpoint is 0
         hits += int(np.count_nonzero(bridge.max(axis=1) <= 0.0))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_int, as_real, keyed_generators
+from .rng import as_int, as_real, make_generator
 
 #: Absolute tolerance for "sums to one" checks on probability vectors.
 SUM_TOL = 1e-12
@@ -24,9 +24,10 @@ DEFAULT_TAIL_TOL = 1e-12
 #: Most support points a constructor accepts, checked before allocating.
 MAX_SUPPORT = 10**7
 
-#: Version of the count stream `sample_counts` draws (one multinomial per seed), which a run's
-#: _meta.json records; up to 0.2.0 stream 1 counted sorted uniforms and no version was recorded.
-COUNT_STREAM = 2
+#: Version of the count stream of the Monte Carlo drivers, which a run's _meta.json records: 3 (0.4.0)
+#: draws a block of replicates per `sample_counts` call on the block's seed (`experiments._replicates`),
+#: 2 (0.3.0) one per replicate's seed; up to 0.2.0, stream 1 counted sorted uniforms, unrecorded.
+COUNT_STREAM = 3
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -144,36 +145,32 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
     return Pmf(probs, monotone=True)
 
 
-def sample_counts(p: Pmf, n: int, seeds) -> np.ndarray:
-    """Count matrix of one sample of size n per seed.
+def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
+    """Count matrix of `rows` samples of size n, all drawn on one seed.
 
-    Row i is make_generator(seeds[i]).multinomial(n, p.probs): the counts of
+    make_generator(seed).multinomial(n, p.probs, size=rows): each row counts
     n draws from p over all K+1 support points, so rows may end in zeros.
-    numpy draws them as conditional binomials, in O(K) per row whatever n
-    is, so the int64 (len(seeds), K+1) matrix is all the memory a call
-    takes.  `seeds` is a uint64 array or a sequence of integers.
+    numpy draws the rows one after another as conditional binomials (Davis
+    1993), in O(K) per row whatever n is, so the first m rows of a call are
+    the rows of the same call with rows = m, and the int64 (rows, K+1)
+    matrix is all the memory a call takes.
     """
-    n = as_int(n, "n")
+    n, rows = as_int(n, "n"), as_int(rows, "rows")
     if not 1 <= n <= np.iinfo(np.int64).max:
         raise ValueError(f"sample size n must lie in [1, 2^63), got {n}")
-    if not isinstance(seeds, np.ndarray):
-        seeds = list(seeds)
-    counts = np.empty((len(seeds), p.support_size), dtype=np.int64)
-    for row, rng in zip(counts, keyed_generators(seeds)):
-        row[:] = rng.multinomial(n, p.probs)
-    return counts
+    return make_generator(seed).multinomial(n, p.probs, size=rows)
 
 
 def sample(p: Pmf, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. observations from p and tabulate them: the int64 count
     row of x = 0..K_obs, which sums to n and ends at the largest observed
-    value (the row of sample_counts(p, n, (seed,)) less its trailing zeros).
+    value (the row of sample_counts(p, n, seed, 1) less its trailing zeros).
 
     A multinomial draw on a counter-based generator: identical (p, n, seed)
     triples give identical counts under one numpy version (numpy promises
     no stream across versions; tests/test_pipeline.py pins some rows).
     """
-    return np.trim_zeros(sample_counts(p, n, (seed,))[0], "b")
+    return np.trim_zeros(sample_counts(p, n, seed, 1)[0], "b")
 
 
 def empirical_pmf(counts) -> Pmf:

@@ -2,8 +2,9 @@
 
 All randomness in the package flows through a counter-based Philox
 generator keyed by an explicit 64-bit seed, so every sampling routine is a
-pure function of its inputs.  Batch drivers derive one seed per work item
-with :func:`mix_seed`, which makes results independent of execution order.
+pure function of its inputs.  Batch drivers derive one seed per block of
+work items with :func:`mix_seed`, which makes results independent of
+execution order.
 """
 
 from __future__ import annotations
@@ -40,37 +41,6 @@ def check_seed(seed: int) -> int:
 def make_generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by a 64-bit unsigned seed."""
     return np.random.Generator(np.random.Philox(key=check_seed(seed)))
-
-
-def keyed_generators(seeds):
-    """Yield, for each seed in turn, a generator whose stream equals
-    make_generator(seed)'s.
-
-    `seeds` is a uint64 array or a sequence of integers, all checked before
-    the first generator is yielded.  One Philox is re-keyed in place through
-    its state setter from one reused state of plain Python ints (key
-    [seed, 0], counter 0, empty buffer, which the setter reads faster than
-    numpy scalars) whose key word alone changes, several times cheaper than
-    a new generator per seed.  Each yielded generator is the same object,
-    valid until the next one is requested.
-    """
-    isarray = isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64
-    seeds = seeds.tolist() if isarray else [check_seed(s) for s in seeds]
-    key = [0, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bit_gen = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_gen)
-    for seed in seeds:
-        key[0] = seed
-        bit_gen.state = state
-        yield rng
 
 
 def mix_seed(seed: int, index):

@@ -4,7 +4,8 @@ Each is built by a route unrelated to the code it checks: the Grenander
 slopes by explicit greedy chord construction (one sequence at a time and
 vectorised over a stack, and in exact rational arithmetic for counts), and
 the within-block Grenander limit law from an independent Gaussian
-construction.
+construction, and the count rows of the replicate pipeline from numpy's
+multinomial called directly by the block rule of count stream 3.
 """
 
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from monopmf import gren
+from monopmf import experiments, gren, mix_seed
 from monopmf.rng import make_generator
 
 
@@ -135,3 +136,23 @@ def flat_block_gren_reference(theta: float, tau: int, reps: int, seed: int) -> n
     pooled = gren(centered)
     slack = math.sqrt(max(1.0 - theta * tau, 0.0))
     return math.sqrt(theta / tau) * (slack * z[:, None] + tau * pooled)
+
+
+def block_rows(probs, n: int, seed: int, rows: int) -> np.ndarray:
+    """One block of count stream 3: numpy's multinomial of `rows` samples of
+    size n on the Philox keyed by `seed`, called here directly."""
+    return np.random.Generator(np.random.Philox(key=seed)).multinomial(n, probs, size=rows)
+
+
+def replicate_rows(truth, n: int, reps: int, seed: int) -> np.ndarray:
+    """The (reps, K+1) count rows of replicates 0..reps-1 under count stream 3.
+
+    Replicate i is row i % B of block b = i // B, where B is max(1,
+    experiments._CHUNK_ELEMENTS // (K+1)) read at call time, and block b is
+    `block_rows` on the seed mix_seed(seed, b), cut at reps.
+    """
+    height = max(1, experiments._CHUNK_ELEMENTS // truth.support_size)
+    starts = range(0, reps, height)
+    return np.concatenate(
+        [block_rows(truth.probs, n, mix_seed(seed, b), min(height, reps - start)) for b, start in enumerate(starts)]
+    )

@@ -9,7 +9,7 @@ counts.  All randomness is seeded and the suite is deterministic.
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from monopmf import (
     EstimatorKind,
@@ -198,19 +198,32 @@ def test_criterion_09_chi_squared_identity():
             f"mean {statistic.mean():.4f} vs kappa=5, KS {ks.statistic:.5f} below the 1% level")
 
 
+def monotone_probability(n: int) -> float:
+    """Exact P(c0 >= c1 >= c2 > 0) for multinomial counts of n uniform draws
+    on {0, 1, 2}: the multinomial pmf summed over c1 for each c0, ties
+    included (its n -> infinity limit is 1/3!)."""
+    log_fact = special.gammaln(np.arange(n + 1) + 1.0)
+    total = 0.0
+    for c0 in range(n // 3, n + 1):
+        c1 = np.arange(-(-(n - c0) // 2), min(c0, n - c0 - 1) + 1)
+        log_pmf = log_fact[n] - log_fact[c0] - log_fact[c1] - log_fact[n - c0 - c1] - n * math.log(3)
+        total += float(np.exp(log_pmf).sum())
+    return total
+
+
 def test_criterion_10_monotone_sample_fraction():
     truth = uniform_pmf(2)
-    reps = 10**5
+    n, reps = 10**4, 10**5
     mono = 0
-    for start in range(0, reps, 64):  # 64 rows of 10^4 uniforms, 5 MB per chunk
-        seeds = [mix_seed(SEED, i) for i in range(start, min(start + 64, reps))]
-        c = sample_counts(truth, 10**4, seeds)  # untrimmed rows: K_obs == 2 iff c[:, 2] > 0
+    for start in range(0, reps, 64):  # blocks of 64 count rows, each block one seed
+        c = sample_counts(truth, n, mix_seed(SEED, start // 64), min(64, reps - start))
         mono += int(np.count_nonzero((c[:, 2] > 0) & (c[:, 0] >= c[:, 1]) & (c[:, 1] >= c[:, 2])))
     frac = mono / reps
-    target = 1.0 / 6.0
+    target = monotone_probability(n)  # ties at n = 10^4 put it 2 SE above the limit 1/3!
     band = 3 * math.sqrt(target * (1 - target) / reps)
     _report(10, abs(frac - target) <= band,
-            f"monotone fraction {frac:.5f} within {band:.5f} of 1/3! = {target:.5f}")
+            f"monotone fraction {frac:.5f} within {band:.5f} of the exact {target:.7f} at n = {n} "
+            f"(its limit 1/3! = {1 / 6:.5f})")
 
 
 def test_criterion_11_strict_truth_equivalence():

@@ -512,7 +512,7 @@ class TestOtherCommands:
 
     def test_meta_records_count_stream(self, tmp_path):
         assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "2", "--out", str(tmp_path / "v")]) == 0
-        assert json.loads((tmp_path / "v_meta.json").read_text())["count_stream"] == COUNT_STREAM == 2
+        assert json.loads((tmp_path / "v_meta.json").read_text())["count_stream"] == COUNT_STREAM == 3
 
 
 class TestModuleEntry:

@@ -488,7 +488,7 @@ U3 = TruthSpec("uniform", y=3)
     lambda: fluctuation_cdf(U3.to_pmf(), 1, 2.5, 10, 0, EMP),
     lambda: fluctuation_cdf(U3.to_pmf(), 1, "10", 5, 1, EMP),
     lambda: fluctuation_cdf(U3.to_pmf(), 1.5, 10, 10, 0, EMP),
-    lambda: sample_counts(U3.to_pmf(), 2.5, [0]),
+    lambda: sample_counts(U3.to_pmf(), 2.5, 0, 1),
     lambda: sample(U3.to_pmf(), 2.5, 0),
     lambda: draw_limit_batch(U3.to_pmf(), 2.5, 0),
     lambda: gren_zero_probability(2.7, 10, 0),

@@ -1,6 +1,7 @@
 """Tests for the limit-process simulators and closed-form asymptotics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,27 @@ class TestGrenZeroProbability:
         direct = np.mean(np.all(np.abs(y_gren) <= 1e-10, axis=1))
         est = gren_zero_probability(4, reps=10**5, seed=15)
         assert est == pytest.approx(direct, abs=0.035)
+
+
+    @pytest.mark.parametrize("y,reps", [(9, 3 * 10**4), (49, 6000), (999, 700)])
+    def test_equals_one_whole_stack(self, y, reps):
+        # the chunks of rows are cut from one generator's stream, so the value
+        # is that of one (reps, y+1) normal stack drawn in a single call
+        w = np.random.Generator(np.random.Philox(key=17)).standard_normal((reps, y + 1)) * math.sqrt(1.0 / (y + 1))
+        bridge = np.cumsum((w - w.mean(axis=1, keepdims=True))[:, :-1], axis=1)
+        expected = np.count_nonzero(bridge.max(axis=1) <= 0.0) / float(reps)
+        assert gren_zero_probability(y, reps, seed=17) == expected
+
+    def test_memory_bounded_in_y(self):
+        # a chunk holds about 2^18 normals whatever y is: a few 2 MB arrays,
+        # where chunks of 2^12 rows of 1000 took about 100 MB
+        tracemalloc.start()
+        try:
+            gren_zero_probability(999, reps=2**12, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestFlatBlockReference:

@@ -2,18 +2,20 @@
 
 Each driver (run_experiment, estimate_risk, fluctuation_cdf) and
 replicate_distances on given counts are compared bit for bit with a
-reference loop written here from the one-sample functions: sample,
-empirical_pmf, rear, mixing_estimate, distance and the exact `Fraction`
-Grenander of tests/references.py.
+reference loop written here from the one-sample functions: empirical_pmf,
+rear, mixing_estimate, distance and the exact `Fraction` Grenander of
+tests/references.py, on the count rows that tests/references.py draws by
+the block rule of count stream 3 (`replicate_rows`).
 """
 
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monopmf import (
@@ -37,8 +39,8 @@ from monopmf import cli, experiments, format_pmf
 from monopmf.cli import main
 from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
-from monopmf.rng import keyed_generators, make_generator
-from references import gren_fraction
+from monopmf.rng import make_generator
+from references import block_rows, gren_fraction, replicate_rows
 
 EMP = EstimatorKind.EMPIRICAL
 REAR = EstimatorKind.REARRANGEMENT
@@ -54,13 +56,19 @@ def reference_vectors(counts: np.ndarray) -> dict:
     return {EMP: emp, REAR: rear(emp), GREN: gren_fraction(counts, int(counts.sum()))[0]}
 
 
+def replicate_samples(truth: Pmf, n: int, reps: int, seed: int) -> list:
+    """The count rows of replicates 0..reps-1 by the block rule, each less
+    its trailing zeros as `sample` returns it."""
+    return [np.trim_zeros(row, "b") for row in replicate_rows(truth, n, reps, seed)]
+
+
 def reference_raw(cfg: ExperimentConfig, samples=None) -> np.ndarray:
     """Distances of each replicate, one at a time; `samples` (a list of
     count rows) replaces the seeded samples of cfg when given."""
     truth = cfg.truth.to_pmf()
     ref = mixing_estimate(truth) if cfg.target == "mixing" else truth.probs
     if samples is None:
-        samples = [sample(truth, cfg.n, mix_seed(cfg.seed, i)) for i in range(cfg.reps)]
+        samples = replicate_samples(truth, cfg.n, cfg.reps, cfg.seed)
     raw = np.empty((len(samples), len(cfg.estimators), len(cfg.metrics)))
     for i, counts in enumerate(samples):
         vectors = reference_vectors(counts)
@@ -73,33 +81,46 @@ def reference_raw(cfg: ExperimentConfig, samples=None) -> np.ndarray:
     return raw
 
 
+def pipeline_rows(truth: Pmf, n: int, reps: int, seed: int) -> np.ndarray:
+    """The count rows the replicate pipeline hands its statistic, in replicate order."""
+    blocks = []
+
+    def keep(counts):
+        blocks.append(counts.copy())
+        return np.zeros(len(counts))
+
+    experiments._replicates(truth, n, reps, seed, keep)
+    return np.concatenate(blocks)
+
+
 class TestCountRows:
     @settings(max_examples=60, deadline=None)
     @given(
         probs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=30),
         n=st.one_of(st.integers(1, 40), st.integers(4090, 4200)),
         seed=st.integers(0, 2**64 - 1),
-        rows=st.integers(1, 4),
+        reps=st.integers(1, 40),
+        chunk=st.integers(1, 200),
     )
-    def test_rows_equal_padded_samples(self, probs, n, seed, rows):
+    def test_rows_equal_padded_samples(self, probs, n, seed, reps, chunk):
+        # the pipeline's rows are the block rule's, and each block's first row
+        # is the padded sample of the block's seed
         probs = np.array(probs) / sum(probs)
         probs[-1] = 1.0 - probs[:-1].sum()
         if probs[-1] <= 0:
             return
         truth = Pmf(probs)
-        matrix = sample_counts(truth, n, [mix_seed(seed, i) for i in range(rows)])
-        assert matrix.shape == (rows, truth.support_size)
-        for i in range(rows):
-            counts = sample(truth, n, mix_seed(seed, i))
+        with mock.patch.object(experiments, "_CHUNK_ELEMENTS", chunk):
+            matrix = pipeline_rows(truth, n, reps, seed)
+            expected = replicate_rows(truth, n, reps, seed)
+        assert matrix.shape == (reps, truth.support_size)
+        assert matrix.tobytes() == expected.tobytes()
+        height = max(1, chunk // truth.support_size)
+        for b, start in enumerate(range(0, reps, height)):
+            counts = sample(truth, n, mix_seed(seed, b))
             padded = np.zeros(truth.support_size, dtype=counts.dtype)
             padded[: counts.size] = counts
-            assert matrix[i].tobytes() == padded.tobytes()
-
-    @settings(max_examples=30, deadline=None)
-    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
-    def test_keyed_generators_match_make_generator(self, seeds):
-        streams = [rng.random(9).tobytes() for rng in keyed_generators(seeds)]
-        assert streams == [make_generator(s).random(9).tobytes() for s in seeds]
+            assert matrix[start].tobytes() == padded.tobytes()
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -111,30 +132,6 @@ class TestCountRows:
             sample(uniform_pmf(3), 10, seed=2.5)
         with pytest.raises(ValueError, match="seed must be an integer"):
             make_generator(2.5)
-
-    def test_keyed_generators_take_lists_and_uint64_arrays(self):
-        seeds = [0, 1, 2**63, 2**64 - 1]
-        from_list = [rng.random(9).tobytes() for rng in keyed_generators(seeds)]
-        from_array = [rng.random(9).tobytes() for rng in keyed_generators(np.array(seeds, dtype=np.uint64))]
-        assert from_list == from_array == [make_generator(s).random(9).tobytes() for s in seeds]
-
-    def test_keyed_generators_reset_the_whole_state(self):
-        # each row starts from make_generator's state, even after the previous
-        # row left half of a 64-bit word (has_uint32) or a part-used buffer
-        def plain(state):
-            return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
-
-        seeds = [0, 2**63, 2**64 - 1, 0]
-        for seed, rng in zip(seeds, keyed_generators(seeds)):
-            assert plain(rng.bit_generator.state) == plain(make_generator(seed).bit_generator.state)
-            rng.integers(0, 7, size=3, dtype=np.uint32)  # leaves has_uint32 set
-            rng.random(1)  # part-uses the four-word buffer
-            assert rng.bit_generator.state["has_uint32"] == 1 and rng.bit_generator.state["buffer_pos"] < 4
-
-    @pytest.mark.parametrize("bad", [-1, 2**64])
-    def test_keyed_generators_check_every_seed_first(self, bad):
-        with pytest.raises(ValueError, match="64-bit unsigned"):
-            next(keyed_generators([3, bad]))
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -172,21 +169,22 @@ class TestMixSeed:
 
 
 # sha256 of the little-endian int64 bytes of sample_counts at fixed
-# (truth, n, seeds), recorded with numpy 2.4.6: small n*p takes numpy's
+# (truth, n, seed, rows), recorded with numpy 2.4.6: small n*p takes numpy's
 # binomial inversion and large n*p its BTPE sampler, and numpy promises
-# neither stream across versions
+# neither stream across versions; the one-row entries date from count
+# stream 2, whose rows they still are
 COUNT_ROWS_GOLDEN = {
-    ("uniform:9", 1000, (0, 1, 2**64 - 1)): "eed4e113f7ed2f457b085779fb2fa67167dbe97a5a0fe4f6796522e47e014e2d",
-    ("geometric:0.75", 20, (5, 6)): "71512938dd3238535a2a6eeff06c2c150fe042300632e32f0fac1460a11c5ae6",
-    ("mixture:0.2:3,0.8:7", 10**12, (7,)): "27b9afd8362d8609e727b7cd2bdd24a98e25550555c37f05cd2a27ec6c86fdf2",
-    ("uniform:9999", 100000, (1,)): "2d73c60ec9d5d4c8439e59cfe5d33e45ee0cbdb8fd52b4a1789229f081972bfa",
+    ("uniform:9", 1000, 2**64 - 1, 3): "f3a0fcfd5546d6f91a8ddf49b186c857cdd0972a3a91964c5822d8fac3255826",
+    ("geometric:0.75", 20, 5, 2): "ab2bb0a0d631e7a30464112bc57d36a6d54fe161e168efff31e827cf1990de07",
+    ("mixture:0.2:3,0.8:7", 10**12, 7, 1): "27b9afd8362d8609e727b7cd2bdd24a98e25550555c37f05cd2a27ec6c86fdf2",
+    ("uniform:9999", 100000, 1, 1): "2d73c60ec9d5d4c8439e59cfe5d33e45ee0cbdb8fd52b4a1789229f081972bfa",
 }
 
 
 class TestCountStream:
-    """Each row of sample_counts is one multinomial draw on its seed's
-    generator (compared with the numpy call written out here, not with
-    sample, which shares its code)."""
+    """A block's count rows are one multinomial call on its seed's generator
+    (compared with the numpy call written out in tests/references.py, not
+    with sample, which shares its code)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -203,11 +201,47 @@ class TestCountStream:
         w = rng.random(size) * (rng.random(size) >= zeros)
         w[-1] = 0.01 + rng.random()
         truth = Pmf(w / w.sum())
-        seeds = [mix_seed(seed, i) for i in range(rows)]
-        matrix = sample_counts(truth, n, seeds)
+        matrix = sample_counts(truth, n, seed, rows)
         assert matrix.dtype == np.int64 and matrix.shape == (rows, truth.support_size)
-        for row, s in zip(matrix, seeds):
-            assert row.tobytes() == make_generator(s).multinomial(n, truth.probs).astype(np.int64).tobytes()
+        assert matrix.tobytes() == block_rows(truth.probs, n, seed, rows).astype(np.int64).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        truth=st.sampled_from(TRUTHS),
+        n=st.one_of(st.integers(1, 40), st.integers(20000, 40000)),
+        seed=st.integers(0, 2**64 - 1),
+        rows=st.lists(st.integers(0, 40), min_size=2, max_size=2),
+    )
+    @example(truth="uniform:5", n=1000, seed=11, rows=[1, 37])
+    @example(truth="mixture:0.2:3,0.8:7", n=1000, seed=11, rows=[5, 37])
+    @example(truth="geometric:0.75", n=1000, seed=11, rows=[36, 37])
+    def test_rows_are_a_prefix_of_more_rows(self, truth, n, seed, rows):
+        # numpy draws the rows one after another, so a replicate's row does not
+        # depend on how many rows its block draws
+        truth = TruthSpec.parse(truth).to_pmf()
+        short, long = sorted(rows)
+        assert sample_counts(truth, n, seed, short).tobytes() == sample_counts(truth, n, seed, long)[:short].tobytes()
+
+    @pytest.mark.parametrize("target", ["pmf", "mixing"])
+    def test_raw_is_a_prefix_across_block_boundaries(self, target):
+        # uniform:40 draws blocks of 16384 // 41 = 399 replicates, so 500 ends
+        # inside the second block, which 900 draws whole
+        spec = TruthSpec.parse("uniform:40")
+        estimators = (REAR, GREN) if target == "mixing" else (EMP, REAR, GREN)
+        short, long = (
+            run_experiment(ExperimentConfig(spec, n=50, reps=reps, seed=9, estimators=estimators, target=target)).raw
+            for reps in (500, 900)
+        )
+        assert short.tobytes() == long[:500].tobytes()
+
+    @pytest.mark.parametrize("y", [8192, 9999])
+    def test_one_row_blocks_keep_the_stream_2_rows(self, y):
+        # K+1 > 8192 gives blocks of one row: replicate i is stream 2's
+        # make_generator(mix_seed(seed, i)).multinomial(n, p)
+        truth = uniform_pmf(y)
+        rows = pipeline_rows(truth, 1000, 3, 4)
+        for i, row in enumerate(rows):
+            assert row.tobytes() == make_generator(mix_seed(4, i)).multinomial(1000, truth.probs).tobytes()
 
     @pytest.mark.parametrize("k", [9, 21, 57])
     @pytest.mark.parametrize("tiny", [5e-324, 1e-300, 1e-17])
@@ -216,22 +250,22 @@ class TestCountStream:
         # truth is still a pmf, and its counts are a sample of size n
         truth = Pmf(np.append(np.full(k, 1.0 / k), tiny))
         assert np.cumsum(truth.probs)[-2] > 1.0
-        matrix = sample_counts(truth, 5000, range(4))
+        matrix = sample_counts(truth, 5000, 0, 4)
         assert np.all(matrix >= 0)
         assert np.all(matrix.sum(axis=1) == 5000)
 
     @pytest.mark.parametrize("case", list(COUNT_ROWS_GOLDEN), ids=lambda case: f"{case[0]}-n{case[1]}")
     def test_rows_digest(self, case):
-        truth, n, seeds = case
-        matrix = sample_counts(TruthSpec.parse(truth).to_pmf(), n, seeds)
+        truth, n, seed, rows = case
+        matrix = sample_counts(TruthSpec.parse(truth).to_pmf(), n, seed, rows)
         digest = hashlib.sha256(matrix.astype("<i8").tobytes()).hexdigest()
         assert digest == COUNT_ROWS_GOLDEN[case], f"numpy {np.__version__} draws another count stream"
 
     def test_sample_size_of_2_63_rejected(self):
         for n in (0, 2**63, 2**64):
             with pytest.raises(ValueError, match=r"^sample size n must lie in \[1, 2\^63\)"):
-                sample_counts(uniform_pmf(3), n, [1])
-        assert sample_counts(uniform_pmf(3), 2**63 - 1, [1]).sum() == 2**63 - 1
+                sample_counts(uniform_pmf(3), n, 1, 1)
+        assert sample_counts(uniform_pmf(3), 2**63 - 1, 1, 1).sum() == 2**63 - 1
 
 
 class TestRunExperimentBytes:
@@ -256,16 +290,19 @@ class TestRunExperimentBytes:
         assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
 
     def test_chunk_rows_do_not_depend_on_n(self, monkeypatch):
-        sizes = []
+        # uniform:5 draws blocks of 16384 // 6 = 2730 replicates, block b on mix_seed(seed, b)
+        calls = []
         original = experiments.sample_counts
 
-        def counting(p, n, seeds):
-            sizes.append(len(seeds))
-            return original(p, n, seeds)
+        def counting(p, n, seed, rows):
+            calls.append((seed, rows))
+            return original(p, n, seed, rows)
 
         monkeypatch.setattr(experiments, "sample_counts", counting)
-        run_experiment(ExperimentConfig(TruthSpec.parse("uniform:5"), n=1000, reps=300, seed=1))
-        assert sizes == [300]
+        for n in (1000, 10**9):
+            calls.clear()
+            run_experiment(ExperimentConfig(TruthSpec.parse("uniform:5"), n=n, reps=3000, seed=1))
+            assert calls == [(mix_seed(1, 0), 2730), (mix_seed(1, 1), 270)]
 
     def test_memory_bounded_in_n_and_chunk(self):
         # A chunk's count matrix and estimator arrays hold reps * (K+1)
@@ -321,8 +358,7 @@ class TestRunExperimentBytes:
         cfg = ExperimentConfig(TruthSpec.parse("geometric:0.5"), n=50, reps=200, seed=3, metrics=ALL_METRICS)
         truth = cfg.truth.to_pmf()
         expected = None
-        for i in range(cfg.reps):
-            counts = sample(truth, cfg.n, mix_seed(cfg.seed, i))
+        for i, counts in enumerate(replicate_samples(truth, cfg.n, cfg.reps, cfg.seed)):
             emp = counts / cfg.n
             for metric in cfg.metrics:
                 d_emp = distance(emp, truth.probs, metric)
@@ -375,8 +411,8 @@ class TestOtherDrivers:
         truth = TruthSpec.parse(truth).to_pmf()
         reps, seed = 70, 12
         losses = np.empty(reps)
-        for i in range(reps):
-            vec = reference_vectors(sample(truth, n, mix_seed(seed, i)))[est]
+        for i, counts in enumerate(replicate_samples(truth, n, reps, seed)):
+            vec = reference_vectors(counts)[est]
             vec = np.concatenate((vec, np.zeros(truth.support_size - vec.size)))
             diff = np.abs(vec - truth.probs)
             losses[i] = diff.max() if math.isinf(k) else float(np.sum(diff ** float(k)))
@@ -389,8 +425,8 @@ class TestOtherDrivers:
         truth = uniform_pmf(7)
         reps, seed = 80, 21
         vals = np.empty(reps)
-        for i in range(reps):
-            vec = reference_vectors(sample(truth, n, mix_seed(seed, i)))[est]
+        for i, counts in enumerate(replicate_samples(truth, n, reps, seed)):
+            vec = reference_vectors(counts)[est]
             est_x = float(vec[x]) if x < vec.size else 0.0
             vals[i] = math.sqrt(n) * (est_x - float(truth.probs[x]))
         vals.sort()
@@ -399,7 +435,7 @@ class TestOtherDrivers:
 
 
 # sha256 of each output file of two small `simulate` runs, recorded at
-# version 0.3.0 (count stream 2, numpy 2.4.6), whose Grenander estimates
+# version 0.4.0 (count stream 3, numpy 2.4.6), whose Grenander estimates
 # are the exact slopes of the counts correctly rounded (`gren_counts`); the
 # one-replicate-at-a-time reference loop above checks the same values
 GOLDEN = {
@@ -407,18 +443,18 @@ GOLDEN = {
         ["--truth", "mixture:0.2:3,0.8:7", "--n", "100", "--reps", "300", "--seed", "7",
          "--metrics", "hellinger,l1,l2,linf,l3"],
         {
-            "_raw.csv": "d6ec30b4207aaf6c8af87d8b77193df8bbd1cd70d4c6d33bd2d921444a60df06",
-            "_summary.csv": "571ef0a59bacee92252724734fe56bd31bfaf3822144644180f3e3c160602a69",
-            "_meta.json": "ffa82ca908b2669c3f866b4eef9c2c3818b85860b05fab5fd42a2083e53bb48a",
+            "_raw.csv": "45e5223d5d765b1228588332559c66b01b2d91c435def2c3008e0d90ca99410d",
+            "_summary.csv": "0a18d6268a874232ed355dfd6d94008de06dbd57cf7d590e2d96e5d20b355f1c",
+            "_meta.json": "4e2fa2a8fcb1d24c7992c9392fdd44cfc1563dc34145c25a9f425e3323a62653",
         },
     ),
     "mixing": (
         ["--truth", "geometric:0.75", "--n", "30", "--reps", "200", "--seed", "3",
          "--target", "mixing", "--estimators", "rear,gren"],
         {
-            "_raw.csv": "a80050ced80cc68254c2519989975ba16906501f47976b427aee53c0e491629f",
-            "_summary.csv": "1c5f0c22f5e1d6d825faf29091c1e6543945471dac996920f65389ac933cb41e",
-            "_meta.json": "004bc04e534fdb79fc2645bbc6064571e0cec3594f947469550937b82d808fca",
+            "_raw.csv": "774171b45a7baadba20d8ac1083719ef3ff167ce7a84eb18f902622722790b08",
+            "_summary.csv": "3c4c24dbaa055e0dea2c4e570e2df7d60039a9fcd03a9419327bf4d37919c59a",
+            "_meta.json": "806789f4f32324991b395168eb3b1178bd68d273d03b2d5cee828822ffc0fca6",
         },
     ),
 }

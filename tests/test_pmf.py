@@ -18,7 +18,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf.pmf import sample_counts
+from references import block_rows
 
 
 class TestConstructors:
@@ -184,11 +184,13 @@ class TestSampling:
     @pytest.mark.parametrize("truth,n", [(uniform_pmf(50), 2), (uniform_pmf(5), 1000), (geometric_pmf(0.9), 30)])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_row_is_the_trimmed_count_row(self, truth, n, seed):
+        # a sample is a block of one row, and the first row of any longer block
         c = sample(truth, n, seed)
         assert c.ndim == 1 and c.dtype == np.int64
         assert int(c.sum()) == n and c[-1] > 0
-        row = sample_counts(truth, n, (seed,))[0]
-        assert c.tobytes() == row[: c.size].tobytes() and not row[c.size :].any()
+        for rows in (1, 4):
+            row = block_rows(truth.probs, n, seed, rows)[0]
+            assert c.tobytes() == row[: c.size].tobytes() and not row[c.size :].any()
 
 
 class TestEmpirical:
