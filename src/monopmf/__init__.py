@@ -36,7 +36,6 @@ from .operators import (
 from .pmf import (
     Pmf,
     empirical_pmf,
-    format_counts,
     format_pmf,
     geometric_pmf,
     mixture_of_uniforms,
@@ -63,7 +62,6 @@ __all__ = [
     "empirical_pmf",
     "estimate_risk",
     "fluctuation_cdf",
-    "format_counts",
     "format_pmf",
     "geometric_pmf",
     "gren",

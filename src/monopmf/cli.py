@@ -5,12 +5,14 @@ Exit codes: 0 success, 1 usage error, unwritable output file or a run
 too large for memory, 2 input data error, 3 a simulated replicate failed
 the monotone-estimator inequality check.  All files are written atomically (temp file + rename)
 and machine-readable numbers carry 17 significant digits.  A streamed CSV is written in pieces, each one
-join of text fragments that formats each distinct value once; its bytes equal %.17g of every value.
+byte matrix whose number texts come from array code (exact decimal digits from double-double products,
+% for the few values it leaves out), one per distinct value; its bytes equal %.17g of every value.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -78,7 +80,7 @@ def _arg_type(parse):
 
 
 def _atomic_write_chunks(path: str, chunks) -> None:
-    """Write the strings of `chunks` in turn to a temp file, then rename it
+    """Write the bytes-like `chunks` in turn to a temp file, then rename it
     to `path` (mode 0o666 less the umask, as open() gives); OutputError if
     that fails."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -88,9 +90,8 @@ def _atomic_write_chunks(path: str, chunks) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(chunks)  # drops each chunk before the next is made
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -110,7 +111,7 @@ def _check_writable(path: str) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    _atomic_write_chunks(path, (text,))
+    _atomic_write_chunks(path, (text.encode("utf-8"),))
 
 
 def _load(path: str, label: str, parse):
@@ -183,33 +184,200 @@ def _config_from_args(args) -> ExperimentConfig:
     )
 
 
-def _format_floats(a) -> np.ndarray:
-    """The %.17g texts of float array `a`, an object array of its shape; each distinct
-    bit pattern (so 0.0 and -0.0, and each NaN payload, apart) is formatted once."""
+_TEXT_WIDTH = 24  # the longest %.17g text of a float64, "-2.2250738585072014e-308"
+_POW10_MIN, _POW10_MAX = -300, 300  # covers 10^e and 10^(16-e) for the exponents e of [1e-280, 1e280]
+_SPLITTER = 134217729.0  # 2^27 + 1
+_PREFIX = np.arange(_TEXT_WIDTH + 1)[:, None] > np.arange(_TEXT_WIDTH)  # row j: the first j of a text's bytes
+_LEAD = np.frombuffer(b"0.000", dtype=np.uint8)
+
+
+def _split(x):
+    """Veltkamp's split of float64s `x` into head + tail, each of at most 26 significant bits."""
+    t = _SPLITTER * x
+    head = t - (t - x)
+    return head, x - head
+
+
+@functools.cache
+def _digit_tables():
+    """(pow10, quads, trailing), built on first use from exact integer arithmetic.  pow10 has rows (hi, head,
+    tail, lo) for 10^k, k = _POW10_MIN.._POW10_MAX: hi is 10^k rounded to a float64, lo the float64 nearest
+    10^k - hi (so of its exact sign), head + tail = hi Veltkamp's split.  For c < 10^4, quads[c] holds the
+    four ASCII digits of c as one "<u4" and trailing[c] the count of its trailing zeros (4 for 0)."""
+    pow10 = np.empty((4, _POW10_MAX - _POW10_MIN + 1))
+    q = 1
+    for m in range(1, 1 - _POW10_MIN):  # 10^-m: int true division rounds correctly, and hi = a/b exactly
+        q *= 10
+        hi = 1 / q
+        a, b = hi.as_integer_ratio()
+        pow10[0, -_POW10_MIN - m], pow10[3, -_POW10_MIN - m] = hi, (b - a * q) / (b * q)
+    p = 1
+    for k in range(_POW10_MAX + 1):
+        hi = float(p)
+        pow10[0, k - _POW10_MIN], pow10[3, k - _POW10_MIN] = hi, float(p - int(hi))
+        p *= 10
+    pow10[1], pow10[2] = _split(pow10[0])
+    c = np.arange(10000, dtype=np.int16)
+    quads = (np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1) + 48).astype(np.uint8).view("<u4").ravel()
+    trailing = sum((c % z == 0).astype(np.int8) for z in (10, 100, 1000, 10000))
+    return pow10, quads, trailing
+
+
+def _at_least(a, e, pow10):
+    """Whether 10^e <= a, exactly, for float64s `a`."""
+    hi, _, _, lo = pow10.take(e - _POW10_MIN, axis=1)
+    return (a > hi) | ((a == hi) & (lo <= 0))
+
+
+def _round_digits(a, e, pow10):
+    """(d, tie): d the integer nearest a * 10^(16-e) for positive float64s `a`, from Dekker's double-double
+    product with the (hi, lo) of 10^(16-e); tie where that product lies within 2^-30 of a half-integer,
+    where d may be off by one.  The product's error is below 2^-47 for a * 10^(16-e) < 10^17."""
+    hi, head, tail, lo = pow10.take(16 - e - _POW10_MIN, axis=1)
+    p = a * hi
+    a_head, a_tail = _split(a)
+    err = a_tail * tail - (((p - a_head * head) - a_tail * head) - a_head * tail) + a * lo  # a * hi - p exactly, + a * lo
+    whole = np.floor(p)
+    f = (p - whole) + err
+    g = np.floor(f)
+    frac = f - g
+    return whole.astype(np.int64) + g.astype(np.int64) + (frac > 0.5), np.abs(frac - 0.5) < 2.0**-30
+
+
+def _exponents_and_digits(a, pow10):
+    """(e, d, ok) for float64s `a` in [1e-280, 1e280]: the decimal exponent e and the 17-digit integer d of
+    the %.17g text of each (|v| = d * 10^(e-16) rounded), where ok.  e is log10's, corrected in at most three
+    rounds of exact comparisons with 10^e and 10^(e+1); not ok where that did not settle or a tie is near."""
+    e = np.floor(np.log10(a)).astype(np.int64)
+    for _ in range(3):
+        step = _at_least(a, e + 1, pow10).astype(np.int64) - ~_at_least(a, e, pow10)
+        if not step.any():
+            break
+        e += step
+    d, tie = _round_digits(a, e, pow10)
+    carry = d == 10**17  # rounded up to 10^(e+1)
+    d[carry] = 10**16
+    return e + carry, d, ~tie & (step == 0)
+
+
+def _float_texts(values) -> np.ndarray:
+    """The %.17g texts of the 1-D float64 array `values`: row i of the (n, _TEXT_WIDTH) uint8 result is the
+    ASCII text of values[i], then NUL bytes.  Finite values of magnitude in [1e-280, 1e280] take array code
+    (_exponents_and_digits, then the %g layout as bytes); the rest (zeros, subnormals, inf, NaN, larger or
+    smaller magnitudes) and values whose digits lie within 2^-30 of a rounding tie are formatted with %, so
+    every text is the correctly rounded one %.17g gives.  Runs of equal sign and notation, contiguous when `values` is sorted, are laid
+    out with slices."""
+    pow10, quads, trailing_zeros = _digit_tables()
+    n = values.size
+    a = np.abs(values)
+    fast = np.flatnonzero((a >= 1e-280) & (a <= 1e280))
+    e, d, ok = _exponents_and_digits(a[fast], pow10)
+    fast, d, e = fast[ok], d[ok], e[ok]
+
+    packed = np.empty((d.size, 5), dtype="<u4")  # the ASCII digits of d, four per base-10^4 limb
+    trailing = np.zeros(d.size, dtype=np.int64)
+    lower_zero = np.ones(d.size, dtype=bool)
+    for i in range(4, 0, -1):
+        q = d // 10000
+        limb = d - q * 10000
+        packed[:, i] = quads.take(limb)
+        trailing += lower_zero * trailing_zeros.take(limb)
+        lower_zero &= limb == 0
+        d = q
+    packed[:, 0] = quads.take(d)
+    digits = packed.view(np.uint8)[:, 3:]
+    nd = 17 - trailing  # significant digits
+
+    # %g: fixed notation for -4 <= e < 17, else d.ddde+XX; the point follows digit `point` (0 in exponent
+    # notation), or, in fixed notation below 1, a lead "0.000"[:1-e] precedes the digits
+    neg = values[fast] < 0
+    fixed = (e >= -4) & (e < 17)
+    point = np.where(fixed, e, 0)
+    lead = np.where(point < 0, 1 - point, 0)
+    shown = np.where(point >= 0, np.maximum(nd, point + 1), nd)  # digits written, zeros before the point kept
+    end = neg + lead + shown + ((point >= 0) & (nd > point + 1))
+    out = np.zeros((fast.size, _TEXT_WIDTH), dtype=np.uint8)
+    key = 2 * point + neg
+    edges = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *edges], [*edges, fast.size]):
+        if lo == hi:  # no row takes array code
+            break
+        s, k = int(neg[lo]), int(point[lo])
+        if s:
+            out[lo:hi, 0] = ord("-")
+        if k < 0:
+            out[lo:hi, s : s + 1 - k] = _LEAD[: 1 - k]
+            out[lo:hi, s + 1 - k : s + 18 - k] = digits[lo:hi]
+        else:
+            out[lo:hi, s : s + k + 1] = digits[lo:hi, : k + 1]
+            out[lo:hi, s + k + 1] = ord(".")
+            out[lo:hi, s + k + 2 : s + 18] = digits[lo:hi, k + 1 :]
+    out *= _PREFIX.take(end, axis=0)
+    r = np.flatnonzero(~fixed)
+    t, x = end[r], np.abs(e[r])
+    three = x >= 100
+    out[r, t] = ord("e")
+    out[r, t + 1] = np.where(e[r] < 0, ord("-"), ord("+"))
+    out[r[three], t[three] + 2] = x[three] // 100 + 48
+    out[r, t + 2 + three] = x // 10 % 10 + 48
+    out[r, t + 3 + three] = x % 10 + 48
+    if fast.size == n:
+        return out
+    texts = np.zeros((n, _TEXT_WIDTH), dtype=np.uint8)
+    texts[fast] = out
+    slow = np.ones(n, dtype=bool)
+    slow[fast] = False
+    for i in np.flatnonzero(slow).tolist():
+        text = (_MACHINE_FMT % values[i]).encode("ascii")
+        texts[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return texts
+
+
+def _format_floats(a) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, inverse): the _float_texts rows of the distinct bit patterns of float array `a` (so 0.0 and
+    -0.0, and each NaN payload, apart), and for each entry of `a` the index of its row, in `a`'s shape."""
     bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
     patterns, inverse = np.unique(bits.ravel(), return_inverse=True)
-    texts = np.array([_MACHINE_FMT % v for v in patterns.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].reshape(bits.shape)
+    return _float_texts(patterns.view(np.float64)), inverse.reshape(bits.shape)
 
 
 def _write_table(path: str, header: str, mids: list[str], columns) -> None:
-    """Write CSV `path` in pieces of about _CSV_CHUNK_ROWS lines, each one join of an object array of
-    fragments: `header`, then f"{i}{mids[j]}{t_1},...,{t_m}\r\n" for each record i and j < len(mids),
-    t_k the %.17g text of columns[k-1][i, j].  No field needs quoting: the bytes equal csv.writer's."""
+    """Write CSV `path`: `header`, then f"{i}{mids[j]}{t_1},...,{t_m}\r\n" for each record i and j < len(mids),
+    t_k the %.17g text of columns[k-1][i, j].  No field needs quoting: the bytes equal csv.writer's.  Each
+    piece of about _CSV_CHUNK_ROWS lines takes the texts of its distinct values from array code, but those
+    of zeros, subnormals, inf, NaN, magnitudes outside [1e-280, 1e280] and digits near a rounding tie from %
+    (_float_texts).  It is laid out in one uint8 matrix, a row per line (record number right-aligned, mid,
+    each text in a _TEXT_WIDTH slot, commas, CRLF), and written as one chunk of the bytes a mask keeps: the
+    mid bytes by their lengths, every other byte unless NUL, which no number text or record number holds."""
     records, m = len(columns[0]), len(columns)
     step = max(1, _CSV_CHUNK_ROWS // len(mids))
-    fragments = np.full((min(step, records), len(mids), 2 * m + 2), ",", dtype=object)
-    fragments[:, :, 1] = mids
-    fragments[:, :, -1] = "\r\n"
+    encoded = [mid.encode("utf-8") for mid in mids]
+    width = len(str(max(records - 1, 0)))
+    first = width + max(map(len, encoded))  # the first field's column
+    buf = np.zeros((min(step, records), len(mids), first + m * (_TEXT_WIDTH + 1) + 1), dtype=np.uint8)
+    keep_mids = np.zeros((len(mids), first - width), dtype=bool)
+    for j, mid in enumerate(encoded):
+        buf[:, j, width : width + len(mid)] = np.frombuffer(mid, dtype=np.uint8)
+        keep_mids[j, : len(mid)] = True
+    buf[:, :, first + _TEXT_WIDTH :: _TEXT_WIDTH + 1] = ord(",")
+    buf[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    weights = 10 ** np.arange(width - 1, -1, -1)
 
     def pieces():
-        yield header
+        yield header.encode("utf-8")
         for start in range(0, records, step):
             stop = min(start + step, records)
-            piece = fragments[: stop - start]
-            piece[:, :, 0] = np.array([str(i) for i in range(start, stop)], dtype=object)[:, None]
-            piece[:, :, 2::2] = _format_floats(np.stack([c[start:stop] for c in columns], axis=-1))
-            yield "".join(piece.ravel().tolist())
+            piece = buf[: stop - start]
+            i = np.arange(start, stop)[:, None]
+            piece[:, :, :width] = np.where((i >= weights) | (weights == 1), i // weights % 10 + 48, 0)[:, None, :]
+            texts, inverse = _format_floats(np.stack([c[start:stop] for c in columns], axis=-1))
+            for k in range(m):
+                column = first + k * (_TEXT_WIDTH + 1)
+                piece[:, :, column : column + _TEXT_WIDTH] = texts.take(inverse[:, :, k], axis=0)
+            del texts, inverse  # freed before the mask and the kept bytes are made
+            keep = piece != 0
+            keep[:, :, width:first] = keep_mids
+            yield piece[keep]
 
     _atomic_write_chunks(path, pieces())
 

@@ -189,10 +189,6 @@ def format_pmf(p) -> str:
     return "".join(f"{x}\t{v:.17g}\n" for x, v in enumerate(values))
 
 
-def format_counts(counts) -> str:
-    return "".join(f"{x}\t{int(v)}\n" for x, v in enumerate(counts))
-
-
 def float_label(x: float) -> str:
     """The `:g` text of x when it reads back as x, else the shortest that does."""
     text = f"{x:g}"

@@ -43,23 +43,15 @@ def make_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
-def mix_seed(seed: int, index):
+def mix_seed(seed: int, index: int) -> int:
     """Derive the seed for work item `index` from a base seed.
 
     SplitMix64 finalizer over seed + (index+1)*golden-gamma, mod 2^64, for
-    a seed that passes `check_seed`; distinct (seed, index) pairs map to
-    well-separated 64-bit keys.  An integer `index` gives an int; an
-    integer array of indices gives the uint64 array of their seeds, element
-    for element the same values.
+    a seed that passes `check_seed` and an integer `index` (a negative one
+    wraps mod 2^64); distinct (seed, index) pairs map to well-separated
+    64-bit keys.
     """
-    seed = check_seed(seed)
-    scalar = np.ndim(index) == 0
-    z = np.array(as_int(index, "index") & _MASK64 if scalar else index, ndmin=1)
-    if z.dtype.kind not in "iu":
-        raise ValueError("mix_seed indices must be integers")
-    z = z.astype(np.uint64)  # wraps negative indices mod 2^64
-    z = (z + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return int(z[0]) if scalar else z.reshape(np.shape(index))
+    z = (check_seed(seed) + (as_int(index, "index") + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)

@@ -5,7 +5,8 @@ slopes by explicit greedy chord construction (one sequence at a time and
 vectorised over a stack, and in exact rational arithmetic for counts), and
 the within-block Grenander limit law from an independent Gaussian
 construction, and the count rows of the replicate pipeline from numpy's
-multinomial called directly by the block rule of count stream 3.
+multinomial called directly by the block rule of count stream 3.  It also
+writes the counts files the CLI tests read (`format_counts`).
 """
 
 import math
@@ -156,3 +157,8 @@ def replicate_rows(truth, n: int, reps: int, seed: int) -> np.ndarray:
     return np.concatenate(
         [block_rows(truth.probs, n, mix_seed(seed, b), min(height, reps - start)) for b, start in enumerate(starts)]
     )
+
+
+def format_counts(counts) -> str:
+    """The text of a counts file: one line "x<TAB>count" per support point."""
+    return "".join(f"{x}\t{int(v)}\n" for x, v in enumerate(counts))

@@ -27,7 +27,6 @@ PUBLIC = [
     "empirical_pmf",
     "estimate_risk",
     "fluctuation_cdf",
-    "format_counts",
     "format_pmf",
     "geometric_pmf",
     "gren",

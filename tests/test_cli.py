@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from monopmf import cli, experiments, format_counts, format_pmf, parse_pmf, sample, uniform_pmf
+from monopmf import cli, experiments, format_pmf, parse_pmf, sample, uniform_pmf
 from monopmf.cli import main
 from monopmf.pmf import COUNT_STREAM
+from references import format_counts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TABLE_COUNTS = np.array([20, 14, 11, 22, 15, 18])
@@ -548,7 +549,7 @@ else:
         runpy.run_path(target, run_name="__main__")
     except SystemExit as exc:
         code = exc.code
-print(code, "numpy.ma" in sys.modules)
+print(code, *(name in sys.modules for name in ("numpy.ma", "fractions", "decimal")))
 """
 
 
@@ -556,13 +557,14 @@ class TestImports:
     @pytest.mark.parametrize("shape", list(_WORKLOAD_SHAPES))
     def test_workload_leaves_numpy_ma_unloaded(self, shape, tmp_path):
         # importing numpy.ma costs about 15 ms per process; np.quantile and a bare
-        # np.unique pull it in, so no summary or operator may call them
+        # np.unique pull it in, so no summary or operator may call them; the CSV
+        # writer's digit tables come from ints, not from fractions or decimal
         target, argv = _WORKLOAD_SHAPES[shape]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT, target, *argv],
                               capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stdout.splitlines()[-1] == "0 False False False"
 
 
 class TestFileModes:
@@ -581,11 +583,22 @@ class TestFileModes:
 
 
 # bit patterns: 0.0, -0.0, inf, -inf, NaN, -NaN, a NaN with a payload, a
-# signalling NaN, the smallest subnormal, minus the largest subnormal, 1.0
-_EDGE_FLOATS = np.array([
+# signalling NaN, the smallest subnormal, minus the largest subnormal, 1.0,
+# the largest subnormal, the smallest normal
+_EDGE_BITS = np.array([
     0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
     0x7FF8000000000001, 0x7FF0000000000001, 0x1, 0x800FFFFFFFFFFFFF, 0x3FF0000000000000,
-], dtype=np.uint64).view(np.float64).tolist()
+    0x000FFFFFFFFFFFFF, 0x0010000000000000,
+], dtype=np.uint64).view(np.float64)
+# powers of ten where %g changes notation and where the array path ends, with
+# their neighbours 1 ulp away, whose exponent log10 can misjudge
+_EDGE_POWERS = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-100, 1e100, 1e-280, 1e280])
+# 17-digit values: exact ones, and exact ties at the 18th digit
+# (1234567890123456.25 and .75 print 1234567890123456.2 and .8, half to even)
+_EDGE_FLOATS = [
+    *_EDGE_BITS.tolist(), 1234567890123456.5, 1234567890123457.5, 1234567890123456.25, 1234567890123456.75,
+    *_EDGE_POWERS.tolist(), *np.nextafter(_EDGE_POWERS, 0).tolist(), *np.nextafter(_EDGE_POWERS, np.inf).tolist(),
+]
 
 
 @st.composite
@@ -603,7 +616,18 @@ class TestFormatFloats:
     @settings(max_examples=300, deadline=None)
     @given(float_tables())
     def test_equals_per_value_format(self, a):
-        assert cli._format_floats(a).ravel().tolist() == ["%.17g" % v for v in a.ravel().tolist()]
+        texts, inverse = cli._format_floats(a)
+        assert inverse.shape == a.shape
+        expected = [("%.17g" % v).encode("ascii").ljust(cli._TEXT_WIDTH, b"\0") for v in a.ravel().tolist()]
+        assert [texts[i].tobytes() for i in inverse.ravel().tolist()] == expected
+
+    def test_random_bit_patterns_of_every_exponent(self):
+        bits = np.random.default_rng(22).integers(0, 2**64, size=10**6, dtype=np.uint64)
+        assert np.unique(bits >> 52).size == 4096  # each exponent, of either sign
+        values = bits.view(np.float64)
+        texts, inverse = cli._format_floats(values)
+        expected = np.array(["%.17g" % v for v in values.tolist()], dtype=f"S{cli._TEXT_WIDTH}")  # NUL-padded
+        assert np.array_equal(texts.view(expected.dtype).ravel().take(inverse), expected)
 
 
 class TestWriteTable:

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from monopmf import (
     Pmf,
     empirical_pmf,
-    format_counts,
     format_pmf,
     geometric_pmf,
     mixture_of_uniforms,
@@ -18,7 +17,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from references import block_rows
+from references import block_rows, format_counts
 
 
 class TestConstructors:
