@@ -46,7 +46,7 @@ from .pmf import (
 )
 from .rng import mix_seed
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "EstimatorKind",

@@ -10,10 +10,13 @@ map (`_replicates`): a block of replicates is sampled into a count matrix
 and the statistic, built on `estimate` (the one map from an estimator kind
 to its operator), is computed on its rows at once.  A block holds
 B = max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, and its
-count matrix is one multinomial call on the seed mix_seed(cfg.seed, b) of
-its block number b (count stream 3, see `_replicates`).  So memory stays
-bounded in n and in the replicate count, and each row has the same bits
-as the replicate computed on its own from that block's row.
+count matrix is one `sample_counts` call on the seed mix_seed(cfg.seed, b)
+of its block number b (see `_replicates`): one multinomial call (count
+stream 3), or for a truth of more than _CHUNK_ELEMENTS // 2 points, whose
+blocks hold one row, one merged multinomial plus uniform integers for its
+sparse flat stretches (count stream 4).  So memory stays bounded in n and
+in the replicate count, and each row has the same bits as the replicate
+computed on its own from that block's row.
 """
 
 from __future__ import annotations
@@ -27,20 +30,21 @@ import numpy as np
 
 from .metrics import MetricKind, distance
 from .operators import gren_counts, mixing_estimate, rear
-from .pmf import DEFAULT_TAIL_TOL, Pmf, float_label, geometric_pmf, mixture_of_uniforms, sample_counts, uniform_pmf
+from .pmf import (
+    _CHUNK_ELEMENTS,
+    DEFAULT_TAIL_TOL,
+    Pmf,
+    float_label,
+    geometric_pmf,
+    mixture_of_uniforms,
+    sample_counts,
+    uniform_pmf,
+)
 from .rng import as_int, as_real, check_seed, mix_seed
 
 #: Slack for the replicate-wise monotone-estimator inequality check; the
 #: inequality is exact in real arithmetic.
 _INEQ_TOL = 1e-9
-
-#: Count-matrix values per block of the replicate pipeline: a block holds
-#: max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, so blocks of
-#: short rows are tall enough to spread the per-call cost of the sampler and
-#: the vectorised kernels while a block's estimator arrays stay a few times
-#: this size.  The block height is part of count stream 3, so changing this
-#: value changes the samples.
-_CHUNK_ELEMENTS = 1 << 14
 
 
 class InequalityViolation(RuntimeError):
@@ -318,6 +322,15 @@ def estimate(kind: EstimatorKind, counts, n: int) -> np.ndarray:
     raise ValueError(f"unknown estimator {kind!r}")
 
 
+def _check_gren_size(truth: Pmf, n: int, kinds) -> None:
+    """ValueError, before any block is drawn, if `kinds` holds the Grenander
+    and samples of size n on the truth's K+1 points give n*(K+1) >= 2^63,
+    which the exact cross products of `gren_counts` cannot take (an n of
+    2^63 or more is `sample_counts`' sample size error, also before any draw)."""
+    if EstimatorKind.GRENANDER in kinds and n < 1 << 63 <= n * truth.support_size:
+        raise ValueError(f"the Grenander estimator needs n * (K+1) < 2^63, got n = {n} and K+1 = {truth.support_size}")
+
+
 def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
     """`stat(counts)` of every replicate, stacked in replicate order.
 
@@ -386,6 +399,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     from the truth than the empirical one.
     """
     truth = cfg.truth.to_pmf()
+    _check_gren_size(truth, cfg.n, cfg.estimators)
     reference = mixing_estimate(truth) if cfg.target == "mixing" else truth.probs
     raw = _replicates(truth, cfg.n, cfg.reps, cfg.seed, partial(replicate_distances, cfg, reference))
     if cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators:
@@ -410,12 +424,13 @@ def estimate_risk(
     seed: int,
 ) -> RiskEstimate:
     """Monte Carlo mean and standard error of the l_k^k loss at `truth`."""
-    reps = as_int(reps, "reps")
+    n, reps = as_int(n, "n"), as_int(reps, "reps")
     if reps < 2:
         raise ValueError("risk estimation needs at least two replicates")
     k = as_real(k, "k")
     if not (k >= 1.0):
         raise ValueError("loss order k must satisfy k >= 1")
+    _check_gren_size(truth, n, (est,))
 
     def loss(counts):
         diff = np.abs(estimate(est, counts, n) - truth.probs)
@@ -438,6 +453,7 @@ def fluctuation_cdf(
     x, n = as_int(x, "x"), as_int(n, "n")
     if not 0 <= x <= truth.support_max:
         raise ValueError("x must lie inside the truth support")
+    _check_gren_size(truth, n, (est,))
     root_n = math.sqrt(n)
     px = float(truth.probs[x])
     vals = _replicates(truth, n, reps, seed, lambda counts: root_n * (estimate(est, counts, n)[:, x] - px))

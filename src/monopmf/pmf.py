@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +25,23 @@ DEFAULT_TAIL_TOL = 1e-12
 #: Most support points a constructor accepts, checked before allocating.
 MAX_SUPPORT = 10**7
 
-#: Version of the count stream of the Monte Carlo drivers, which a run's _meta.json records: 3 (0.4.0)
-#: draws a block of replicates per `sample_counts` call on the block's seed (`experiments._replicates`),
-#: 2 (0.3.0) one per replicate's seed; up to 0.2.0, stream 1 counted sorted uniforms, unrecorded.
-COUNT_STREAM = 3
+#: Version of the count stream of the Monte Carlo drivers, which a run's _meta.json records: 4 (0.5.0)
+#: draws the sparse flat stretches of a truth wider than _CHUNK_ELEMENTS // 2 points as uniform integers
+#: (`sample_counts`), 3 (0.4.0) a block of replicates per `sample_counts` call on the block's seed
+#: (`experiments._replicates`), 2 (0.3.0) one per replicate's seed; up to 0.2.0, stream 1 counted sorted
+#: uniforms, unrecorded.
+COUNT_STREAM = 4
+
+#: Count-matrix values per block of the replicate pipeline (`experiments._replicates`): a block holds
+#: max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, tall enough for short rows to spread the
+#: per-call cost of the sampler and the kernels, while its estimator arrays stay a few times this size.
+#: Also the values per `integers` call of count stream 4 (`sample_counts`).  The block height and the
+#: call size are part of the stream, so changing this value changes the samples.
+_CHUNK_ELEMENTS = 1 << 14
+
+#: Count stream 4's Λ: a flat stretch whose per-point mean n*p is at most this is drawn as uniform
+#: integers, below the crossover (n*p near 30) where numpy's binomial turns from inversion to BTPE.
+_SPARSE_MEAN = 16
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -83,6 +97,14 @@ class Pmf:
     def support_max(self) -> int:
         """Largest support point K."""
         return int(self.probs.size - 1)
+
+    @cached_property
+    def _flat_stretches(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and width of each maximal run of two or more exactly equal
+        probabilities, computed once per pmf."""
+        starts = np.flatnonzero(np.concatenate(([True], self.probs[1:] != self.probs[:-1])))
+        widths = np.diff(starts, append=self.probs.size)
+        return starts[widths > 1], widths[widths > 1]
 
 
 def uniform_pmf(y: int) -> Pmf:
@@ -148,17 +170,58 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
 def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
     """Count matrix of `rows` samples of size n, all drawn on one seed.
 
-    make_generator(seed).multinomial(n, p.probs, size=rows): each row counts
-    n draws from p over all K+1 support points, so rows may end in zeros.
-    numpy draws the rows one after another as conditional binomials (Davis
-    1993), in O(K) per row whatever n is, so the first m rows of a call are
-    the rows of the same call with rows = m, and the int64 (rows, K+1)
-    matrix is all the memory a call takes.
+    Count stream 3 is make_generator(seed).multinomial(n, p.probs, size=rows):
+    each row counts n draws from p over all K+1 support points, so rows may
+    end in zeros.  numpy draws a row as K+1 conditional binomials (Davis
+    1993), the small ones by inversion, in O(K) per row whatever n is.
+
+    Count stream 4 changes the rows of a pmf with more than
+    _CHUNK_ELEMENTS // 2 points (a block of one row in the replicate
+    pipeline) that has a sparse stretch: a maximal run of w >= 2 equal
+    probabilities p whose per-point mean n*p is at most _SPARSE_MEAN.  Each
+    row is then multinomial(n, q), q being p.probs with each sparse stretch
+    merged into one point of mass w*p, after which each sparse stretch in
+    turn spreads its total over its points as the histogram of that many
+    integers(0, w, dtype=uint32), drawn in calls of at most _CHUNK_ELEMENTS
+    values.  Given its total, a stretch of equal probabilities has
+    multinomial(total, uniform) counts, so the law is unchanged, and a row
+    costs O(merged points + n) plus a few numpy calls per sparse stretch
+    (so a truth of thousands of short stretches is slower than stream 3).
+    Every other pmf keeps stream 3's call.
+
+    Either way the rows are drawn one after another, so the first m rows
+    of a call are the rows of the same call with rows = m, and besides the
+    int64 (rows, K+1) matrix a call takes O(K + _CHUNK_ELEMENTS) memory
+    whatever n is.
     """
     n, rows = as_int(n, "n"), as_int(rows, "rows")
     if not 1 <= n <= np.iinfo(np.int64).max:
         raise ValueError(f"sample size n must lie in [1, 2^63), got {n}")
-    return make_generator(seed).multinomial(n, p.probs, size=rows)
+    if rows < 0:
+        raise ValueError(f"rows must be non-negative, got {rows}")
+    generator = make_generator(seed)
+    starts = widths = []
+    if p.support_size > _CHUNK_ELEMENTS // 2:
+        starts, widths = p._flat_stretches
+        sparse = n * p.probs[starts] <= _SPARSE_MEAN
+        starts, widths = starts[sparse].tolist(), widths[sparse].tolist()
+    if not starts:
+        return generator.multinomial(n, p.probs, size=rows)
+    kept = np.ones(p.support_size, dtype=bool)  # the points of q: all but the tail of each sparse stretch
+    for start, width in zip(starts, widths):
+        kept[start + 1 : start + width] = False
+    kept = np.flatnonzero(kept)
+    q = p.probs[kept]
+    q[np.searchsorted(kept, starts)] = np.multiply(widths, p.probs[starts])
+    out = np.zeros((rows, p.support_size), dtype=np.int64)
+    for row in out:
+        row[kept] = generator.multinomial(n, q)
+        for start, width, total in zip(starts, widths, row[starts].tolist()):
+            row[start] = 0
+            for done in range(0, total, _CHUNK_ELEMENTS):
+                hist = np.bincount(generator.integers(0, width, min(_CHUNK_ELEMENTS, total - done), dtype=np.uint32))
+                row[start : start + hist.size] += hist
+    return out
 
 
 def sample(p: Pmf, n: int, seed: int) -> np.ndarray:

@@ -5,10 +5,13 @@ slopes by explicit greedy chord construction (one sequence at a time and
 vectorised over a stack, and in exact rational arithmetic for counts), and
 the within-block Grenander limit law from an independent Gaussian
 construction, and the count rows of the replicate pipeline from numpy's
-multinomial called directly by the block rule of count stream 3.  It also
-writes the counts files the CLI tests read (`format_counts`).
+multinomial and integers called directly by the block rule of count
+stream 3 and the stretch rule of count stream 4.  It also writes the
+counts files the CLI tests read (`format_counts`) and names the stream
+under which the golden digests of the tests were recorded (`RECORDED`).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -139,14 +142,63 @@ def flat_block_gren_reference(theta: float, tau: int, reps: int, seed: int) -> n
     return math.sqrt(theta / tau) * (slack * z[:, None] + tau * pooled)
 
 
+#: The count stream, package version and numpy version under which the golden digests of
+#: tests/test_pipeline.py were recorded; `_meta.json` records the first two, so a stream change
+#: edits them here and replaces the digests.
+RECORDED = {"count_stream": 4, "version": "0.5.0", "numpy": "2.4.6"}
+
+
+def recorded_note() -> str:
+    """A golden test's failure message: what the digests were recorded under."""
+    return (
+        f"digests recorded under count stream {RECORDED['count_stream']}, monopmf {RECORDED['version']}, "
+        f"numpy {RECORDED['numpy']}; this run has numpy {np.__version__}"
+    )
+
+
 def block_rows(probs, n: int, seed: int, rows: int) -> np.ndarray:
-    """One block of count stream 3: numpy's multinomial of `rows` samples of
-    size n on the Philox keyed by `seed`, called here directly."""
-    return np.random.Generator(np.random.Philox(key=seed)).multinomial(n, probs, size=rows)
+    """One block of count stream 4 on the Philox keyed by `seed`, called here directly.
+
+    On more than 8192 points, each run of w >= 2 equal probabilities p with
+    n*p <= 16 is sparse: a row is numpy's multinomial over the points with
+    each sparse run merged into one cell of mass w*p, then, run by run, the
+    histogram of the run's total of uniform integers below w, drawn as
+    uint32 in calls of at most 16384.  Otherwise (count stream 3) the block
+    is one multinomial call of `rows` samples.
+    """
+    generator = np.random.Generator(np.random.Philox(key=seed))
+    probs = np.asarray(probs, dtype=float)
+    cells, sparse = [], []  # merged masses; (cell, start, width) of each sparse run
+    start = 0
+    for value, run in itertools.groupby(probs.tolist()):
+        width = len(list(run))
+        if probs.size > 8192 and width >= 2 and n * value <= 16:
+            sparse.append((len(cells), start, width))
+            cells.append(width * value)
+        else:
+            cells.extend([value] * width)
+        start += width
+    if not sparse:
+        return generator.multinomial(n, probs, size=rows)
+    out = np.zeros((rows, probs.size), dtype=np.int64)
+    dense = np.ones(len(cells), dtype=bool)
+    dense[[cell for cell, _, _ in sparse]] = False
+    tails = np.ones(probs.size, dtype=bool)
+    for _, start, width in sparse:
+        tails[start : start + width] = False
+    for row in out:
+        merged = generator.multinomial(n, cells)
+        row[tails] = merged[dense]
+        for cell, start, width in sparse:
+            total = int(merged[cell])
+            sizes = [min(16384, total - done) for done in range(0, total, 16384)]
+            draws = [np.empty(0, np.uint32)] + [generator.integers(0, width, size, dtype=np.uint32) for size in sizes]
+            row[start : start + width] = np.bincount(np.concatenate(draws), minlength=width)
+    return out
 
 
 def replicate_rows(truth, n: int, reps: int, seed: int) -> np.ndarray:
-    """The (reps, K+1) count rows of replicates 0..reps-1 under count stream 3.
+    """The (reps, K+1) count rows of replicates 0..reps-1 under count stream 4.
 
     Replicate i is row i % B of block b = i // B, where B is max(1,
     experiments._CHUNK_ELEMENTS // (K+1)) read at call time, and block b is

@@ -18,7 +18,7 @@ from numpy.testing import assert_array_equal
 from monopmf import cli, experiments, format_pmf, parse_pmf, sample, uniform_pmf
 from monopmf.cli import main
 from monopmf.pmf import COUNT_STREAM
-from references import format_counts
+from references import RECORDED, format_counts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TABLE_COUNTS = np.array([20, 14, 11, 22, 15, 18])
@@ -167,6 +167,26 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 30 * 2 * 2
         assert all(float(r["value"]) >= 0 for r in rows)
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("target", ["pmf", "mixing"])
+    def test_grenander_past_2_63_exits_1_before_any_block(self, source, target, tmp_path, capsys, monkeypatch):
+        # n*(K+1) >= 2^63 is past the exact Grenander's int64 cross products; the
+        # run used to sample a block first and then fail inside gren_counts
+        def unreachable(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(experiments, "sample_counts", unreachable)
+        flags = {"truth": "uniform:999999", "n": 10**13, "reps": 5, "target": target, "estimators": ["rear", "gren"]}
+        if source == "config":
+            (tmp_path / "run.json").write_text(json.dumps(flags))
+            args = ["--config", str(tmp_path / "run.json")]
+        else:
+            args = [f"--{key}={','.join(value) if isinstance(value, list) else value}" for key, value in flags.items()]
+        assert main(["simulate", *args, "--out", str(tmp_path / "big")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and list(tmp_path.glob("big*")) == []
+        assert err == "monopmf: the Grenander estimator needs n * (K+1) < 2^63, got n = 10000000000000 and K+1 = 1000000\n"
 
     def test_config_json_alternative(self, tmp_path):
         cfg = {"truth": "uniform:4", "n": 30, "reps": 10, "seed": 2,
@@ -448,6 +468,16 @@ class TestOtherCommands:
         assert out == ""
         assert err == "monopmf: the scale n^(k/2) overflows a float at n = 100000, k = 200\n"
 
+    def test_risk_grenander_past_2_63_exits_1_before_any_block(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(experiments, "sample_counts", unreachable)
+        assert main(["risk", "--truth", "uniform:999999", "--n", str(10**13), "--reps", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "monopmf: the Grenander estimator needs n * (K+1) < 2^63, got n = 10000000000000 and K+1 = 1000000\n"
+
     def test_risk_output(self, capsys):
         code = main(["risk", "--truth", "uniform:2", "--n", "50", "--k", "2",
                      "--estimator", "empirical", "--reps", "2000", "--seed", "4"])
@@ -513,7 +543,7 @@ class TestOtherCommands:
 
     def test_meta_records_count_stream(self, tmp_path):
         assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "2", "--out", str(tmp_path / "v")]) == 0
-        assert json.loads((tmp_path / "v_meta.json").read_text())["count_stream"] == COUNT_STREAM == 3
+        assert json.loads((tmp_path / "v_meta.json").read_text())["count_stream"] == COUNT_STREAM == RECORDED["count_stream"]
 
 
 class TestModuleEntry:

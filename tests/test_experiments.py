@@ -32,6 +32,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
+from monopmf import experiments
 from monopmf.experiments import InequalityViolation, SummaryStats, _check_inequality, _summarize, replicate_distances
 from monopmf.pmf import DEFAULT_TAIL_TOL, sample_counts
 from references import replicate_rows
@@ -511,3 +512,20 @@ def test_unknown_estimator_kind_rejected(kind):
         estimate_risk(U3.to_pmf(), 10, 2, kind, 50, 1)
     with pytest.raises(ValueError, match="^unknown estimator "):
         fluctuation_cdf(U3.to_pmf(), 1, 10, 50, 1, kind)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_risk(uniform_pmf(999999), 10**13, 2, GREN, 5, 0),
+    lambda: fluctuation_cdf(uniform_pmf(999999), 0, 10**13, 5, 0, GREN),
+    lambda: run_experiment(ExperimentConfig(TruthSpec("uniform", y=999999), n=10**13, reps=5, seed=0)),
+], ids=["risk", "fluctuation", "experiment"])
+def test_grenander_past_2_63_rejected_before_any_block(call, monkeypatch):
+    # the exact Grenander needs n*(K+1) < 2^63; a run used to draw a block first
+    def unreachable(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(experiments, "sample_counts", unreachable)
+    with pytest.raises(ValueError, match=r"^the Grenander estimator needs n \* \(K\+1\) < 2\^63, got n = 10000000000000"):
+        call()
+    with pytest.raises(AssertionError, match="a block was drawn"):  # the other estimators take such samples
+        estimate_risk(uniform_pmf(999999), 10**13, 2, REAR, 5, 0)

@@ -5,7 +5,8 @@ replicate_distances on given counts are compared bit for bit with a
 reference loop written here from the one-sample functions: empirical_pmf,
 rear, mixing_estimate, distance and the exact `Fraction` Grenander of
 tests/references.py, on the count rows that tests/references.py draws by
-the block rule of count stream 3 (`replicate_rows`).
+the block rule of count stream 3 and the stretch rule of count stream 4
+(`replicate_rows`).
 """
 
 import hashlib
@@ -40,7 +41,7 @@ from monopmf.cli import main
 from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
 from monopmf.rng import make_generator
-from references import block_rows, gren_fraction, replicate_rows
+from references import block_rows, gren_fraction, recorded_note, replicate_rows
 
 EMP = EstimatorKind.EMPIRICAL
 REAR = EstimatorKind.REARRANGEMENT
@@ -166,22 +167,30 @@ class TestMixSeed:
 
 
 # sha256 of the little-endian int64 bytes of sample_counts at fixed
-# (truth, n, seed, rows), recorded with numpy 2.4.6: small n*p takes numpy's
-# binomial inversion and large n*p its BTPE sampler, and numpy promises
-# neither stream across versions; the one-row entries date from count
-# stream 2, whose rows they still are
+# (truth, n, seed, rows), under `references.RECORDED`: small n*p takes
+# numpy's binomial inversion and large n*p its BTPE sampler, and numpy
+# promises neither stream across versions; the first three date from count
+# stream 3 (the one-row mixture from stream 2), whose rows they still are.
+# The last three take count stream 4: uniform:9999 and uniform:999999 are
+# one sparse stretch, so their rows are numpy's bounded `integers` alone (a
+# one-cell multinomial draws nothing), and the mixture has a dense and a
+# sparse stretch, so it pins the two calls in turn
 COUNT_ROWS_GOLDEN = {
     ("uniform:9", 1000, 2**64 - 1, 3): "f3a0fcfd5546d6f91a8ddf49b186c857cdd0972a3a91964c5822d8fac3255826",
     ("geometric:0.75", 20, 5, 2): "ab2bb0a0d631e7a30464112bc57d36a6d54fe161e168efff31e827cf1990de07",
     ("mixture:0.2:3,0.8:7", 10**12, 7, 1): "27b9afd8362d8609e727b7cd2bdd24a98e25550555c37f05cd2a27ec6c86fdf2",
-    ("uniform:9999", 100000, 1, 1): "2d73c60ec9d5d4c8439e59cfe5d33e45ee0cbdb8fd52b4a1789229f081972bfa",
+    ("uniform:9999", 100000, 1, 1): "96861f453bbd98cc5e2b168fb323b6bf32280a4936c798763a764b6e0b67cc4d",
+    ("uniform:999999", 10, 3, 2): "8d0dcf65da9c451c3cedbbb8e460149d72d272c287c2fb535f25228ead47ae19",
+    ("mixture:0.5:999,0.5:9999", 100000, 2, 2): "2114039ef3d1c7112b601d174e1377fc28bcdb660696baf47026d55fa7f75736",
 }
 
 
 class TestCountStream:
-    """A block's count rows are one multinomial call on its seed's generator
-    (compared with the numpy call written out in tests/references.py, not
-    with sample, which shares its code)."""
+    """A block's count rows are one multinomial call on its seed's generator,
+    or on a truth of more than 8192 points with a sparse flat stretch, one
+    merged multinomial and one histogram of uniform integers per stretch and
+    row (compared with the numpy calls written out in tests/references.py,
+    not with sample, which shares its code)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -204,7 +213,34 @@ class TestCountStream:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        truth=st.sampled_from(TRUTHS),
+        size=st.integers(8190, 12000),
+        stretches=st.integers(1, 6),
+        n=st.one_of(st.integers(1, 40), st.integers(10**4, 3 * 10**5), st.integers(10**6, 10**9)),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        rows=st.integers(1, 3),
+    )
+    @example(size=10000, stretches=1, n=10**5, data_seed=0, seed=1, rows=2)
+    @example(size=8193, stretches=1, n=16 * 8193, data_seed=0, seed=1, rows=1)
+    def test_wide_rows_equal_stream_4(self, size, stretches, n, data_seed, seed, rows):
+        # flat stretches of random widths and levels (zero levels too, never
+        # drawn), each sparse or dense at n, and singletons between them
+        rng = np.random.default_rng(data_seed)
+        cuts = np.sort(rng.choice(np.arange(1, size), stretches - 1, replace=False))
+        levels = rng.random(stretches) * (rng.random(stretches) >= 0.2)
+        levels[-1] = 0.01 + rng.random()
+        w = np.repeat(levels, np.diff(cuts, prepend=0, append=size))
+        w[rng.random(size) < 0.001] = rng.random()  # some singletons inside the stretches
+        w[-1] = levels[-1]
+        truth = Pmf(w / w.sum())
+        matrix = sample_counts(truth, n, seed, rows)
+        assert matrix.dtype == np.int64 and matrix.shape == (rows, size)
+        assert matrix.tobytes() == block_rows(truth.probs, n, seed, rows).tobytes()
+        assert np.all(matrix.sum(axis=1) == n) and np.all(matrix >= 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        truth=st.sampled_from(TRUTHS + ("mixture:0.5:999,0.5:9999",)),
         n=st.one_of(st.integers(1, 40), st.integers(20000, 40000)),
         seed=st.integers(0, 2**64 - 1),
         rows=st.lists(st.integers(0, 40), min_size=2, max_size=2),
@@ -212,6 +248,7 @@ class TestCountStream:
     @example(truth="uniform:5", n=1000, seed=11, rows=[1, 37])
     @example(truth="mixture:0.2:3,0.8:7", n=1000, seed=11, rows=[5, 37])
     @example(truth="geometric:0.75", n=1000, seed=11, rows=[36, 37])
+    @example(truth="mixture:0.5:999,0.5:9999", n=40000, seed=11, rows=[3, 8])
     def test_rows_are_a_prefix_of_more_rows(self, truth, n, seed, rows):
         # numpy draws the rows one after another, so a replicate's row does not
         # depend on how many rows its block draws
@@ -231,14 +268,32 @@ class TestCountStream:
         )
         assert short.tobytes() == long[:500].tobytes()
 
-    @pytest.mark.parametrize("y", [8192, 9999])
-    def test_one_row_blocks_keep_the_stream_2_rows(self, y):
-        # K+1 > 8192 gives blocks of one row: replicate i is stream 2's
-        # make_generator(mix_seed(seed, i)).multinomial(n, p)
-        truth = uniform_pmf(y)
-        rows = pipeline_rows(truth, 1000, 3, 4)
+    @pytest.mark.parametrize(
+        "truth,n",
+        [("uniform:8192", 16 * 8193 + 1), ("uniform:9999", 10**6), ("geometric:0.999", 1000)],
+        ids=["8192", "9999", "geometric:0.999"],
+    )
+    def test_one_row_blocks_keep_the_stream_2_rows(self, truth, n):
+        # K+1 > 8192 gives blocks of one row; with no sparse stretch (a flat
+        # truth whose per-point mean n*p passes 16, or a strictly decreasing
+        # one) replicate i is stream 2's make_generator(mix_seed(seed, i)).multinomial(n, p)
+        truth = TruthSpec.parse(truth).to_pmf()
+        assert truth.support_size > 8192
+        rows = pipeline_rows(truth, n, 3, 4)
         for i, row in enumerate(rows):
-            assert row.tobytes() == make_generator(mix_seed(4, i)).multinomial(1000, truth.probs).tobytes()
+            assert row.tobytes() == make_generator(mix_seed(4, i)).multinomial(n, truth.probs).tobytes()
+
+    @pytest.mark.parametrize(
+        "truth,n", [("uniform:8192", 16 * 8193), ("uniform:9999", 1000), ("mixture:0.5:999,0.5:9999", 10**5)]
+    )
+    def test_one_row_blocks_take_stream_4_on_a_sparse_stretch(self, truth, n):
+        # replicate i is the stream-4 row of its own block's seed mix_seed(seed, i),
+        # which differs from the stream-2 row of that seed
+        truth = TruthSpec.parse(truth).to_pmf()
+        rows = pipeline_rows(truth, n, 3, 4)
+        for i, row in enumerate(rows):
+            assert row.tobytes() == block_rows(truth.probs, n, mix_seed(4, i), 1)[0].tobytes()
+            assert row.tobytes() != make_generator(mix_seed(4, i)).multinomial(n, truth.probs).tobytes()
 
     @pytest.mark.parametrize("k", [9, 21, 57])
     @pytest.mark.parametrize("tiny", [5e-324, 1e-300, 1e-17])
@@ -256,13 +311,21 @@ class TestCountStream:
         truth, n, seed, rows = case
         matrix = sample_counts(TruthSpec.parse(truth).to_pmf(), n, seed, rows)
         digest = hashlib.sha256(matrix.astype("<i8").tobytes()).hexdigest()
-        assert digest == COUNT_ROWS_GOLDEN[case], f"numpy {np.__version__} draws another count stream"
+        assert digest == COUNT_ROWS_GOLDEN[case], recorded_note()
 
     def test_sample_size_of_2_63_rejected(self):
         for n in (0, 2**63, 2**64):
             with pytest.raises(ValueError, match=r"^sample size n must lie in \[1, 2\^63\)"):
                 sample_counts(uniform_pmf(3), n, 1, 1)
         assert sample_counts(uniform_pmf(3), 2**63 - 1, 1, 1).sum() == 2**63 - 1
+
+    @pytest.mark.parametrize("y", [3, 9999])
+    def test_negative_rows_rejected(self, y):
+        # numpy's own message ("negative dimensions are not allowed") named no argument
+        for rows in (-1, -5):
+            with pytest.raises(ValueError, match=f"^rows must be non-negative, got {rows}$"):
+                sample_counts(uniform_pmf(y), 1000, 1, rows)
+        assert sample_counts(uniform_pmf(y), 1000, 1, 0).shape == (0, y + 1)
 
 
 class TestRunExperimentBytes:
@@ -431,10 +494,12 @@ class TestOtherDrivers:
         assert table.tobytes() == vals.tobytes()
 
 
-# sha256 of each output file of two small `simulate` runs, recorded at
-# version 0.4.0 (count stream 3, numpy 2.4.6), whose Grenander estimates
-# are the exact slopes of the counts correctly rounded (`gren_counts`); the
-# one-replicate-at-a-time reference loop above checks the same values
+# sha256 of each output file of two small `simulate` runs, under
+# `references.RECORDED` (`_raw.csv` and `_summary.csv` unchanged since
+# 0.4.0: K+1 <= 8192 keeps count stream 3's rows), whose Grenander
+# estimates are the exact slopes of the counts correctly rounded
+# (`gren_counts`); the one-replicate-at-a-time reference loop above checks
+# the same values
 GOLDEN = {
     "pmf": (
         ["--truth", "mixture:0.2:3,0.8:7", "--n", "100", "--reps", "300", "--seed", "7",
@@ -442,7 +507,7 @@ GOLDEN = {
         {
             "_raw.csv": "45e5223d5d765b1228588332559c66b01b2d91c435def2c3008e0d90ca99410d",
             "_summary.csv": "0a18d6268a874232ed355dfd6d94008de06dbd57cf7d590e2d96e5d20b355f1c",
-            "_meta.json": "4e2fa2a8fcb1d24c7992c9392fdd44cfc1563dc34145c25a9f425e3323a62653",
+            "_meta.json": "df6c4e12bd4f01efef94cf11191266f14e7eed764d159bdeee1186dec378f200",
         },
     ),
     "mixing": (
@@ -451,7 +516,7 @@ GOLDEN = {
         {
             "_raw.csv": "774171b45a7baadba20d8ac1083719ef3ff167ce7a84eb18f902622722790b08",
             "_summary.csv": "3c4c24dbaa055e0dea2c4e570e2df7d60039a9fcd03a9419327bf4d37919c59a",
-            "_meta.json": "806789f4f32324991b395168eb3b1178bd68d273d03b2d5cee828822ffc0fca6",
+            "_meta.json": "0aa619f7218148948aeb38320427c99905207d9f19036c0f15374f60c2d04f0a",
         },
     ),
 }
@@ -487,12 +552,12 @@ LIMITS_GOLDEN = {
 
 
 # sha256 of the stdout of a risk run at the risk-large shape (K = 10^4,
-# n = 10^5), recorded at version 0.3.0 (count stream 2, numpy 2.4.6) with
-# the exact Grenander of the counts
+# n = 10^5, so n*p = 10 and each row is count stream 4's uniform integers),
+# under `references.RECORDED`, with the exact Grenander of the counts
 RISK_GOLDEN = (
     ["risk", "--truth", "uniform:9999", "--n", "100000", "--k", "2", "--estimator", "gren",
      "--reps", "3", "--seed", "1"],
-    "bdd542344406fc5ddf2c37de305ebb45c1d9e8539ed7009154934c91b8c9ed63",
+    "0eb700d8e435be3b71d274c384644b79b857bcbc54d80e5ca649efa4b5f2cfe0",
 )
 
 
@@ -522,7 +587,7 @@ def check_digests(command, name, golden, tmp_path, monkeypatch):
     args, digests = golden[name]
     assert main([command, *args, "--out", name]) == 0
     for suffix, digest in digests.items():
-        assert hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest() == digest, suffix
+        assert hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest() == digest, f"{suffix}: {recorded_note()}"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -547,7 +612,7 @@ def test_golden_digests_whatever_the_piece_size(command, name, golden, rows, tmp
 def test_risk_golden_digest(capsys):
     args, digest = RISK_GOLDEN
     assert main(args) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, recorded_note()
 
 
 @pytest.mark.parametrize("name", sorted(COUNTS_GOLDEN))
@@ -560,4 +625,4 @@ def test_counts_golden_digests(name, tmp_path, monkeypatch, capsys):
     stdout = capsys.readouterr().out.encode()
     for target, digest in digests.items():
         data = stdout if target == "stdout" else (tmp_path / target).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, target
+        assert hashlib.sha256(data).hexdigest() == digest, f"{target}: {recorded_note()}"

@@ -17,6 +17,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
+from monopmf.pmf import sample_counts
 from references import block_rows, format_counts
 
 
@@ -190,6 +191,75 @@ class TestSampling:
         for rows in (1, 4):
             row = block_rows(truth.probs, n, seed, rows)[0]
             assert c.tobytes() == row[: c.size].tobytes() and not row[c.size :].any()
+
+
+def within(values, target, se=None, bands=4.0):
+    """Whether the mean of independent `values` lies within `bands` standard
+    errors of `target`; the standard error is the sample's unless given."""
+    values = np.asarray(values, dtype=float)
+    if se is None:
+        se = values.std(ddof=1) / np.sqrt(values.size)
+    return abs(values.mean() - target) <= bands * se, (values.mean(), target, se)
+
+
+class TestCountStream4Law:
+    """Count stream 4 draws the sparse flat stretches of wide truths as
+    uniform integers; its rows keep the multinomial law.  Each check has a
+    fixed seed and a band of 4 standard errors, set before the first run:
+    the per-row statistics are independent across rows, so their sample
+    standard error is used, except where the exact one is known."""
+
+    def test_uniform_mean_variance_covariance(self):
+        # uniform:9999 at n = 10^5: one sparse stretch, n*p = 10
+        truth, n, reps = uniform_pmf(9999), 10**5, 200
+        counts = sample_counts(truth, n, 2024, reps)
+        assert np.all(counts.sum(axis=1) == n)
+        p = 1.0 / truth.support_size
+        dev = counts - n * p
+        # per-point means: Pearson's statistic of the pooled counts has mean K, sd sqrt(2K)
+        k = truth.support_max
+        pearson = float(np.sum((counts.sum(axis=0) - reps * n * p) ** 2 / (reps * n * p)))
+        assert abs(pearson - k) <= 4 * np.sqrt(2 * k), pearson
+        ok, info = within((dev**2).mean(axis=1), n * p * (1 - p))  # per-point variance n p (1-p)
+        assert ok, info
+        ok, info = within((dev[:, :-1] * dev[:, 1:]).mean(axis=1), -n * p * p)  # covariance -n p^2
+        assert ok, info
+
+    def test_mixture_with_a_dense_and_a_sparse_stretch(self):
+        # 0.5 uniform{0..999} + 0.5 uniform{0..9999} at n = 10^5: points 0..999
+        # have n*p = 55 (dense, kept as multinomial cells), points 1000..9999
+        # have n*p = 5 (sparse, drawn as uniform integers)
+        truth, n, reps = mixture_of_uniforms([0.5, 0.5], [999, 9999]), 10**5, 200
+        counts = sample_counts(truth, n, 77, reps)
+        assert np.all(counts.sum(axis=1) == n)
+        p_dense, p_sparse = truth.probs[0], truth.probs[-1]
+        dense, sparse = counts[:, :1000], counts[:, 1000:]
+        share = 1000 * p_dense
+        ok, info = within(dense.sum(axis=1), n * share, se=np.sqrt(n * share * (1 - share) / reps))
+        assert ok, info
+        pearson = float(np.sum((counts.sum(axis=0) - reps * n * truth.probs) ** 2 / (reps * n * truth.probs)))
+        k = truth.support_max
+        assert abs(pearson - k) <= 4 * np.sqrt(2 * k), pearson
+        for block, p in ((dense, p_dense), (sparse, p_sparse)):
+            ok, info = within(((block - n * p) ** 2).mean(axis=1), n * p * (1 - p))
+            assert ok, info
+        # the dense point x against the sparse point x + 1000: covariance -n p_dense p_sparse
+        cross = (dense - n * p_dense) * (sparse[:, :1000] - n * p_sparse)
+        ok, info = within(cross.mean(axis=1), -n * p_dense * p_sparse)
+        assert ok, info
+
+    def test_rows_at_n_far_below_k(self):
+        # uniform:999999 at n = 10: every row sums to n, and the mean drawn
+        # point is K/2 with the exact standard error of a uniform draw
+        truth, n, reps = uniform_pmf(999999), 10, 100
+        points = []
+        for seed in range(reps):
+            (row,) = sample_counts(truth, n, seed, 1)
+            assert row.sum() == n and row.min() >= 0
+            points.append(np.repeat(np.arange(row.size), row))
+        k = truth.support_max
+        ok, info = within(np.concatenate(points), k / 2, se=np.sqrt(((k + 1) ** 2 - 1) / 12 / (reps * n)))
+        assert ok, info
 
 
 class TestEmpirical:
