@@ -35,13 +35,19 @@ COUNT_STREAM = 4
 #: Count-matrix values per block of the replicate pipeline (`experiments._replicates`): a block holds
 #: max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, tall enough for short rows to spread the
 #: per-call cost of the sampler and the kernels, while its estimator arrays stay a few times this size.
-#: Also the values per `integers` call of count stream 4 (`sample_counts`).  The block height and the
-#: call size are part of the stream, so changing this value changes the samples.
+#: Also the least values per `integers` call of count stream 4 (`sample_counts`).  The block height
+#: and the call size are part of the stream, so changing this value changes the samples.
 _CHUNK_ELEMENTS = 1 << 14
 
 #: Count stream 4's Λ: a flat stretch whose per-point mean n*p is at most this is drawn as uniform
-#: integers, below the crossover (n*p near 30) where numpy's binomial turns from inversion to BTPE.
+#: integers, below the crossover (n*p between 20 and 30 at widths 10^4 to 10^6) past which numpy's
+#: binomial turns from inversion to BTPE.
 _SPARSE_MEAN = 16
+
+#: Count stream 4's least stretch width: a narrower stretch stays in the multinomial call, since the
+#: few numpy calls per stretch cost more than its binomials below about 128-256 points.  Like Λ and
+#: the call size, it is part of the stream.
+_SPARSE_WIDTH = 512
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -100,11 +106,12 @@ class Pmf:
 
     @cached_property
     def _flat_stretches(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and width of each maximal run of two or more exactly equal
-        probabilities, computed once per pmf."""
+        """Start and width of each maximal run of at least _SPARSE_WIDTH
+        exactly equal probabilities, computed once per pmf."""
         starts = np.flatnonzero(np.concatenate(([True], self.probs[1:] != self.probs[:-1])))
         widths = np.diff(starts, append=self.probs.size)
-        return starts[widths > 1], widths[widths > 1]
+        wide = widths >= _SPARSE_WIDTH
+        return starts[wide], widths[wide]
 
 
 def uniform_pmf(y: int) -> Pmf:
@@ -177,17 +184,19 @@ def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
 
     Count stream 4 changes the rows of a pmf with more than
     _CHUNK_ELEMENTS // 2 points (a block of one row in the replicate
-    pipeline) that has a sparse stretch: a maximal run of w >= 2 equal
-    probabilities p whose per-point mean n*p is at most _SPARSE_MEAN.  Each
-    row is then multinomial(n, q), q being p.probs with each sparse stretch
-    merged into one point of mass w*p, after which each sparse stretch in
-    turn spreads its total over its points as the histogram of that many
-    integers(0, w, dtype=uint32), drawn in calls of at most _CHUNK_ELEMENTS
-    values.  Given its total, a stretch of equal probabilities has
-    multinomial(total, uniform) counts, so the law is unchanged, and a row
-    costs O(merged points + n) plus a few numpy calls per sparse stretch
-    (so a truth of thousands of short stretches is slower than stream 3).
-    Every other pmf keeps stream 3's call.
+    pipeline) that has a sparse stretch: a maximal run of w >=
+    _SPARSE_WIDTH equal probabilities p whose per-point mean n*p is at most
+    _SPARSE_MEAN.  Each row is then multinomial(n, q), q being p.probs with
+    each sparse stretch merged into one point of mass w*p, after which each
+    sparse stretch in turn spreads its total over its points as the
+    histogram of that many integers(0, w, dtype=uint32), drawn in calls of
+    at most max(_CHUNK_ELEMENTS, w) values.  Given its total, a stretch of
+    equal probabilities has multinomial(total, uniform) counts, so the law
+    is unchanged.  A row costs one binomial per merged point plus, per
+    sparse stretch, a few numpy calls and O(w + total) array work (each
+    call's histogram is w long, and a call holds at least w values unless
+    it is the last), so O(K + n) array work in all.  Every other pmf keeps
+    stream 3's call.
 
     Either way the rows are drawn one after another, so the first m rows
     of a call are the rows of the same call with rows = m, and besides the
@@ -218,8 +227,9 @@ def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
         row[kept] = generator.multinomial(n, q)
         for start, width, total in zip(starts, widths, row[starts].tolist()):
             row[start] = 0
-            for done in range(0, total, _CHUNK_ELEMENTS):
-                hist = np.bincount(generator.integers(0, width, min(_CHUNK_ELEMENTS, total - done), dtype=np.uint32))
+            call = max(_CHUNK_ELEMENTS, width)
+            for done in range(0, total, call):
+                hist = np.bincount(generator.integers(0, width, min(call, total - done), dtype=np.uint32))
                 row[start : start + hist.size] += hist
     return out
 

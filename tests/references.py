@@ -159,12 +159,12 @@ def recorded_note() -> str:
 def block_rows(probs, n: int, seed: int, rows: int) -> np.ndarray:
     """One block of count stream 4 on the Philox keyed by `seed`, called here directly.
 
-    On more than 8192 points, each run of w >= 2 equal probabilities p with
-    n*p <= 16 is sparse: a row is numpy's multinomial over the points with
-    each sparse run merged into one cell of mass w*p, then, run by run, the
-    histogram of the run's total of uniform integers below w, drawn as
-    uint32 in calls of at most 16384.  Otherwise (count stream 3) the block
-    is one multinomial call of `rows` samples.
+    On more than 8192 points, each run of w >= 512 equal probabilities p
+    with n*p <= 16 is sparse: a row is numpy's multinomial over the points
+    with each sparse run merged into one cell of mass w*p, then, run by
+    run, the histogram of the run's total of uniform integers below w,
+    drawn as uint32 in calls of at most max(16384, w).  Otherwise (count
+    stream 3) the block is one multinomial call of `rows` samples.
     """
     generator = np.random.Generator(np.random.Philox(key=seed))
     probs = np.asarray(probs, dtype=float)
@@ -172,7 +172,7 @@ def block_rows(probs, n: int, seed: int, rows: int) -> np.ndarray:
     start = 0
     for value, run in itertools.groupby(probs.tolist()):
         width = len(list(run))
-        if probs.size > 8192 and width >= 2 and n * value <= 16:
+        if probs.size > 8192 and width >= 512 and n * value <= 16:
             sparse.append((len(cells), start, width))
             cells.append(width * value)
         else:
@@ -191,7 +191,8 @@ def block_rows(probs, n: int, seed: int, rows: int) -> np.ndarray:
         row[tails] = merged[dense]
         for cell, start, width in sparse:
             total = int(merged[cell])
-            sizes = [min(16384, total - done) for done in range(0, total, 16384)]
+            call = max(16384, width)
+            sizes = [min(call, total - done) for done in range(0, total, call)]
             draws = [np.empty(0, np.uint32)] + [generator.integers(0, width, size, dtype=np.uint32) for size in sizes]
             row[start : start + width] = np.bincount(np.concatenate(draws), minlength=width)
     return out

@@ -539,7 +539,7 @@ class TestOtherCommands:
             project = tomllib.load(fh)["project"]["version"]
         assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "2", "--out", str(tmp_path / "v")]) == 0
         meta = json.loads((tmp_path / "v_meta.json").read_text())["version"]
-        assert flag == ["monopmf", project] and meta == project
+        assert flag == ["monopmf", project] and meta == project == RECORDED["version"]
 
     def test_meta_records_count_stream(self, tmp_path):
         assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "2", "--out", str(tmp_path / "v")]) == 0

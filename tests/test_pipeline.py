@@ -171,10 +171,11 @@ class TestMixSeed:
 # numpy's binomial inversion and large n*p its BTPE sampler, and numpy
 # promises neither stream across versions; the first three date from count
 # stream 3 (the one-row mixture from stream 2), whose rows they still are.
-# The last three take count stream 4: uniform:9999 and uniform:999999 are
-# one sparse stretch, so their rows are numpy's bounded `integers` alone (a
-# one-cell multinomial draws nothing), and the mixture has a dense and a
-# sparse stretch, so it pins the two calls in turn
+# The last four take count stream 4: uniform:9999, uniform:999999 and
+# uniform:99999 are one sparse stretch, so their rows are numpy's bounded
+# `integers` alone (a one-cell multinomial draws nothing), the last in calls
+# of w = 10^5 values, and the mixture has a dense and a sparse stretch, so
+# it pins the two calls in turn
 COUNT_ROWS_GOLDEN = {
     ("uniform:9", 1000, 2**64 - 1, 3): "f3a0fcfd5546d6f91a8ddf49b186c857cdd0972a3a91964c5822d8fac3255826",
     ("geometric:0.75", 20, 5, 2): "ab2bb0a0d631e7a30464112bc57d36a6d54fe161e168efff31e827cf1990de07",
@@ -182,7 +183,11 @@ COUNT_ROWS_GOLDEN = {
     ("uniform:9999", 100000, 1, 1): "96861f453bbd98cc5e2b168fb323b6bf32280a4936c798763a764b6e0b67cc4d",
     ("uniform:999999", 10, 3, 2): "8d0dcf65da9c451c3cedbbb8e460149d72d272c287c2fb535f25228ead47ae19",
     ("mixture:0.5:999,0.5:9999", 100000, 2, 2): "2114039ef3d1c7112b601d174e1377fc28bcdb660696baf47026d55fa7f75736",
+    ("uniform:99999", 10**6, 4, 1): "c2ef4b7339e80c480362a8a8c08eb858ef671c54d8553a857b26e5c4e64c4cee",
 }
+
+# 20 flat stretches of 500 points, each narrower than count stream 4's least width of 512
+NARROW_STRETCHES = "mixture:" + ",".join(f"0.05:{500 * k - 1}" for k in range(1, 21))
 
 
 class TestCountStream:
@@ -214,7 +219,7 @@ class TestCountStream:
     @settings(max_examples=40, deadline=None)
     @given(
         size=st.integers(8190, 12000),
-        stretches=st.integers(1, 6),
+        stretches=st.one_of(st.integers(1, 6), st.integers(15, 40)),
         n=st.one_of(st.integers(1, 40), st.integers(10**4, 3 * 10**5), st.integers(10**6, 10**9)),
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**64 - 1),
@@ -224,7 +229,8 @@ class TestCountStream:
     @example(size=8193, stretches=1, n=16 * 8193, data_seed=0, seed=1, rows=1)
     def test_wide_rows_equal_stream_4(self, size, stretches, n, data_seed, seed, rows):
         # flat stretches of random widths and levels (zero levels too, never
-        # drawn), each sparse or dense at n, and singletons between them
+        # drawn), each sparse or dense at n and wider or narrower than 512,
+        # and singletons between them
         rng = np.random.default_rng(data_seed)
         cuts = np.sort(rng.choice(np.arange(1, size), stretches - 1, replace=False))
         levels = rng.random(stretches) * (rng.random(stretches) >= 0.2)
@@ -270,13 +276,19 @@ class TestCountStream:
 
     @pytest.mark.parametrize(
         "truth,n",
-        [("uniform:8192", 16 * 8193 + 1), ("uniform:9999", 10**6), ("geometric:0.999", 1000)],
-        ids=["8192", "9999", "geometric:0.999"],
+        [
+            ("uniform:8192", 16 * 8193 + 1),
+            ("uniform:9999", 10**6),
+            ("geometric:0.999", 1000),
+            (NARROW_STRETCHES, 1000),
+        ],
+        ids=["8192", "9999", "geometric:0.999", "narrow-stretches"],
     )
     def test_one_row_blocks_keep_the_stream_2_rows(self, truth, n):
         # K+1 > 8192 gives blocks of one row; with no sparse stretch (a flat
-        # truth whose per-point mean n*p passes 16, or a strictly decreasing
-        # one) replicate i is stream 2's make_generator(mix_seed(seed, i)).multinomial(n, p)
+        # truth whose per-point mean n*p passes 16, a strictly decreasing
+        # one, or stretches narrower than 512 points) replicate i is stream
+        # 2's make_generator(mix_seed(seed, i)).multinomial(n, p)
         truth = TruthSpec.parse(truth).to_pmf()
         assert truth.support_size > 8192
         rows = pipeline_rows(truth, n, 3, 4)
@@ -284,7 +296,13 @@ class TestCountStream:
             assert row.tobytes() == make_generator(mix_seed(4, i)).multinomial(n, truth.probs).tobytes()
 
     @pytest.mark.parametrize(
-        "truth,n", [("uniform:8192", 16 * 8193), ("uniform:9999", 1000), ("mixture:0.5:999,0.5:9999", 10**5)]
+        "truth,n",
+        [
+            ("uniform:8192", 16 * 8193),
+            ("uniform:9999", 1000),
+            ("mixture:0.5:999,0.5:9999", 10**5),
+            ("uniform:99999", 10**6),
+        ],
     )
     def test_one_row_blocks_take_stream_4_on_a_sparse_stretch(self, truth, n):
         # replicate i is the stream-4 row of its own block's seed mix_seed(seed, i),

@@ -261,6 +261,27 @@ class TestCountStream4Law:
         ok, info = within(np.concatenate(points), k / 2, se=np.sqrt(((k + 1) ** 2 - 1) / 12 / (reps * n)))
         assert ok, info
 
+    def test_wide_stretch_work_is_linear_in_its_total(self, monkeypatch):
+        # uniform:999999 at n = 10^7 (n*p = 10): the stretch's total of 10^7
+        # integers is drawn in calls of w = 10^6 values, so the histograms
+        # are about 10 of w bins, not one of w bins per 16384 values (610);
+        # Pearson's statistic of the row has mean K, sd sqrt(2K)
+        truth, n = uniform_pmf(999999), 10**7
+        bins, bincount = [], np.bincount
+
+        def counted(*args, **kwargs):
+            hist = bincount(*args, **kwargs)
+            bins.append(hist.size)
+            return hist
+
+        monkeypatch.setattr(np, "bincount", counted)
+        (row,) = sample_counts(truth, n, 5, 1)
+        k = truth.support_max
+        assert len(bins) <= n // (k + 1) + 1 and sum(bins) <= n + k + 1, (len(bins), sum(bins))
+        assert row.sum() == n
+        pearson = float(np.sum((row - n / (k + 1)) ** 2) / (n / (k + 1)))
+        assert abs(pearson - k) <= 4 * np.sqrt(2 * k), pearson
+
 
 class TestEmpirical:
     def test_example_counts(self):
