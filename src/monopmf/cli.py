@@ -434,16 +434,14 @@ def _cmd_risk(args) -> int:
 def _cmd_limits(args) -> int:
     truth = args.truth.to_pmf()
     _check_writable(f"{args.out}_draws.csv")
-    y, y_rear, y_gren = draw_limit_batch(truth, args.reps, args.seed)
+    columns = draw_limit_batch(truth, args.reps, args.seed)  # y, y_rear, y_gren
     points = [f",{x}," for x in range(truth.support_size)]
-    _write_table(f"{args.out}_draws.csv", "draw,x,y,y_rear,y_gren\r\n", points, (y, y_rear, y_gren))
+    _write_table(f"{args.out}_draws.csv", "draw,x,y,y_rear,y_gren\r\n", points, columns)
 
-    text = "x,mean_y,mean_y_rear,mean_y_gren,mean_sq_y,mean_sq_y_rear,mean_sq_y_gren,var_limit\r\n"
-    for x, px in enumerate(truth.probs):
-        columns = (y[:, x], y_rear[:, x], y_gren[:, x])
-        values = [c.mean() for c in columns] + [(c**2).mean() for c in columns] + [px * (1.0 - px)]
-        text += f"{x}," + ",".join(_MACHINE_FMT % v for v in values) + "\r\n"
-    _atomic_write(f"{args.out}_aggregate.csv", text)
+    means = [[c[:, x].mean() for c in columns] + [(c[:, x] ** 2).mean() for c in columns] for x in range(len(points))]
+    table = np.column_stack((means, truth.probs * (1.0 - truth.probs)))
+    header = "x,mean_y,mean_y_rear,mean_y_gren,mean_sq_y,mean_sq_y_rear,mean_sq_y_gren,var_limit\r\n"
+    _write_table(f"{args.out}_aggregate.csv", header, [","], table.T[:, :, None])
     return 0
 
 

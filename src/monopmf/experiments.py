@@ -5,18 +5,18 @@ replicate draws a sample, forms the requested estimators (of the pmf or of
 its mixing distribution), and records the requested distances from the
 truth.  Identical configs produce identical output.
 
-Every Monte Carlo driver here is one statistic over one chunked replicate
-map (`_replicates`): a block of replicates is sampled into a count matrix
-and the statistic, built on `estimate` (the one map from an estimator kind
-to its operator), is computed on its rows at once.  A block holds
-B = max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, and its
-count matrix is one `sample_counts` call on the seed mix_seed(cfg.seed, b)
-of its block number b (see `_replicates`): one multinomial call (count
-stream 3), or for a truth of more than _CHUNK_ELEMENTS // 2 points, whose
-blocks hold one row, one merged multinomial plus uniform integers for its
-sparse flat stretches (count stream 4).  So memory stays bounded in n and
-in the replicate count, and each row has the same bits as the replicate
-computed on its own from that block's row.
+Every Monte Carlo driver, here and in `limits`, is one statistic over one
+chunked replicate map (`_replicates`), computed on the rows of a block of
+B = max(1, _CHUNK_ELEMENTS // width) replicates at once.  Here a row is a
+sample's K+1 counts whatever n is, the statistic is built on `estimate`
+(the one map from an estimator kind to its operator), and block b's count
+matrix is one `sample_counts` call on the seed mix_seed(cfg.seed, b): one
+multinomial call (count stream 3), or for a truth of more than
+_CHUNK_ELEMENTS // 2 points, whose blocks hold one row, one merged
+multinomial plus uniform integers for its sparse flat stretches (count
+stream 4).  So memory stays bounded in n and in the replicate count, and
+each row has the same bits as the replicate computed on its own from that
+block's row.
 """
 
 from __future__ import annotations
@@ -331,28 +331,30 @@ def _check_gren_size(truth: Pmf, n: int, kinds) -> None:
         raise ValueError(f"the Grenander estimator needs n * (K+1) < 2^63, got n = {n} and K+1 = {truth.support_size}")
 
 
-def _replicates(truth: Pmf, n: int, reps: int, seed: int, stat) -> np.ndarray:
-    """`stat(counts)` of every replicate, stacked in replicate order.
+def _replicates(width: int, reps: int, draw, stat) -> np.ndarray:
+    """`stat(draw(b, rows))` of every block b, stacked in replicate order.
 
-    Replicates run in blocks of B = max(1, _CHUNK_ELEMENTS // (K+1)),
-    whatever n is: replicate i is row i % B of block b = i // B, whose int64
-    (rows, K+1) matrix `counts` is sample_counts(truth, n, mix_seed(seed, b),
-    rows), the last block's rows cut at reps.  numpy's rows do not depend on
-    how many follow, so a replicate's counts depend on (seed, i, n, truth, B)
-    and not on reps.  `stat` maps `counts` to one leading entry per row.
+    Replicate i is row i % B of block b = i // B, B = max(1, _CHUNK_ELEMENTS
+    // width), the last block's rows cut at reps.  `stat` gives one leading
+    entry per row, and the stack takes the first block's dtype.
     """
     reps = as_int(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be positive")
-    check_seed(seed)
-    rows = max(1, _CHUNK_ELEMENTS // truth.support_size)
+    rows = max(1, _CHUNK_ELEMENTS // width)
     out = None
-    for start in range(0, reps, rows):
-        block = stat(sample_counts(truth, n, mix_seed(seed, start // rows), min(rows, reps - start)))
+    for b, start in enumerate(range(0, reps, rows)):
+        block = stat(draw(b, min(rows, reps - start)))
         if out is None:
-            out = np.empty((reps,) + block.shape[1:])
+            out = np.empty((reps,) + block.shape[1:], block.dtype)
         out[start : start + rows] = block
     return out
+
+
+def _count_block(truth: Pmf, n: int, seed: int, b: int, rows: int) -> np.ndarray:
+    """Block b of the count drivers.  numpy's rows do not depend on how many
+    follow, so a replicate's counts depend on (seed, i, n, truth, B), not reps."""
+    return sample_counts(truth, n, mix_seed(seed, b), rows)
 
 
 def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -401,7 +403,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     truth = cfg.truth.to_pmf()
     _check_gren_size(truth, cfg.n, cfg.estimators)
     reference = mixing_estimate(truth) if cfg.target == "mixing" else truth.probs
-    raw = _replicates(truth, cfg.n, cfg.reps, cfg.seed, partial(replicate_distances, cfg, reference))
+    draw = partial(_count_block, truth, cfg.n, cfg.seed)
+    raw = _replicates(truth.support_size, cfg.reps, draw, partial(replicate_distances, cfg, reference))
     if cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators:
         _check_inequality(cfg, raw)
     return _summarize(cfg, raw)
@@ -436,7 +439,7 @@ def estimate_risk(
         diff = np.abs(estimate(est, counts, n) - truth.probs)
         return diff.max(axis=1) if math.isinf(k) else np.sum(diff**k, axis=1)
 
-    losses = _replicates(truth, n, reps, seed, loss)
+    losses = _replicates(truth.support_size, reps, partial(_count_block, truth, n, seed), loss)
     return RiskEstimate(value=float(losses.mean()), se=float(losses.std(ddof=1) / math.sqrt(reps)))
 
 
@@ -456,6 +459,7 @@ def fluctuation_cdf(
     _check_gren_size(truth, n, (est,))
     root_n = math.sqrt(n)
     px = float(truth.probs[x])
-    vals = _replicates(truth, n, reps, seed, lambda counts: root_n * (estimate(est, counts, n)[:, x] - px))
+    draw = partial(_count_block, truth, n, seed)
+    vals = _replicates(truth.support_size, reps, draw, lambda counts: root_n * (estimate(est, counts, n)[:, x] - px))
     vals.sort()
     return vals

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .experiments import _replicates
 from .operators import constancy_blocks, limit_transform, pava
 from .pmf import Pmf
 from .rng import as_int, make_generator
-
-#: Normal draws per chunk of `gren_zero_probability`, max(1, _CHUNK // (y+1)) rows.
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -45,16 +43,18 @@ class AsymptoticReport:
 
 
 def draw_limit_batch(p: Pmf, reps: int, seed: int):
-    """Vectorized draws: three (reps, K+1) arrays (y, y_rear, y_gren)."""
+    """Vectorized draws: three (reps, K+1) arrays (y, y_rear, y_gren).
+
+    Y is built on the replicate map from the rows of one normal stack, drawn
+    block by block in order from the Philox keyed by `seed` (so with the bits
+    of one call); the transforms then run once on all of Y.
+    """
     if not p.monotone:
         raise ValueError("limit draws require a monotone truth")
-    reps = as_int(reps, "reps")
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    probs = p.probs
-    rng = make_generator(seed)
-    w = rng.standard_normal((reps, probs.size)) * np.sqrt(probs)
-    y = w - probs * w.sum(axis=1, keepdims=True)
+    probs, root = p.probs, np.sqrt(p.probs)
+    normals = make_generator(seed).standard_normal
+    y = _replicates(probs.size, reps, lambda b, rows: normals((rows, probs.size)) * root,
+                    lambda w: w - probs * w.sum(axis=1, keepdims=True))
     y_rear, y_gren = limit_transform(y, constancy_blocks(p))
     return y, y_rear, y_gren
 
@@ -130,23 +130,19 @@ def gren_zero_probability(y: int, reps: int, seed: int) -> float:
 
     The event is that the discrete Brownian bridge (the cumulative sums of
     Y) stays at or below zero, in which case its least concave majorant is
-    the zero line.
+    the zero line.  It is a statistic on the replicate map, drawn block by
+    block from one normal stack as in `draw_limit_batch`; a one-point bridge
+    has no interior point, so at y = 0 every replicate hits.
     """
     y = as_int(y, "y")
-    reps = as_int(reps, "reps")
     if y < 0:
         raise ValueError("y must be a non-negative integer")
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    rng = make_generator(seed)  # checks the seed at y = 0 too
-    if y == 0:
-        return 1.0
+    normals = make_generator(seed).standard_normal
     scale = math.sqrt(1.0 / (y + 1))
-    rows = max(1, _CHUNK // (y + 1))
-    hits = 0
-    for start in range(0, reps, rows):
-        w = rng.standard_normal((min(rows, reps - start), y + 1)) * scale
-        fluct = w - w.mean(axis=1, keepdims=True)
-        bridge = np.cumsum(fluct[:, :-1], axis=1)  # interior points; endpoint is 0
-        hits += int(np.count_nonzero(bridge.max(axis=1) <= 0.0))
-    return hits / float(reps)
+
+    def hits(w):
+        bridge = np.cumsum((w - w.mean(axis=1, keepdims=True))[:, :-1], axis=1)  # interior points; endpoint is 0
+        return np.all(bridge <= 0.0, axis=1)
+
+    hit = _replicates(y + 1, reps, lambda b, rows: normals((rows, y + 1)) * scale, hits)
+    return int(np.count_nonzero(hit)) / hit.size

@@ -253,9 +253,8 @@ def constancy_blocks(p: Pmf) -> list[tuple[int, int]]:
     """
     if not p.monotone:
         raise ValueError("constancy blocks are defined for monotone pmfs")
-    probs = p.probs
-    starts = [0, *(np.flatnonzero(probs[1:] != probs[:-1]) + 1).tolist()]
-    return list(zip(starts, [s - 1 for s in starts[1:]] + [probs.size - 1]))
+    starts, widths = p._runs
+    return list(zip(starts.tolist(), (starts + widths - 1).tolist()))
 
 
 def limit_transform(y, blocks) -> tuple[np.ndarray, np.ndarray]:

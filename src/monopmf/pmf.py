@@ -105,13 +105,12 @@ class Pmf:
         return int(self.probs.size - 1)
 
     @cached_property
-    def _flat_stretches(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and width of each maximal run of at least _SPARSE_WIDTH
-        exactly equal probabilities, computed once per pmf."""
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and width of each maximal run of exactly equal probabilities,
+        in order, computed once per pmf: the constancy blocks of a monotone
+        pmf, and the candidates for count stream 4's flat stretches."""
         starts = np.flatnonzero(np.concatenate(([True], self.probs[1:] != self.probs[:-1])))
-        widths = np.diff(starts, append=self.probs.size)
-        wide = widths >= _SPARSE_WIDTH
-        return starts[wide], widths[wide]
+        return starts, np.diff(starts, append=self.probs.size)
 
 
 def uniform_pmf(y: int) -> Pmf:
@@ -211,8 +210,8 @@ def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
     generator = make_generator(seed)
     starts = widths = []
     if p.support_size > _CHUNK_ELEMENTS // 2:
-        starts, widths = p._flat_stretches
-        sparse = n * p.probs[starts] <= _SPARSE_MEAN
+        starts, widths = p._runs
+        sparse = (widths >= _SPARSE_WIDTH) & (n * p.probs[starts] <= _SPARSE_MEAN)
         starts, widths = starts[sparse].tolist(), widths[sparse].tolist()
     if not starts:
         return generator.multinomial(n, p.probs, size=rows)

@@ -4,9 +4,10 @@ Each is built by a route unrelated to the code it checks: the Grenander
 slopes by explicit greedy chord construction (one sequence at a time and
 vectorised over a stack, and in exact rational arithmetic for counts), and
 the within-block Grenander limit law from an independent Gaussian
-construction, and the count rows of the replicate pipeline from numpy's
+construction, the count rows of the replicate pipeline from numpy's
 multinomial and integers called directly by the block rule of count
-stream 3 and the stretch rule of count stream 4.  It also writes the
+stream 3 and the stretch rule of count stream 4, and the limit draws from
+one normal stack drawn in a single call (`limit_rows`).  It also writes the
 counts files the CLI tests read (`format_counts`) and names the stream
 under which the golden digests of the tests were recorded (`RECORDED`).
 """
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from monopmf import experiments, gren, mix_seed
+from monopmf import constancy_blocks, experiments, gren, limit_transform, mix_seed
 from monopmf.rng import make_generator
 
 
@@ -140,6 +141,17 @@ def flat_block_gren_reference(theta: float, tau: int, reps: int, seed: int) -> n
     pooled = gren(centered)
     slack = math.sqrt(max(1.0 - theta * tau, 0.0))
     return math.sqrt(theta / tau) * (slack * z[:, None] + tau * pooled)
+
+
+def limit_rows(p, reps: int, seed: int):
+    """(y, y_rear, y_gren) of `reps` limit draws at the monotone pmf p, from
+    one standard_normal((reps, K+1)) call on the Philox keyed by `seed`:
+    w = z * sqrt(p), y = w - p * sum(w) row by row, then `limit_transform`
+    over the constancy blocks of p, all on the whole stack at once."""
+    probs = p.probs
+    w = np.random.Generator(np.random.Philox(key=seed)).standard_normal((reps, probs.size)) * np.sqrt(probs)
+    y = w - probs * w.sum(axis=1, keepdims=True)
+    return (y, *limit_transform(y, constancy_blocks(p)))
 
 
 #: The count stream, package version and numpy version under which the golden digests of

@@ -15,6 +15,7 @@ from monopmf import (
     asymptotics,
     constancy_blocks,
     draw_limit_batch,
+    experiments,
     geometric_pmf,
     gren_zero_probability,
     harmonic,
@@ -24,7 +25,7 @@ from monopmf import (
     touch_count,
     uniform_pmf,
 )
-from references import flat_block_gren_reference
+from references import flat_block_gren_reference, limit_rows
 
 STRICT = Pmf(np.array([0.5, 0.3, 0.2]), monotone=True)
 
@@ -108,6 +109,19 @@ class TestDrawLimit:
     def test_fractional_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be an integer"):
             draw_limit_batch(uniform_pmf(5), 1, seed=2.5)
+
+    def test_memory_of_one_output_stack_fewer(self):
+        # Y is built block by block, so no (reps, K+1) array of normals or of
+        # W outlives its block: the peak is Y, y_rear, y_gren and the
+        # transform's temporaries, about 5 output arrays
+        reps = 2 * 10**5
+        tracemalloc.start()
+        try:
+            draw_limit_batch(uniform_pmf(9), reps, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * reps * 10 * 8
 
 
 class TestAsymptotics:
@@ -271,6 +285,26 @@ class TestTouchCount:
                 harmonic(k)
 
 
+def one_stack_zero_probability(y, reps, seed):
+    w = np.random.Generator(np.random.Philox(key=seed)).standard_normal((reps, y + 1)) * math.sqrt(1.0 / (y + 1))
+    bridge = np.cumsum((w - w.mean(axis=1, keepdims=True))[:, :-1], axis=1)
+    return np.count_nonzero(bridge.max(axis=1) <= 0.0) / float(reps)
+
+
+@pytest.mark.parametrize("elements", [None, 1, 7, 250])
+def test_limit_draws_do_not_depend_on_block_size(elements, monkeypatch):
+    # both limit drivers run on the replicate map, whose blocks are row cuts
+    # of one generator's normal stack, so no value depends on the block height
+    if elements is not None:
+        monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", elements)
+    for p, reps in [(mixture_of_uniforms([0.2, 0.8], [3, 7]), 53), (uniform_pmf(9), 3001)]:
+        for got, want in zip(draw_limit_batch(p, reps, seed=23), limit_rows(p, reps, seed=23)):
+            assert got.tobytes() == want.tobytes()
+    value = gren_zero_probability(9, 3 * 10**4, seed=17)
+    assert type(value) is float
+    assert value == one_stack_zero_probability(9, 3 * 10**4, seed=17)
+
+
 class TestGrenZeroProbability:
     def test_point_support(self):
         assert gren_zero_probability(0, reps=10, seed=1) == 1.0
@@ -302,13 +336,15 @@ class TestGrenZeroProbability:
     def test_equals_one_whole_stack(self, y, reps):
         # the chunks of rows are cut from one generator's stream, so the value
         # is that of one (reps, y+1) normal stack drawn in a single call
-        w = np.random.Generator(np.random.Philox(key=17)).standard_normal((reps, y + 1)) * math.sqrt(1.0 / (y + 1))
-        bridge = np.cumsum((w - w.mean(axis=1, keepdims=True))[:, :-1], axis=1)
-        expected = np.count_nonzero(bridge.max(axis=1) <= 0.0) / float(reps)
-        assert gren_zero_probability(y, reps, seed=17) == expected
+        assert gren_zero_probability(y, reps, seed=17) == one_stack_zero_probability(y, reps, seed=17)
+
+    @pytest.mark.parametrize("y", [0, 9])
+    def test_nonpositive_reps_rejected(self, y):
+        with pytest.raises(ValueError, match="^reps must be positive$"):
+            gren_zero_probability(y, 0, 1)
 
     def test_memory_bounded_in_y(self):
-        # a chunk holds about 2^18 normals whatever y is: a few 2 MB arrays,
+        # a block of the replicate map holds about 2^14 normals whatever y is,
         # where chunks of 2^12 rows of 1000 took about 100 MB
         tracemalloc.start()
         try:

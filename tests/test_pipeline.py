@@ -12,6 +12,7 @@ the block rule of count stream 3 and the stretch rule of count stream 4
 import hashlib
 import math
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -90,7 +91,7 @@ def pipeline_rows(truth: Pmf, n: int, reps: int, seed: int) -> np.ndarray:
         blocks.append(counts.copy())
         return np.zeros(len(counts))
 
-    experiments._replicates(truth, n, reps, seed, keep)
+    experiments._replicates(truth.support_size, reps, partial(experiments._count_block, truth, n, seed), keep)
     return np.concatenate(blocks)
 
 
@@ -543,7 +544,9 @@ GOLDEN = {
 # "mixture" recorded with the row-by-row limit transform and the in-memory
 # draws file that preceded the stack operators and the streamed writer (both
 # stacks now take the column sweep); "loop", a 100 x 100 stack that takes
-# the per-row loop, recorded before that loop absorbed its segment helper
+# the per-row loop, recorded before that loop absorbed its segment helper;
+# "blocks" and "wide", which span several replicate blocks, recorded before
+# the limit drivers drew their normals block by block
 LIMITS_GOLDEN = {
     "loop": (
         ["--truth", "uniform:99", "--reps", "100", "--seed", "5"],
@@ -564,6 +567,20 @@ LIMITS_GOLDEN = {
         {
             "_draws.csv": "1a9549296454450ec84b88990eda520b8496d9b7b6140b889766307148d9be04",
             "_aggregate.csv": "c8ef23972f62a37f9e42e7b4718963b86dd5db79f6a121176425cc40500851a9",
+        },
+    ),
+    "blocks": (  # 4 replicate blocks of 1638 rows
+        ["--truth", "uniform:9", "--reps", "5000", "--seed", "7"],
+        {
+            "_draws.csv": "2102be23e4e4380ae39b9f9a531201d9d9ece5ce665b4f3c22d0727d1959c7cb",
+            "_aggregate.csv": "6be816d3109f5d1be03e7c8e40afd4b18adfd52b0c416ce1dea4508e1fe2af15",
+        },
+    ),
+    "wide": (  # one row per block, and a 20001-line aggregate written in several pieces
+        ["--truth", "uniform:20000", "--reps", "3", "--seed", "9"],
+        {
+            "_draws.csv": "dc0a58a74146b3927078083a4c2042a8f219845a4a823024703b022bd8e019b3",
+            "_aggregate.csv": "1bab48dbb0d9bfbb3020e0acbcad1e4732d0c849b4fc0031cfdaf97fbd3f65f7",
         },
     ),
 }
