@@ -39,6 +39,7 @@ from .limits import asymptotics, draw_limit_batch
 from .metrics import MetricKind, distance
 from .operators import constancy_blocks, mixing_estimate
 from .pmf import COUNT_STREAM, float_label, format_pmf, parse_counts, parse_pmf
+from .rng import _block_height
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
@@ -438,8 +439,14 @@ def _cmd_limits(args) -> int:
     points = [f",{x}," for x in range(truth.support_size)]
     _write_table(f"{args.out}_draws.csv", "draw,x,y,y_rear,y_gren\r\n", points, columns)
 
-    means = [[c[:, x].mean() for c in columns] + [(c[:, x] ** 2).mean() for c in columns] for x in range(len(points))]
-    table = np.column_stack((means, truth.probs * (1.0 - truth.probs)))
+    table = np.empty((len(points), 7))
+    step = _block_height(args.reps)  # points per contiguous copy; a row's mean has its column's bits
+    for start in range(0, len(points), step):
+        for j, c in enumerate(columns):
+            rows = c[:, start : start + step].T.copy()
+            table[start : start + step, j] = rows.mean(axis=1)
+            table[start : start + step, j + 3] = np.square(rows, out=rows).mean(axis=1)
+    table[:, 6] = truth.probs * (1.0 - truth.probs)
     header = "x,mean_y,mean_y_rear,mean_y_gren,mean_sq_y,mean_sq_y_rear,mean_sq_y_gren,var_limit\r\n"
     _write_table(f"{args.out}_aggregate.csv", header, [","], table.T[:, :, None])
     return 0

@@ -6,13 +6,13 @@ its mixing distribution), and records the requested distances from the
 truth.  Identical configs produce identical output.
 
 Every Monte Carlo driver, here and in `limits`, is one statistic over one
-chunked replicate map (`_replicates`), computed on the rows of a block of
-B = max(1, _CHUNK_ELEMENTS // width) replicates at once.  Here a row is a
-sample's K+1 counts whatever n is, the statistic is built on `estimate`
-(the one map from an estimator kind to its operator), and block b's count
-matrix is one `sample_counts` call on the seed mix_seed(cfg.seed, b): one
-multinomial call (count stream 3), or for a truth of more than
-_CHUNK_ELEMENTS // 2 points, whose blocks hold one row, one merged
+chunked replicate map (`rng._replicates`), computed on the rows of a block
+of `rng._block_height(width)` replicates at once.  The three drivers here
+enter it through `_count_replicates`: a row is a sample's K+1 counts
+whatever n is, the statistic is built on `estimate` (the one map from an
+estimator kind to its operator), and block b's count matrix is one
+`sample_counts` call on the seed mix_seed(seed, b): one multinomial call
+(count stream 3), or for a truth whose blocks hold one row, one merged
 multinomial plus uniform integers for its sparse flat stretches (count
 stream 4).  So memory stays bounded in n and in the replicate count, and
 each row has the same bits as the replicate computed on its own from that
@@ -31,7 +31,6 @@ import numpy as np
 from .metrics import MetricKind, distance
 from .operators import gren_counts, mixing_estimate, rear
 from .pmf import (
-    _CHUNK_ELEMENTS,
     DEFAULT_TAIL_TOL,
     Pmf,
     float_label,
@@ -40,7 +39,7 @@ from .pmf import (
     sample_counts,
     uniform_pmf,
 )
-from .rng import as_int, as_real, check_seed, mix_seed
+from .rng import _replicates, as_int, as_real, check_seed, mix_seed
 
 #: Slack for the replicate-wise monotone-estimator inequality check; the
 #: inequality is exact in real arithmetic.
@@ -273,39 +272,31 @@ class ExperimentSummary:
 def _summarize(cfg: ExperimentConfig, raw: np.ndarray) -> ExperimentSummary:
     """Statistics of each (estimator, metric) column of `raw`.
 
-    One sort along the replicate axis gives all five order statistics: min,
-    max and the quartiles of Hyndman & Fan's type 8, interpolated by numpy's
+    The columns are copied once into contiguous rows, whose mean and std
+    have the bits of the column's own.  The rows are then sorted in place,
+    NaN last, which gives all five order statistics: min, max and the
+    quartiles of Hyndman & Fan's type 8, interpolated by numpy's
     "median_unbiased" rule (its virtual index, end clamps and two-sided
     lerp), so each has the bits of np.quantile, min and max column by
-    column.  A column holding NaN gives NaN throughout.  Mean and std stay
-    per column, whose axis-0 reductions can differ in the last bit.
+    column.  A column holding NaN gives NaN throughout.
     """
-    ordered = np.sort(raw, axis=0)  # NaN sorts last
-    reps = len(ordered)
-    nan = np.isnan(ordered[-1])
+    rows = raw.reshape(len(raw), -1).T.copy()
+    reps = rows.shape[1]
+    mean = rows.mean(axis=1)
+    std = rows.std(axis=1, ddof=1) if reps > 1 else np.zeros(len(rows))
+    rows.sort(axis=1)
+    nan = np.isnan(rows[:, -1])
     quartiles = []
     for q in (0.25, 0.5, 0.75):
         v = reps * q + (1 / 3.0 + q * (1 - 1 / 3.0 - 1 / 3.0)) - 1  # numpy's bits: not 1 - 2/3
         i = -1 if v >= reps - 1 else 0 if v < 0 else math.floor(v)
-        a, b = ordered[i], ordered[i + 1 if 0 <= v < reps - 1 else i]
+        a, b = rows[:, i], rows[:, i + 1 if 0 <= v < reps - 1 else i]
         g = v - i
         d = b - a
-        quartiles.append(np.where(nan, ordered[-1], b - d * (1 - g) if g >= 0.5 else a + d * g))
-    q1, med, q3 = quartiles
-    lo, hi = np.where(nan, ordered[-1], ordered[0]), ordered[-1]
-    stats = {}
-    for e, est in enumerate(cfg.estimators):
-        for m, metric in enumerate(cfg.metrics):
-            col = raw[:, e, m]
-            stats[(est.value, metric.label)] = SummaryStats(
-                mean=float(col.mean()),
-                std=float(col.std(ddof=1)) if col.size > 1 else 0.0,
-                min=float(lo[e, m]),
-                q1=float(q1[e, m]),
-                median=float(med[e, m]),
-                q3=float(q3[e, m]),
-                max=float(hi[e, m]),
-            )
+        quartiles.append(np.where(nan, rows[:, -1], b - d * (1 - g) if g >= 0.5 else a + d * g))
+    columns = zip(mean, std, np.where(nan, rows[:, -1], rows[:, 0]), *quartiles, rows[:, -1])
+    keys = [(est.value, metric.label) for est in cfg.estimators for metric in cfg.metrics]
+    stats = {key: SummaryStats(*map(float, values)) for key, values in zip(keys, columns)}
     return ExperimentSummary(config=cfg, raw=raw, stats=stats)
 
 
@@ -322,39 +313,15 @@ def estimate(kind: EstimatorKind, counts, n: int) -> np.ndarray:
     raise ValueError(f"unknown estimator {kind!r}")
 
 
-def _check_gren_size(truth: Pmf, n: int, kinds) -> None:
-    """ValueError, before any block is drawn, if `kinds` holds the Grenander
-    and samples of size n on the truth's K+1 points give n*(K+1) >= 2^63,
-    which the exact cross products of `gren_counts` cannot take (an n of
-    2^63 or more is `sample_counts`' sample size error, also before any draw)."""
+def _count_replicates(truth: Pmf, n: int, seed: int, reps: int, kinds, stat) -> np.ndarray:
+    """`stat` of the count rows of replicates 0..reps-1 on the replicate map, block b's
+    rows being `sample_counts` on the seed mix_seed(seed, b); numpy's rows do not depend
+    on how many follow, so replicate i's counts depend on (seed, i, n, truth, B), not reps.
+    ValueError before any draw if `kinds` holds the Grenander and n*(K+1) >= 2^63, which
+    the exact cross products of `gren_counts` cannot take."""
     if EstimatorKind.GRENANDER in kinds and n < 1 << 63 <= n * truth.support_size:
         raise ValueError(f"the Grenander estimator needs n * (K+1) < 2^63, got n = {n} and K+1 = {truth.support_size}")
-
-
-def _replicates(width: int, reps: int, draw, stat) -> np.ndarray:
-    """`stat(draw(b, rows))` of every block b, stacked in replicate order.
-
-    Replicate i is row i % B of block b = i // B, B = max(1, _CHUNK_ELEMENTS
-    // width), the last block's rows cut at reps.  `stat` gives one leading
-    entry per row, and the stack takes the first block's dtype.
-    """
-    reps = as_int(reps, "reps")
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    rows = max(1, _CHUNK_ELEMENTS // width)
-    out = None
-    for b, start in enumerate(range(0, reps, rows)):
-        block = stat(draw(b, min(rows, reps - start)))
-        if out is None:
-            out = np.empty((reps,) + block.shape[1:], block.dtype)
-        out[start : start + rows] = block
-    return out
-
-
-def _count_block(truth: Pmf, n: int, seed: int, b: int, rows: int) -> np.ndarray:
-    """Block b of the count drivers.  numpy's rows do not depend on how many
-    follow, so a replicate's counts depend on (seed, i, n, truth, B), not reps."""
-    return sample_counts(truth, n, mix_seed(seed, b), rows)
+    return _replicates(truth.support_size, reps, lambda b, rows: sample_counts(truth, n, mix_seed(seed, b), rows), stat)
 
 
 def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -401,10 +368,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     from the truth than the empirical one.
     """
     truth = cfg.truth.to_pmf()
-    _check_gren_size(truth, cfg.n, cfg.estimators)
     reference = mixing_estimate(truth) if cfg.target == "mixing" else truth.probs
-    draw = partial(_count_block, truth, cfg.n, cfg.seed)
-    raw = _replicates(truth.support_size, cfg.reps, draw, partial(replicate_distances, cfg, reference))
+    stat = partial(replicate_distances, cfg, reference)
+    raw = _count_replicates(truth, cfg.n, cfg.seed, cfg.reps, cfg.estimators, stat)
     if cfg.target == "pmf" and truth.monotone and EstimatorKind.EMPIRICAL in cfg.estimators:
         _check_inequality(cfg, raw)
     return _summarize(cfg, raw)
@@ -433,13 +399,12 @@ def estimate_risk(
     k = as_real(k, "k")
     if not (k >= 1.0):
         raise ValueError("loss order k must satisfy k >= 1")
-    _check_gren_size(truth, n, (est,))
 
     def loss(counts):
         diff = np.abs(estimate(est, counts, n) - truth.probs)
         return diff.max(axis=1) if math.isinf(k) else np.sum(diff**k, axis=1)
 
-    losses = _replicates(truth.support_size, reps, partial(_count_block, truth, n, seed), loss)
+    losses = _count_replicates(truth, n, seed, reps, (est,), loss)
     return RiskEstimate(value=float(losses.mean()), se=float(losses.std(ddof=1) / math.sqrt(reps)))
 
 
@@ -456,10 +421,8 @@ def fluctuation_cdf(
     x, n = as_int(x, "x"), as_int(n, "n")
     if not 0 <= x <= truth.support_max:
         raise ValueError("x must lie inside the truth support")
-    _check_gren_size(truth, n, (est,))
     root_n = math.sqrt(n)
     px = float(truth.probs[x])
-    draw = partial(_count_block, truth, n, seed)
-    vals = _replicates(truth.support_size, reps, draw, lambda counts: root_n * (estimate(est, counts, n)[:, x] - px))
+    vals = _count_replicates(truth, n, seed, reps, (est,), lambda counts: root_n * (estimate(est, counts, n)[:, x] - px))
     vals.sort()
     return vals

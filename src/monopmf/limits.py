@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import _replicates
 from .operators import constancy_blocks, limit_transform, pava
 from .pmf import Pmf
-from .rng import as_int, make_generator
+from .rng import _replicates, as_int, make_generator
 
 
 @dataclass(frozen=True)

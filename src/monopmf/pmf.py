@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import as_int, as_real, make_generator
+from .rng import _CHUNK_ELEMENTS, _block_height, as_int, as_real, make_generator
 
 #: Absolute tolerance for "sums to one" checks on probability vectors.
 SUM_TOL = 1e-12
@@ -26,18 +26,11 @@ DEFAULT_TAIL_TOL = 1e-12
 MAX_SUPPORT = 10**7
 
 #: Version of the count stream of the Monte Carlo drivers, which a run's _meta.json records: 4 (0.5.0)
-#: draws the sparse flat stretches of a truth wider than _CHUNK_ELEMENTS // 2 points as uniform integers
+#: draws the sparse flat stretches of a truth whose blocks hold one row as uniform integers
 #: (`sample_counts`), 3 (0.4.0) a block of replicates per `sample_counts` call on the block's seed
-#: (`experiments._replicates`), 2 (0.3.0) one per replicate's seed; up to 0.2.0, stream 1 counted sorted
+#: (`rng._replicates`), 2 (0.3.0) one per replicate's seed; up to 0.2.0, stream 1 counted sorted
 #: uniforms, unrecorded.
 COUNT_STREAM = 4
-
-#: Count-matrix values per block of the replicate pipeline (`experiments._replicates`): a block holds
-#: max(1, _CHUNK_ELEMENTS // (K+1)) replicates whatever n is, tall enough for short rows to spread the
-#: per-call cost of the sampler and the kernels, while its estimator arrays stay a few times this size.
-#: Also the least values per `integers` call of count stream 4 (`sample_counts`).  The block height
-#: and the call size are part of the stream, so changing this value changes the samples.
-_CHUNK_ELEMENTS = 1 << 14
 
 #: Count stream 4's Λ: a flat stretch whose per-point mean n*p is at most this is drawn as uniform
 #: integers, below the crossover (n*p between 20 and 30 at widths 10^4 to 10^6) past which numpy's
@@ -181,11 +174,11 @@ def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
     end in zeros.  numpy draws a row as K+1 conditional binomials (Davis
     1993), the small ones by inversion, in O(K) per row whatever n is.
 
-    Count stream 4 changes the rows of a pmf with more than
-    _CHUNK_ELEMENTS // 2 points (a block of one row in the replicate
-    pipeline) that has a sparse stretch: a maximal run of w >=
-    _SPARSE_WIDTH equal probabilities p whose per-point mean n*p is at most
-    _SPARSE_MEAN.  Each row is then multinomial(n, q), q being p.probs with
+    Count stream 4 changes the rows of a truth whose blocks hold one row
+    (`rng._block_height(K+1) == 1`, more than 8192 points) that has a
+    sparse stretch: a maximal run of w >= _SPARSE_WIDTH equal
+    probabilities p whose per-point mean n*p is at most _SPARSE_MEAN.
+    Each row is then multinomial(n, q), q being p.probs with
     each sparse stretch merged into one point of mass w*p, after which each
     sparse stretch in turn spreads its total over its points as the
     histogram of that many integers(0, w, dtype=uint32), drawn in calls of
@@ -209,7 +202,7 @@ def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
         raise ValueError(f"rows must be non-negative, got {rows}")
     generator = make_generator(seed)
     starts = widths = []
-    if p.support_size > _CHUNK_ELEMENTS // 2:
+    if _block_height(p.support_size) == 1:
         starts, widths = p._runs
         sparse = (widths >= _SPARSE_WIDTH) & (n * p.probs[starts] <= _SPARSE_MEAN)
         starts, widths = starts[sparse].tolist(), widths[sparse].tolist()

@@ -4,7 +4,8 @@ All randomness in the package flows through a counter-based Philox
 generator keyed by an explicit 64-bit seed, so every sampling routine is a
 pure function of its inputs.  Batch drivers derive one seed per block of
 work items with :func:`mix_seed`, which makes results independent of
-execution order.
+execution order.  The block rule (`_block_height`, part of the stream) and
+the replicate map of every Monte Carlo driver (`_replicates`) live here too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ import numbers
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Values per block of the replicate map (`_replicates`): a block holds `_block_height(K+1)` rows
+#: whatever n is, tall enough for short rows to spread the per-call cost of the sampler and the
+#: kernels, while its estimator arrays stay a few times this size.  Also the least values per
+#: `integers` call of count stream 4 (`pmf.sample_counts`).  The block height and the call size are
+#: part of the stream, so changing this value changes the samples.
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def as_int(value, name: str) -> int:
@@ -55,3 +63,28 @@ def mix_seed(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _block_height(width: int) -> int:
+    """Rows per block of the replicate map for rows of `width` values."""
+    return max(1, _CHUNK_ELEMENTS // width)
+
+
+def _replicates(width: int, reps: int, draw, stat) -> np.ndarray:
+    """`stat(draw(b, rows))` of every block b, stacked in replicate order.
+
+    Replicate i is row i % B of block b = i // B, B = `_block_height(width)`,
+    the last block's rows cut at reps.  `stat` gives one leading entry per
+    row, and the stack takes the first block's dtype.
+    """
+    reps = as_int(reps, "reps")
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    rows = _block_height(width)
+    out = None
+    for b, start in enumerate(range(0, reps, rows)):
+        block = stat(draw(b, min(rows, reps - start)))
+        if out is None:
+            out = np.empty((reps,) + block.shape[1:], block.dtype)
+        out[start : start + rows] = block
+    return out

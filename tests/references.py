@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from monopmf import constancy_blocks, experiments, gren, limit_transform, mix_seed
+from monopmf import constancy_blocks, gren, limit_transform, mix_seed, rng
 from monopmf.rng import make_generator
 
 
@@ -214,10 +214,10 @@ def replicate_rows(truth, n: int, reps: int, seed: int) -> np.ndarray:
     """The (reps, K+1) count rows of replicates 0..reps-1 under count stream 4.
 
     Replicate i is row i % B of block b = i // B, where B is max(1,
-    experiments._CHUNK_ELEMENTS // (K+1)) read at call time, and block b is
+    rng._CHUNK_ELEMENTS // (K+1)) read at call time, and block b is
     `block_rows` on the seed mix_seed(seed, b), cut at reps.
     """
-    height = max(1, experiments._CHUNK_ELEMENTS // truth.support_size)
+    height = max(1, rng._CHUNK_ELEMENTS // truth.support_size)
     starts = range(0, reps, height)
     return np.concatenate(
         [block_rows(truth.probs, n, mix_seed(seed, b), min(height, reps - start)) for b, start in enumerate(starts)]

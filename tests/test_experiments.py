@@ -369,6 +369,7 @@ class TestRunExperiment:
     @example(reps=2, data_seed=3, ties=False, planted=math.inf)  # inf - inf where q3 is clamped
     @example(reps=41, data_seed=4, ties=False, planted=math.nan)
     @example(reps=41, data_seed=5, ties=True, planted=math.inf)
+    @example(reps=20000, data_seed=6, ties=False, planted=None)  # past numpy's 8192-element reduction buffer
     def test_summary_equals_column_loop(self, reps, data_seed, ties, planted):
         # the order statistics read from one sort have the bits of np.quantile, min and max
         # column by column; the data are non-negative, as distances are, since np.quantile's

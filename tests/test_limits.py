@@ -15,13 +15,13 @@ from monopmf import (
     asymptotics,
     constancy_blocks,
     draw_limit_batch,
-    experiments,
     geometric_pmf,
     gren_zero_probability,
     harmonic,
     limit_transform,
     mixture_of_uniforms,
     rear,
+    rng,
     touch_count,
     uniform_pmf,
 )
@@ -296,7 +296,7 @@ def test_limit_draws_do_not_depend_on_block_size(elements, monkeypatch):
     # both limit drivers run on the replicate map, whose blocks are row cuts
     # of one generator's normal stack, so no value depends on the block height
     if elements is not None:
-        monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", elements)
+        monkeypatch.setattr(rng, "_CHUNK_ELEMENTS", elements)
     for p, reps in [(mixture_of_uniforms([0.2, 0.8], [3, 7]), 53), (uniform_pmf(9), 3001)]:
         for got, want in zip(draw_limit_batch(p, reps, seed=23), limit_rows(p, reps, seed=23)):
             assert got.tobytes() == want.tobytes()

@@ -12,7 +12,6 @@ the block rule of count stream 3 and the stretch rule of count stream 4
 import hashlib
 import math
 import tracemalloc
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -37,7 +36,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf import cli, experiments, format_pmf
+from monopmf import cli, experiments, format_pmf, rng
 from monopmf.cli import main
 from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
@@ -91,7 +90,7 @@ def pipeline_rows(truth: Pmf, n: int, reps: int, seed: int) -> np.ndarray:
         blocks.append(counts.copy())
         return np.zeros(len(counts))
 
-    experiments._replicates(truth.support_size, reps, partial(experiments._count_block, truth, n, seed), keep)
+    experiments._count_replicates(truth, n, seed, reps, (), keep)
     return np.concatenate(blocks)
 
 
@@ -112,7 +111,7 @@ class TestCountRows:
         if probs[-1] <= 0:
             return
         truth = Pmf(probs)
-        with mock.patch.object(experiments, "_CHUNK_ELEMENTS", chunk):
+        with mock.patch.object(rng, "_CHUNK_ELEMENTS", chunk):
             matrix = pipeline_rows(truth, n, reps, seed)
             expected = replicate_rows(truth, n, reps, seed)
         assert matrix.shape == (reps, truth.support_size)
@@ -364,7 +363,7 @@ class TestRunExperimentBytes:
 
     @pytest.mark.parametrize("chunk", [1, 7, 250])
     def test_chunk_boundaries(self, chunk, monkeypatch):
-        monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(rng, "_CHUNK_ELEMENTS", chunk)
         cfg = ExperimentConfig(TruthSpec.parse("mixture:0.2:3,0.8:7"), n=20, reps=45, seed=2, metrics=ALL_METRICS)
         assert run_experiment(cfg).raw.tobytes() == reference_raw(cfg).tobytes()
 
@@ -642,6 +641,15 @@ def test_golden_digests_whatever_the_piece_size(command, name, golden, rows, tmp
     # a streamed CSV formats each piece on its own, so no byte may depend on where a piece ends
     monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", rows)
     check_digests(command, name, golden, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("elements", [1, 7, 250])
+@pytest.mark.parametrize("name", ["blocks", "wide"])
+def test_limits_golden_digests_whatever_the_block_size(name, elements, tmp_path, monkeypatch):
+    # the draws are row cuts of one normal stack, and the aggregate copies its
+    # columns a block of points at a time, so no byte may depend on the block height
+    monkeypatch.setattr(rng, "_CHUNK_ELEMENTS", elements)
+    check_digests("limits", name, LIMITS_GOLDEN, tmp_path, monkeypatch)
 
 
 def test_risk_golden_digest(capsys):
