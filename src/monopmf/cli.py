@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: estimate, simulate, risk, limits, asymptotics, mixing.
-Exit codes: 0 success, 1 usage error, unwritable output file or a run
-too large for memory, 2 input data error, 3 a simulated replicate failed
+Exit codes: 0 success, 1 usage error, unwritable output file or standard
+output, or a run too large for memory, 2 input data error, 3 a simulated replicate failed
 the monotone-estimator inequality check.  All files are written atomically (temp file + rename)
 and machine-readable numbers carry 17 significant digits.  A streamed CSV is written in pieces, each one
 byte matrix whose number texts come from array code (exact decimal digits from double-double products,
@@ -540,7 +540,9 @@ def main(argv=None) -> int:
     if args.command == "simulate" and args.config is None and args.truth is None:
         parser.error("simulate requires --truth or --config")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except DataError as exc:
         print(f"monopmf: {exc}", file=sys.stderr)
         return 2
@@ -550,6 +552,11 @@ def main(argv=None) -> int:
     except InequalityViolation as exc:
         print(f"monopmf: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every file the commands open handles its own; this is stdout
+        if isinstance(exc, BrokenPipeError):  # so the flush at exit finds nowhere to fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"monopmf: cannot write to standard output: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ def draw_limit_batch(p: Pmf, reps: int, seed: int):
     normals = make_generator(seed).standard_normal
     y = _replicates(probs.size, reps, lambda b, rows: normals((rows, probs.size)) * root,
                     lambda w: w - probs * w.sum(axis=1, keepdims=True))
-    y_rear, y_gren = limit_transform(y, constancy_blocks(p))
+    y_rear, y_gren = limit_transform(y, p)
     return y, y_rear, y_gren
 
 

@@ -249,7 +249,8 @@ def constancy_blocks(p: Pmf) -> list[tuple[int, int]]:
     Blocks are contiguous, ordered, and cover {0, ..., K}; across a block
     boundary the pmf strictly decreases.  Entries are compared exactly, so
     no block depends on the scale of the probabilities; the package
-    constructors give exactly equal entries within each flat stretch.
+    constructors give exactly equal entries within each flat stretch.  A
+    pmf that rises anywhere (`Pmf.monotone` false) is a ValueError.
     """
     if not p.monotone:
         raise ValueError("constancy blocks are defined for monotone pmfs")
@@ -257,23 +258,17 @@ def constancy_blocks(p: Pmf) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), (starts + widths - 1).tolist()))
 
 
-def limit_transform(y, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Apply rear and gren within each block of a partition.
+def limit_transform(y, p: Pmf) -> tuple[np.ndarray, np.ndarray]:
+    """Apply rear and gren within each constancy block of the monotone pmf p.
 
     Returns (y_rear, y_gren).  Singleton blocks are passed through
-    unchanged, so for a strictly decreasing truth both outputs equal y.  A
+    unchanged, so for a strictly decreasing p both outputs equal y.  A
     stack of sequences (shape (..., K+1)) is transformed row by row.
     """
+    blocks = constancy_blocks(p)
     v = np.asarray(y, dtype=float)
-    if v.ndim == 0:
-        raise ValueError("expected a sequence")
-    expected_start = 0
-    for r, s in blocks:
-        if r != expected_start or s < r:
-            raise ValueError("blocks must be contiguous, ordered, and disjoint")
-        expected_start = s + 1
-    if expected_start != v.shape[-1]:
-        raise ValueError("block partition does not cover the sequence")
+    if v.ndim == 0 or v.shape[-1] != p.support_size:
+        raise ValueError(f"expected sequences of length {p.support_size}, the support size of p")
     y_rear = v.copy()
     y_gren = v.copy()
     for r, s in blocks:

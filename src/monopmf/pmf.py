@@ -61,13 +61,11 @@ class Pmf:
     """Probability mass function with support {0, ..., K}.
 
     `probs[x]` is the probability of x; the last entry must be positive so
-    that K is the true support maximum.  `monotone` is set by constructors
-    that guarantee a non-increasing mass function, in which case the
-    mixture bound probs[x] <= 1/(x+1) also holds.
+    that K is the true support maximum.  `monotone` is read from the
+    probabilities, compared exactly.
     """
 
     probs: np.ndarray
-    monotone: bool = False
 
     def __post_init__(self):
         probs = _as_readonly(self.probs)
@@ -81,12 +79,6 @@ class Pmf:
             raise ValueError(f"pmf entries must sum to 1, got {total!r}")
         if probs[-1] <= 0:
             raise ValueError("trailing zero entries are not allowed; trim the support")
-        if self.monotone:
-            if np.any(np.diff(probs) > SUM_TOL):
-                raise ValueError("monotone pmf must be non-increasing")
-            bound = 1.0 / (np.arange(probs.size) + 1.0)
-            if np.any(probs > bound + SUM_TOL):
-                raise ValueError("monotone pmf must satisfy probs[x] <= 1/(x+1)")
 
     @property
     def support_size(self) -> int:
@@ -96,6 +88,11 @@ class Pmf:
     def support_max(self) -> int:
         """Largest support point K."""
         return int(self.probs.size - 1)
+
+    @cached_property
+    def monotone(self) -> bool:
+        """Whether probs is non-increasing, with no tolerance."""
+        return not np.any(self.probs[1:] > self.probs[:-1])
 
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +109,7 @@ def uniform_pmf(y: int) -> Pmf:
     if y < 0:
         raise ValueError("y must be a non-negative integer")
     _check_support(y + 1)
-    return Pmf(np.full(y + 1, 1.0 / (y + 1)), monotone=True)
+    return Pmf(np.full(y + 1, 1.0 / (y + 1)))
 
 
 def geometric_pmf(theta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Pmf:
@@ -129,7 +126,7 @@ def geometric_pmf(theta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Pmf:
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
     if theta == 0.0:
-        return Pmf(np.array([1.0]), monotone=True)
+        return Pmf(np.array([1.0]))
     # smallest K with theta**(K+1) < tail_tol
     k = max(0, math.ceil(math.log(tail_tol) / math.log(theta)) - 1)
     while theta ** (k + 1) >= tail_tol:
@@ -138,7 +135,7 @@ def geometric_pmf(theta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Pmf:
     x = np.arange(k + 1)
     probs = (1.0 - theta) * theta**x
     probs /= probs.sum()
-    return Pmf(probs, monotone=True)
+    return Pmf(probs)
 
 
 def mixture_of_uniforms(weights, ys) -> Pmf:
@@ -163,7 +160,7 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
     probs = np.zeros(int(y[-1]) + 1)
     for wi, yi in zip(w, y):
         probs[: yi + 1] += wi / (yi + 1.0)
-    return Pmf(probs, monotone=True)
+    return Pmf(probs)
 
 
 def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
@@ -242,7 +239,7 @@ def empirical_pmf(counts) -> Pmf:
     """Relative frequencies counts / n of a count row, n its total; interior
     zeros are retained."""
     counts = np.asarray(counts)
-    return Pmf(counts / float(counts.sum()), monotone=False)
+    return Pmf(counts / float(counts.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +277,9 @@ def _parse_table(text: str, label: str):
     return rows
 
 
-def parse_pmf(text: str, monotone: bool = False) -> Pmf:
+def parse_pmf(text: str) -> Pmf:
     values = [float(v) for v in _parse_table(text, "pmf")]
-    return Pmf(np.array(values), monotone=monotone)
+    return Pmf(np.array(values))
 
 
 def parse_counts(text: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from monopmf import constancy_blocks, gren, limit_transform, mix_seed, rng
+from monopmf import gren, limit_transform, mix_seed, rng
 from monopmf.rng import make_generator
 
 
@@ -151,7 +151,7 @@ def limit_rows(p, reps: int, seed: int):
     probs = p.probs
     w = np.random.Generator(np.random.Philox(key=seed)).standard_normal((reps, probs.size)) * np.sqrt(probs)
     y = w - probs * w.sum(axis=1, keepdims=True)
-    return (y, *limit_transform(y, constancy_blocks(p)))
+    return (y, *limit_transform(y, p))
 
 
 #: The count stream, package version and numpy version under which the golden digests of

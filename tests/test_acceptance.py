@@ -227,7 +227,7 @@ def test_criterion_10_monotone_sample_fraction():
 
 
 def test_criterion_11_strict_truth_equivalence():
-    truth = Pmf(np.array([0.5, 0.3, 0.2]), monotone=True)
+    truth = Pmf(np.array([0.5, 0.3, 0.2]))
     fe = fluctuation_cdf(truth, 1, n=10**4, reps=10**4, seed=SEED, est=EstimatorKind.EMPIRICAL)
     fg = fluctuation_cdf(truth, 1, n=10**4, reps=10**4, seed=SEED, est=EstimatorKind.GRENANDER)
     d = stats.ks_2samp(fe, fg).statistic

@@ -1,5 +1,6 @@
 """The package's public surface: the names the CLI, the scripts, the README and the benchmark use."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -100,3 +101,18 @@ def test_readme_quickstart_runs():
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert type(namespace["weights"]) is np.ndarray
     assert namespace["y_gren"].shape == (1, 6)
+
+
+def test_readme_layout_names_every_module():
+    layout = re.search(r"## Layout\n\n```\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    named = set(re.findall(r"^  (\w+)\.py ", layout.group(1), re.M))
+    modules = {path.stem for path in (ROOT / "src" / "monopmf").glob("*.py")} - {"__init__", "__main__"}
+    assert modules <= named, sorted(modules - named)
+
+
+def test_monotonicity_and_blocks_come_from_the_probabilities():
+    # no caller-set flag or partition: Pmf holds its probabilities only, and
+    # limit_transform finds the blocks of its pmf argument itself
+    assert [f.name for f in dataclasses.fields(monopmf.Pmf)] == ["probs"]
+    assert list(inspect.signature(monopmf.parse_pmf).parameters) == ["text"]
+    assert list(inspect.signature(monopmf.limit_transform).parameters) == ["y", "p"]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
 import csv
+import errno
 import json
 import os
 import stat
@@ -43,7 +44,7 @@ class TestEstimate:
         out = tmp_path / "fit.pmf"
         code = main(["estimate", "--counts", str(counts_file), "--estimator", "gren", "--out", str(out)])
         assert code == 0
-        fit = parse_pmf(out.read_text(), monotone=True)
+        fit = parse_pmf(out.read_text())
         assert fit.probs == pytest.approx([0.20, 0.16, 0.16, 0.16, 0.16, 0.16], abs=1e-15)
 
     def test_distance_table_matches_reference(self, counts_file, truth_file, tmp_path, capsys):
@@ -557,6 +558,42 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert "empirical" in proc.stdout
+
+
+@pytest.fixture(params=["asymptotics", "mixing"])
+def stdout_argv(request, tmp_path):
+    """A command whose result goes to stdout: asymptotics, short enough to fail only at the final
+    flush, or mixing on 20000 points, whose 1.7 MB fail in the middle of its writes."""
+    if request.param == "asymptotics":
+        return ["asymptotics", "--truth", "uniform:9"]
+    path = tmp_path / "wide.counts"
+    path.write_text(format_counts(np.arange(20000, 0, -1)))
+    return ["mixing", "--counts", str(path)]
+
+
+class TestStdoutFailures:
+    """A write to stdout that fails is one line on stderr and exit 1, not a traceback."""
+
+    def run(self, argv, stdout):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "monopmf", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, env=env)
+        return proc.returncode, proc.stderr
+
+    def test_closed_pipe(self, stdout_argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            code, err = self.run(stdout_argv, write_end)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (1, f"monopmf: cannot write to standard output: {os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_full_device(self, stdout_argv):
+        with open("/dev/full", "w") as full:
+            code, err = self.run(stdout_argv, full)
+        assert (code, err) == (1, f"monopmf: cannot write to standard output: {os.strerror(errno.ENOSPC)}\n")
 
 
 #: Each benchmark workload's command at a tiny size: (target, argv), the target "cli" or a script.

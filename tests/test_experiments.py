@@ -150,6 +150,13 @@ class TestTruthSpec:
     def test_label_parses_back(self, spec):
         assert TruthSpec.parse(spec.label) == spec
 
+    @settings(max_examples=300, deadline=None)
+    @given(truth_specs())
+    @example(TruthSpec("geometric", theta=0.99, tail_tol=1e-15))
+    def test_every_family_builds_a_monotone_truth(self, spec):
+        # run_experiment checks the monotone-estimator inequality on every spec's truth
+        assert spec.to_pmf().monotone
+
     def test_labels_keep_their_g_text_when_exact(self):
         for text in ("uniform:5", "geometric:0.75", "mixture:1:3", "mixture:0.2:3,0.8:7",
                      "mixture:0.15:3,0.1:7,0.75:11", "mixture:0.25:1,0.2:3,0.15:5,0.4:7", "geometric:1e-05"):
@@ -295,7 +302,7 @@ class TestRunExperiment:
     def test_monotone_sample_fraction_grows_and_estimators_coincide(self):
         # strict truth: samples become monotone as n grows, and on those
         # replicates all three estimators are identical arrays
-        truth = Pmf(np.array([0.5, 0.3, 0.2]), monotone=True)
+        truth = Pmf(np.array([0.5, 0.3, 0.2]))
         reps = 300
         fractions = {}
         for n in (20, 200, 2000):
@@ -439,7 +446,7 @@ class TestFluctuationCdf:
         assert np.all(np.diff(table) >= 0)
 
     def test_strict_truth_grenander_matches_empirical(self):
-        truth = Pmf(np.array([0.5, 0.3, 0.2]), monotone=True)
+        truth = Pmf(np.array([0.5, 0.3, 0.2]))
         fe = fluctuation_cdf(truth, 1, n=10**4, reps=2000, seed=77, est=EMP)
         fg = fluctuation_cdf(truth, 1, n=10**4, reps=2000, seed=77, est=GREN)
         d = stats.ks_2samp(fe, fg).statistic

@@ -27,7 +27,10 @@ from monopmf import (
 )
 from references import flat_block_gren_reference, limit_rows
 
-STRICT = Pmf(np.array([0.5, 0.3, 0.2]), monotone=True)
+STRICT = Pmf(np.array([0.5, 0.3, 0.2]))
+
+#: Sums to one within 1e-13 and rises at its last point by 5e-14.
+RISING_TAIL = Pmf(np.array([0.5, 0.5 - 2e-13, 1e-13, 1.5e-13]))
 
 # asymptotic (n -> inf) two-sample KS critical values
 KS_CRIT_01PCT = math.sqrt(-math.log(0.0005) / 2.0)
@@ -47,10 +50,9 @@ class TestDrawLimit:
 
     def test_matches_blockwise_transform(self):
         p = mixture_of_uniforms([0.2, 0.8], [3, 7])
-        blocks = constancy_blocks(p)
         y, y_rear, y_gren = draw_limit_batch(p, 50, seed=9)
         for i in range(50):
-            r_ref, g_ref = limit_transform(y[i], blocks)
+            r_ref, g_ref = limit_transform(y[i], p)
             assert_allclose(y_rear[i], r_ref, atol=1e-14)
             assert_allclose(y_gren[i], g_ref, atol=1e-14)
 
@@ -105,6 +107,8 @@ class TestDrawLimit:
     def test_requires_monotone(self):
         with pytest.raises(ValueError):
             draw_limit_batch(Pmf(np.array([0.2, 0.3, 0.5])), 1, seed=0)
+        with pytest.raises(ValueError, match="monotone"):
+            draw_limit_batch(RISING_TAIL, 1, seed=0)
 
     def test_fractional_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be an integer"):
@@ -157,6 +161,11 @@ class TestAsymptotics:
         assert rep.e_sq_l2_gren == pytest.approx(rep.e_sq_l2_emp, abs=1e-12)
         assert rep.e_sq_l2_emp == pytest.approx(0.62, abs=1e-12)
         assert rep.e_hell_gren == pytest.approx(rep.e_hell_emp, abs=1e-12)
+
+    def test_requires_monotone(self):
+        # a rise far below 1e-12 is still a rise
+        with pytest.raises(ValueError, match="monotone"):
+            asymptotics(RISING_TAIL)
 
     def test_gren_never_larger(self):
         for p in (uniform_pmf(9), mixture_of_uniforms([0.2, 0.8], [3, 7]), STRICT):

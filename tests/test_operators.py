@@ -26,6 +26,9 @@ from references import gren_oracle, gren_oracle_stack
 
 EXAMPLE_EMPIRICAL = np.array([0.20, 0.14, 0.11, 0.22, 0.15, 0.18])
 
+#: Sums to one within 1e-13 and rises at its last point by 5e-14.
+RISING_TAIL = Pmf(np.array([0.5, 0.5 - 2e-13, 1e-13, 1.5e-13]))
+
 finite_values = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
 )
@@ -165,7 +168,7 @@ class TestConstancyBlocks:
         assert constancy_blocks(uniform_pmf(5)) == [(0, 5)]
 
     def test_strictly_decreasing_singletons(self):
-        p = Pmf(np.array([0.5, 0.3, 0.2]), monotone=True)
+        p = Pmf(np.array([0.5, 0.3, 0.2]))
         assert constancy_blocks(p) == [(0, 0), (1, 1), (2, 2)]
 
     def test_two_level_mixture(self):
@@ -176,6 +179,13 @@ class TestConstancyBlocks:
         c = Pmf(np.array([0.2, 0.3, 0.5]))
         with pytest.raises(ValueError):
             constancy_blocks(c)
+
+    def test_flat_pmf_is_one_block(self):
+        assert constancy_blocks(Pmf(np.array([0.5, 0.5]))) == [(0, 1)]
+
+    def test_rejects_rising_tail(self):
+        with pytest.raises(ValueError, match="monotone"):
+            constancy_blocks(RISING_TAIL)
 
     def test_tiny_strictly_decreasing_tail_not_merged(self):
         # the tail of geometric:0.75 drops below 1e-12 but stays strictly decreasing
@@ -209,29 +219,32 @@ class TestConstancyBlocks:
 class TestLimitTransform:
     def test_identity_on_singletons(self):
         y = np.array([0.3, -0.1, 0.4])
-        blocks = [(0, 0), (1, 1), (2, 2)]
-        y_rear, y_gren = limit_transform(y, blocks)
+        y_rear, y_gren = limit_transform(y, Pmf(np.array([0.5, 0.3, 0.2])))
         assert_array_equal(y_rear, y)
         assert_array_equal(y_gren, y)
 
     def test_single_block_is_global_transform(self):
         y = np.array([0.1, -0.2, 0.3, 0.0])
-        y_rear, y_gren = limit_transform(y, [(0, 3)])
+        y_rear, y_gren = limit_transform(y, uniform_pmf(3))
         assert_array_equal(y_rear, rear(y))
         assert_array_equal(y_gren, gren(y))
 
     def test_two_blocks_worked_example(self):
         y = np.array([0.1, -0.2, 0.3, 0.0, 0.05, -0.05, 0.2, -0.1])
-        y_rear, y_gren = limit_transform(y, [(0, 3), (4, 7)])
+        y_rear, y_gren = limit_transform(y, mixture_of_uniforms([0.2, 0.8], [3, 7]))
         assert_allclose(y_rear, [0.3, 0.1, 0.0, -0.2, 0.2, 0.05, -0.05, -0.1])
         assert_allclose(y_gren[:4], [0.1, 0.05, 0.05, 0.0])
         assert_allclose(y_gren[4:], gren_oracle(y[4:]))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            limit_transform(np.zeros(5), [(0, 3)])
-        with pytest.raises(ValueError):
-            limit_transform(np.zeros(4), [(0, 1), (3, 3)])
+        with pytest.raises(ValueError, match="length 4"):
+            limit_transform(np.zeros(5), uniform_pmf(3))
+        with pytest.raises(ValueError, match="length 4"):
+            limit_transform(np.zeros((2, 3)), uniform_pmf(3))
+
+    def test_rejects_rising_tail(self):
+        with pytest.raises(ValueError, match="monotone"):
+            limit_transform(np.zeros(4), RISING_TAIL)
 
 
 class TestStackContract:
@@ -267,14 +280,17 @@ class TestStackContract:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_limit_transform_stack_matches_rows(self, data):
+        # the block layout is that of a mixture of uniforms: one block per component
         sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-        ends = np.cumsum(sizes) - 1
-        blocks = [(int(e) - s + 1, int(e)) for s, e in zip(sizes, ends)]
+        raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(sizes), max_size=len(sizes)))
+        ys = np.cumsum(sizes) - 1
+        p = mixture_of_uniforms(np.array(raw) / sum(raw), ys)
+        assert constancy_blocks(p) == [(int(y) - s + 1, int(y)) for s, y in zip(sizes, ys)]
         lead = data.draw(st.sampled_from([(1,), (3,), (2, 2)]))
         y = data.draw(arrays(float, lead + (sum(sizes),), elements=stack_values))
-        y_rear, y_gren = limit_transform(y, blocks)
+        y_rear, y_gren = limit_transform(y, p)
         for idx in np.ndindex(lead):
-            r, g = limit_transform(y[idx], blocks)
+            r, g = limit_transform(y[idx], p)
             assert y_rear[idx].tobytes() == r.tobytes()
             assert y_gren[idx].tobytes() == g.tobytes()
 
@@ -381,7 +397,7 @@ class TestMixingEstimate:
         assert_allclose(w, [0, 0, 0, 0, 0, 1], atol=1e-15)
 
     def test_strictly_decreasing(self):
-        p = Pmf(np.array([0.5, 0.3, 0.2]), monotone=True)
+        p = Pmf(np.array([0.5, 0.3, 0.2]))
         assert_allclose(mixing_estimate(p), [0.2, 0.2, 0.6])
 
     def test_raw_sequence_can_go_negative(self):

@@ -113,7 +113,7 @@ class TestConstructors:
         for p in (uniform_pmf(7), geometric_pmf(0.6), mixture_of_uniforms([0.3, 0.7], [2, 9])):
             bound = 1.0 / (np.arange(p.support_size) + 1.0)
             assert np.all(p.probs <= bound + 1e-12)
-            assert np.all(np.diff(p.probs) <= 1e-12)
+            assert p.monotone and np.all(np.diff(p.probs) <= 0)
             assert abs(p.probs.sum() - 1.0) < 1e-12
 
 
@@ -137,8 +137,10 @@ class TestPmfValidation:
             Pmf(np.array([0.5, 0.5, 0.0]))
 
     def test_rejects_non_monotone_when_flagged(self):
-        with pytest.raises(ValueError):
-            Pmf(np.array([0.4, 0.6]), monotone=True)
+        # monotonicity is read from the probabilities with no slack: a rise of 5e-14 is a rise
+        assert Pmf(np.array([0.4, 0.6])).monotone is False
+        assert Pmf(np.array([0.5, 0.5 - 2e-13, 1e-13, 1.5e-13])).monotone is False
+        assert Pmf(np.array([0.5, 0.5])).monotone is True
 
     def test_probs_is_readonly(self):
         p = uniform_pmf(3)
@@ -315,7 +317,7 @@ class TestEmpirical:
 class TestTextFormats:
     def test_pmf_round_trip(self):
         p = geometric_pmf(0.75)
-        q = parse_pmf(format_pmf(p), monotone=True)
+        q = parse_pmf(format_pmf(p))
         assert_array_equal(p.probs, q.probs)
 
     def test_counts_round_trip(self):
