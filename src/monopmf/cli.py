@@ -12,7 +12,9 @@ byte matrix whose number texts come from array code (exact decimal digits from d
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import io
 import json
 import math
 import os
@@ -54,6 +56,14 @@ class DataError(Exception):
 
 class OutputError(Exception):
     """An output file that cannot be written (exit code 1)."""
+
+
+class _ClosedStdout(io.TextIOBase):
+    """sys.stdout when descriptor 1 was closed at start, where Python leaves None:
+    a write fails as one to that descriptor would, and a flush has nothing to do."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,8 +148,7 @@ def _estimates(args) -> dict:
 
     def estimates(text):
         counts = parse_counts(text)
-        n = int(counts.sum())
-        return {name: estimate(kind, counts, n) for name, kind in kinds.items()}
+        return {name: estimate(kind, counts) for name, kind in kinds.items()}
 
     return _load(args.counts, "counts", estimates)
 
@@ -539,6 +548,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.config is None and args.truth is None:
         parser.error("simulate requires --truth or --config")
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -546,8 +557,11 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"monopmf: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OutputError, MemoryError) as exc:
+    except (ValueError, OutputError) as exc:
         print(f"monopmf: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # CPython's own allocation failures carry no message
+        print(f"monopmf: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except InequalityViolation as exc:
         print(f"monopmf: {exc}", file=sys.stderr)

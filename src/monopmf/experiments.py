@@ -300,16 +300,16 @@ def _summarize(cfg: ExperimentConfig, raw: np.ndarray) -> ExperimentSummary:
     return ExperimentSummary(config=cfg, raw=raw, stats=stats)
 
 
-def estimate(kind: EstimatorKind, counts, n: int) -> np.ndarray:
-    """Estimator `kind` of the samples of size n whose integer counts are the
-    rows of `counts`: counts / n, the counts sorted and then divided (the
-    bits of rear(counts / n)), or the exact Grenander `gren_counts`."""
+def estimate(kind: EstimatorKind, counts) -> np.ndarray:
+    """Estimator `kind` of the samples whose integer counts are the rows of
+    `counts`, of size n their totals: counts / n, the counts sorted and then
+    divided (the bits of rear(counts / n)), or the exact Grenander `gren_counts`."""
     if kind is EstimatorKind.EMPIRICAL:
-        return counts / n
+        return counts / counts.sum(axis=-1, keepdims=True)
     if kind is EstimatorKind.REARRANGEMENT:
-        return rear(counts) / n
+        return rear(counts) / counts.sum(axis=-1, keepdims=True)
     if kind is EstimatorKind.GRENANDER:
-        return gren_counts(counts, n)[0]
+        return gren_counts(counts)[0]
     raise ValueError(f"unknown estimator {kind!r}")
 
 
@@ -329,10 +329,10 @@ def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, counts: np
 
     `reference` is the truth's pmf, or for target "mixing" its mixing
     weights; `counts` has shape (rows, width), each row the integer counts
-    of a sample of size cfg.n, and rows of another width are compared as if
-    zero-padded.  Returns a (rows, estimators, metrics) array.
+    of one sample, of size n its total, and rows of another width are
+    compared as if zero-padded.  Returns a (rows, estimators, metrics) array.
     """
-    vectors = np.stack([estimate(kind, counts, cfg.n) for kind in cfg.estimators], axis=1)
+    vectors = np.stack([estimate(kind, counts) for kind in cfg.estimators], axis=1)
     if cfg.target == "mixing":
         vectors = mixing_estimate(vectors)
     out = np.empty(vectors.shape[:2] + (len(cfg.metrics),))
@@ -401,7 +401,7 @@ def estimate_risk(
         raise ValueError("loss order k must satisfy k >= 1")
 
     def loss(counts):
-        diff = np.abs(estimate(est, counts, n) - truth.probs)
+        diff = np.abs(estimate(est, counts) - truth.probs)
         return diff.max(axis=1) if math.isinf(k) else np.sum(diff**k, axis=1)
 
     losses = _count_replicates(truth, n, seed, reps, (est,), loss)
@@ -423,6 +423,6 @@ def fluctuation_cdf(
         raise ValueError("x must lie inside the truth support")
     root_n = math.sqrt(n)
     px = float(truth.probs[x])
-    vals = _count_replicates(truth, n, seed, reps, (est,), lambda counts: root_n * (estimate(est, counts, n)[:, x] - px))
+    vals = _count_replicates(truth, n, seed, reps, (est,), lambda counts: root_n * (estimate(est, counts)[:, x] - px))
     vals.sort()
     return vals

@@ -11,11 +11,11 @@ form of the hull is exactly the pool-adjacent-violators fit).  Both, like
 Integer counts take `gren_counts`, the estimators of an empirical sample
 in the Monte Carlo drivers and the CLI: the Grenander of the counts, its
 hull found by exact int64 vertex-removal passes over all rows at once,
-divided by n once per block, so each value is the exact slope correctly
-rounded when n*(K+1) < 2^53.  Float input takes `gren` (limit draws,
-`touch_count`, public calls on a pmf), which `pava` pools row by row
-(`_pool_row`) or a column at a time for all rows at once (`column_sweep`),
-with the same bits, by the shape rule in its docstring.
+divided once per block by the row's total n, so each value is the exact
+slope correctly rounded when n*(K+1) < 2^53.  Float input takes `gren`
+(limit draws, `touch_count`, public calls on a pmf), which `pava` pools
+row by row (`_pool_row`) or a column at a time for all rows at once
+(`column_sweep`), with the same bits, by the shape rule in its docstring.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .pmf import SUM_TOL, Pmf
-from .rng import as_int
 
 #: Values per row block of `column_sweep`, which bounds its work arrays.
 _SWEEP_VALUES = 1 << 15
@@ -176,18 +175,19 @@ def _hull_row(x: list, s: list) -> list[int]:
     return hull
 
 
-def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
+def gren_counts(counts) -> tuple[np.ndarray, np.ndarray]:
     """Exact Grenander of count rows: (fit, blocks) of an integer (..., L) stack.
 
-    Each row holds the counts of a sample of size n on {0, ..., L-1}.  Its
-    fit is the left slopes of the least concave majorant of the cumulative
-    counts S (S_{-1} = 0), divided by n; blocks holds each row's number of
-    maximal linear pieces of that majorant (equal slopes share one).  Every
-    pooling decision compares int64 cross products exactly, and a block of
-    total T and length c gets float(T) / float(n*c).  When n*L < 2^53 that
-    is the exact slope correctly rounded, whatever the chunking or scale,
-    and an unpooled entry has the bits of count / n.  Counts outside [0, n]
-    or a row that does not sum to n is a ValueError, raised before any pass.
+    Each row holds the counts of a sample on {0, ..., L-1}, of size n its
+    total (rows may differ in n).  Its fit is the left slopes of the least
+    concave majorant of the cumulative counts S (S_{-1} = 0), divided by n;
+    blocks holds each row's number of maximal linear pieces of that majorant
+    (equal slopes share one).  Every pooling decision compares int64 cross
+    products exactly, and a block of total T and length c gets float(T) /
+    float(n*c).  When n*L < 2^53 that is the exact slope correctly rounded,
+    whatever the chunking or scale, and an unpooled entry has the bits of
+    count / n.  A negative count or a row total outside [1, (2^63 - 1) // L]
+    is a ValueError, raised before any pass.
 
     The hull is found by vertex removal on all rows at once.  The first
     pass, on the dense grid, drops every vertex where the counts do not
@@ -205,18 +205,17 @@ def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
     if c.ndim == 0 or c.shape[-1] == 0 or not np.issubdtype(c.dtype, np.integer):
         raise ValueError("gren_counts requires a non-empty sequence of integer counts")
     length = c.shape[-1]
-    n = as_int(n, "n")
-    if n < 1 or n * length >= 1 << 63:  # the cross products must fit in int64
-        raise ValueError(f"gren_counts requires 1 <= n and n * L < 2^63, got n = {n} and L = {length}")
-    if c.size and (c.min() < 0 or c.max() > n):  # so no running sum of a row wraps past int64
-        raise ValueError(f"gren_counts requires counts in [0, n], got n = {n}")
+    top = ((1 << 63) - 1) // length  # n * L < 2^63: the cross products fit in int64
+    if c.size and (c.min() < 0 or c.max() > top):  # so no running sum of a row wraps past int64
+        raise ValueError(f"gren_counts requires counts in [0, {top}] for L = {length}")
     rows = c.reshape(-1, length).astype(np.int64, copy=False)
     keep = np.ones((rows.shape[0], length + 1), dtype=bool)  # vertices x = -1..L-1
     keep[:, 1:-1] = rows[:, :-1] > rows[:, 1:]
     s = np.zeros(keep.shape, dtype=np.int64)
     np.cumsum(rows, axis=1, out=s[:, 1:])
-    if np.any(s[:, -1] != n):
-        raise ValueError(f"gren_counts requires every row of counts to sum to n = {n}")
+    totals = s[:, -1].copy()  # not a view, so s is freed when the passes compact it
+    if np.any((totals < 1) | (totals > top)):
+        raise ValueError(f"gren_counts requires every row total n in [1, {top}] for L = {length}")
     kept = np.flatnonzero(keep)
     x, s = kept % (length + 1) - 1, s.ravel()[kept]
     for passes in range(_HULL_PASSES + 1):
@@ -238,8 +237,8 @@ def gren_counts(counts, n) -> tuple[np.ndarray, np.ndarray]:
         dx, ds = np.diff(x), np.diff(s)
     inner = dx > 0  # consecutive vertices of one row bound a block
     widths = dx[inner]
-    fit = np.repeat(ds[inner] / (n * widths).astype(float), widths)
     blocks = np.diff(np.append(np.flatnonzero(x == -1), x.size)) - 1
+    fit = np.repeat(ds[inner] / (np.repeat(totals, blocks) * widths).astype(float), widths)
     return fit.reshape(c.shape), blocks.reshape(c.shape[:-1])
 
 

@@ -1,5 +1,6 @@
 """The package's public surface: the names the CLI, the scripts, the README and the benchmark use."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -13,6 +14,7 @@ import pytest
 
 import monopmf
 from monopmf.cli import _atomic_write
+from monopmf.experiments import estimate
 
 PUBLIC = [
     "EstimatorKind",
@@ -116,3 +118,39 @@ def test_monotonicity_and_blocks_come_from_the_probabilities():
     assert [f.name for f in dataclasses.fields(monopmf.Pmf)] == ["probs"]
     assert list(inspect.signature(monopmf.parse_pmf).parameters) == ["text"]
     assert list(inspect.signature(monopmf.limit_transform).parameters) == ["y", "p"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a top-level import of `path` binds that the module never reads;
+    a name listed in its `__all__` counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize("path", sorted([*(ROOT / "src" / "monopmf").glob("*.py"), *(ROOT / "scripts").glob("*.py")]),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_guard_sees_a_leftover_import(tmp_path):
+    path = tmp_path / "leftover.py"
+    path.write_text("from __future__ import annotations\nimport os.path\nfrom .rng import as_int, mix_seed\n"
+                    "import numpy as np\n__all__ = ['mix_seed']\nnp.zeros(1)\n", encoding="utf-8")
+    assert unused_imports(path) == ["as_int", "os"]
+
+
+def test_sample_size_comes_from_the_counts():
+    # no n beside the counts: each row's total is its sample size
+    assert list(inspect.signature(monopmf.gren_counts).parameters) == ["counts"]
+    assert list(inspect.signature(estimate).parameters) == ["kind", "counts"]

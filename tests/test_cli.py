@@ -106,6 +106,18 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"monopmf: invalid counts file {str(path)!r}: gren_counts requires")
 
+    def test_counts_at_the_exact_grenander_bound(self, tmp_path, capsys):
+        # n = (2^63 - 1) // (K+1) is the largest total the exact Grenander takes
+        top = (2**63 - 1) // 3
+        path = tmp_path / "edge.counts"
+        path.write_text(f"0\t{top - 1}\n1\t0\n2\t1\n")
+        assert main(["estimate", "--counts", str(path), "--estimator", "gren"]) == 0
+        path.write_text(f"0\t{top}\n1\t0\n2\t1\n")
+        assert main(["estimate", "--counts", str(path), "--estimator", "gren"]) == 2
+        assert capsys.readouterr().err == (
+            f"monopmf: invalid counts file {str(path)!r}: gren_counts requires every row total n in [1, {top}] for L = 3\n"
+        )
+
     @pytest.mark.parametrize("lines", [
         f"0\t{2**63}\n",  # past int64 on its own
         f"0\t{2**62}\n1\t{2**62}\n",  # sums to 2^63, which would wrap to a negative n
@@ -574,10 +586,12 @@ def stdout_argv(request, tmp_path):
 class TestStdoutFailures:
     """A write to stdout that fails is one line on stderr and exit 1, not a traceback."""
 
-    def run(self, argv, stdout):
+    def run(self, argv, stdout, cwd=None):
+        """(exit code, stderr) of argv; stdout None runs it with descriptor 1 closed."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        close = (lambda: os.close(1)) if stdout is None else None
         proc = subprocess.run([sys.executable, "-m", "monopmf", *argv], stdout=stdout, stderr=subprocess.PIPE,
-                              text=True, env=env)
+                              text=True, env=env, cwd=cwd, preexec_fn=close)
         return proc.returncode, proc.stderr
 
     def test_closed_pipe(self, stdout_argv):
@@ -594,6 +608,34 @@ class TestStdoutFailures:
         with open("/dev/full", "w") as full:
             code, err = self.run(stdout_argv, full)
         assert (code, err) == (1, f"monopmf: cannot write to standard output: {os.strerror(errno.ENOSPC)}\n")
+
+    def test_closed_descriptor(self, stdout_argv):
+        code, err = self.run(stdout_argv, None)
+        assert (code, err) == (1, f"monopmf: cannot write to standard output: {os.strerror(errno.EBADF)}\n")
+
+    def test_closed_descriptor_without_output(self, tmp_path):
+        # simulate prints nothing, so a closed descriptor 1 is no error; its files are
+        # opened on the lowest free descriptors, 1 among them, and must still be whole
+        code, err = self.run(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "5", "--out", "run"], None,
+                             cwd=tmp_path)
+        assert (code, err) == (0, "")
+        assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "5",
+                     "--out", str(tmp_path / "again")]) == 0
+        for suffix in ("_raw.csv", "_summary.csv", "_meta.json"):
+            assert (tmp_path / f"run{suffix}").read_bytes() == (tmp_path / f"again{suffix}").read_bytes(), suffix
+
+
+@pytest.mark.parametrize("error,line", [
+    (MemoryError(), "out of memory"),  # CPython's own allocation failures, in .tolist() or "".join, carry no message
+    (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB"),  # numpy's have one
+], ids=["bare", "numpy"])
+def test_memory_error_is_one_line(error, line, monkeypatch, capsys):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_asymptotics", exhausted)
+    assert main(["asymptotics", "--truth", "uniform:3"]) == 1
+    assert capsys.readouterr().err == f"monopmf: {line}\n"
 
 
 #: Each benchmark workload's command at a tiny size: (target, argv), the target "cli" or a script.

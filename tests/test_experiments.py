@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -537,3 +538,12 @@ def test_grenander_past_2_63_rejected_before_any_block(call, monkeypatch):
         call()
     with pytest.raises(AssertionError, match="a block was drawn"):  # the other estimators take such samples
         estimate_risk(uniform_pmf(999999), 10**13, 2, REAR, 5, 0)
+
+
+def test_grenander_bound_is_the_same_for_draws_and_counts():
+    # the check before any draw and gren_counts agree on the largest n for K+1 = 3
+    top = (2**63 - 1) // 3
+    fits = experiments._count_replicates(uniform_pmf(2), top, 0, 2, (GREN,), partial(experiments.estimate, GREN))
+    assert fits.shape == (2, 3) and np.all(fits.sum(axis=1) == pytest.approx(1.0))
+    with pytest.raises(ValueError, match=f"^the Grenander estimator needs n \\* \\(K\\+1\\) < 2\\^63, got n = {top + 1} "):
+        experiments._count_replicates(uniform_pmf(2), top + 1, 0, 2, (GREN,), partial(experiments.estimate, GREN))

@@ -65,7 +65,7 @@ class TestAgainstOracle:
     @given(count_stacks())
     def test_equals_fraction_oracle(self, stack):
         counts, n = stack
-        fit, blocks = gren_counts(counts, n)
+        fit, blocks = gren_counts(counts)
         expected_fit, expected_blocks = gren_fraction_stack(counts, n)
         assert fit.tobytes() == expected_fit.tobytes()
         assert blocks.dtype == np.int64 and blocks.tolist() == expected_blocks.tolist()
@@ -84,10 +84,10 @@ class TestAgainstOracle:
     @given(count_stacks(), st.integers(0, 3))
     def test_pass_cap_changes_no_bit(self, stack, cap):
         counts, n = stack
-        fit, blocks = gren_counts(counts, n)
+        fit, blocks = gren_counts(counts)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "_HULL_PASSES", cap)
-            capped_fit, capped_blocks = gren_counts(counts, n)
+            capped_fit, capped_blocks = gren_counts(counts)
         assert capped_fit.tobytes() == fit.tobytes() and capped_blocks.tolist() == blocks.tolist()
 
     def test_decreasing_run_ending_in_a_spike(self):
@@ -96,7 +96,7 @@ class TestAgainstOracle:
         k = 10**4
         row = np.append(np.arange(k, 0, -1), k * (k + 1))
         n = int(row.sum())
-        fit, blocks = gren_counts(row[None, :], n)
+        fit, blocks = gren_counts(row[None, :])
         expected_fit, expected_blocks = gren_fraction(row, n)
         assert fit[0].tobytes() == expected_fit.tobytes()
         assert blocks.tolist() == [expected_blocks]
@@ -110,7 +110,7 @@ class TestAgainstOracle:
             "calls, hull = [], operators._hull_row\n"
             "operators._hull_row = lambda *a: calls.append(a) or hull(*a)\n"
             "row = list(range(400, 300, -1)) + [10**6]\n"
-            "operators.gren_counts([row], sum(row))\n"
+            "operators.gren_counts([row])\n"
             "print(len(calls), 'numpy.ma' in sys.modules)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -127,7 +127,7 @@ class TestAgainstOracle:
         counts[2] = spike
         calls, hull = [], operators._hull_row
         monkeypatch.setattr(operators, "_hull_row", lambda *a: calls.append(a) or hull(*a))
-        fit, blocks = gren_counts(counts, n)
+        fit, blocks = gren_counts(counts)
         expected_fit, expected_blocks = gren_fraction_stack(counts, n)
         assert len(calls) == 1 and calls[0][0][-1] == len(spike) - 1
         assert fit.tobytes() == expected_fit.tobytes() and blocks.tolist() == expected_blocks.tolist()
@@ -143,7 +143,7 @@ class TestAgainstOracle:
             "levels": np.repeat([3.0, 2.0, 1.0], [length // 3, length // 3, length - 2 * (length // 3)]),
         }[truth]
         counts = np.random.default_rng(length).multinomial(n, weights / weights.sum(), size=3)
-        fit, blocks = gren_counts(counts, n)
+        fit, blocks = gren_counts(counts)
         for row, fit_row, b in zip(counts, fit, blocks):
             s = [0, *np.cumsum(row).tolist()]
             xs = list(range(-1, length))
@@ -155,49 +155,66 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("shape", [(0, 5), (2, 0, 3)])
     def test_stack_of_no_rows(self, shape):
-        fit, blocks = gren_counts(np.zeros(shape, dtype=np.int64), 10)
+        fit, blocks = gren_counts(np.zeros(shape, dtype=np.int64))
         assert fit.shape == shape and fit.dtype == np.float64
         assert blocks.shape == shape[:-1] and blocks.dtype == np.int64
 
     def test_one_row(self):
-        fit, blocks = gren_counts([20, 14, 11, 22, 15, 18], 100)
+        fit, blocks = gren_counts([20, 14, 11, 22, 15, 18])
         expected_fit, expected_blocks = gren_fraction([20, 14, 11, 22, 15, 18], 100)
         assert fit.tobytes() == expected_fit.tobytes() and int(blocks) == expected_blocks == 2
         assert fit.tolist() == [0.2, 0.16, 0.16, 0.16, 0.16, 0.16]
 
     def test_stack_shape_is_kept(self):
         counts = np.random.default_rng(4).multinomial(30, np.full(5, 0.2), size=(3, 4))
-        fit, blocks = gren_counts(counts, 30)
+        fit, blocks = gren_counts(counts)
         assert fit.shape == (3, 4, 5) and blocks.shape == (3, 4)
-        flat_fit, flat_blocks = gren_counts(counts.reshape(12, 5), 30)
+        flat_fit, flat_blocks = gren_counts(counts.reshape(12, 5))
         assert fit.tobytes() == flat_fit.tobytes() and blocks.ravel().tolist() == flat_blocks.tolist()
 
     @pytest.mark.parametrize("counts", [[], [0.5, 0.5], 3])
     def test_bad_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="integer counts"):
-            gren_counts(counts, 1)
+            gren_counts(counts)
 
     @pytest.mark.parametrize("n,length", [(2**62, 2), (2**61 + 1, 4), (0, 3), (-5, 3)])
     def test_bad_sample_size_rejected(self, n, length):
-        with pytest.raises(ValueError, match=f"^gren_counts requires 1 <= n and n \\* L < 2\\^63, got n = {n} and L = {length}$"):
-            gren_counts(np.zeros((1, length), dtype=np.int64), n)
+        # a row of total n spread over L points: n must lie in [1, (2^63 - 1) // L]
+        row = [n // length + (i < n % length) for i in range(length)]
+        top = (2**63 - 1) // length
+        message = f"counts in \\[0, {top}\\]" if n < 0 else f"every row total n in \\[1, {top}\\]"
+        with pytest.raises(ValueError, match=f"^gren_counts requires {message} for L = {length}$"):
+            gren_counts([row])
 
-    @pytest.mark.parametrize("counts,n", [
-        ([1 << 61, 1 << 62, 5], 1),  # a count above n
-        ([-1, 2], 1),  # a negative count
-        (np.array([[2**63 + 5, 0]], dtype=np.uint64), 3),  # wraps to a negative int64
-        ([2**62, 2**62, 2**62, 2**62 + 7], 7),  # its running sum wraps back to n
-        ([[1, 2], [2, 2]], 3),  # the second row sums to 4
-        ([1, 1], 3),
+    # a row's total n must lie in [1, (2^63 - 1) // L], so no count may exceed that bound
+    @pytest.mark.parametrize("counts", [
+        [1 << 61, 1 << 62, 5],  # a count above the largest n
+        [-1, 2],  # a negative count
+        np.array([[2**63 + 5, 0]], dtype=np.uint64),  # wraps to a negative int64
+        [2**62, 2**62, 2**62, 2**62 + 7],  # its running sum would wrap past int64
+        [[1, 2], [2**61, 2**61]],  # the second row's total is above the largest n
+        [[1, 2], [0, 0]],  # the second row's total is below 1: no observations
     ], ids=["above-n", "negative", "uint64", "wrapped-sum", "row-above-n", "row-below-n"])
-    def test_counts_outside_the_sample_rejected(self, counts, n):
-        with pytest.raises(ValueError, match=r"^gren_counts requires (counts in \[0, n\]|every row of counts to sum to n)"):
-            gren_counts(counts, n)
+    def test_counts_outside_the_sample_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"^gren_counts requires (counts in \[0, \d+\]|every row total n in \[1, \d+\]) for L = \d+$"):
+            gren_counts(counts)
 
     def test_largest_sample_size_accepted(self):
         n = (2**63 - 1) // 3
-        fit, blocks = gren_counts(np.array([[n, 0, 0]]), n)
+        fit, blocks = gren_counts(np.array([[n, 0, 0]]))
         assert fit.tolist() == [[1.0, 0.0, 0.0]] and blocks.tolist() == [2]
+        with pytest.raises(ValueError, match=f"^gren_counts requires every row total n in \\[1, {n}\\] for L = 3$"):
+            gren_counts(np.array([[n - 1, 2, 0]]))
+
+    def test_rows_of_different_totals_equal_rows_fitted_alone(self):
+        rng = np.random.default_rng(9)
+        counts = np.stack([rng.multinomial(n, [0.1, 0.3, 0.05, 0.25, 0.2, 0.1]) for n in (7, 100, 10**6)])
+        fit, blocks = gren_counts(counts)
+        for row, fit_row, b in zip(counts, fit, blocks):
+            alone_fit, alone_blocks = gren_counts(row)
+            expected_fit, expected_blocks = gren_fraction(row, int(row.sum()))
+            assert fit_row.tobytes() == alone_fit.tobytes() == expected_fit.tobytes()
+            assert b == alone_blocks == expected_blocks
 
 
 class TestIdentities:
@@ -208,7 +225,7 @@ class TestIdentities:
     @given(count_stacks(max_scale=2**26))
     def test_sum_monotone_and_majorisation(self, stack):
         counts, n = stack
-        fit, blocks = gren_counts(counts, n)
+        fit, blocks = gren_counts(counts)
         assert np.all(np.diff(fit, axis=1) <= 0)
         for row, fit_row, b in zip(counts, fit, blocks):
             lengths, totals = constant_runs(fit_row, n)
@@ -227,7 +244,7 @@ class TestIdentities:
     @given(count_stacks(max_scale=2**26, monotone=True))
     def test_monotone_counts_unchanged(self, stack):
         counts, n = stack
-        fit, blocks = gren_counts(counts, n)
+        fit, blocks = gren_counts(counts)
         assert fit.tobytes() == (counts / n).tobytes()
         assert blocks.tolist() == [len(set(row.tolist())) for row in counts]
 
@@ -235,14 +252,14 @@ class TestIdentities:
     @given(count_stacks(max_scale=2**40), st.integers(1, 2**12))
     def test_scale_equivariance(self, stack, m):
         counts, n = stack
-        fit, blocks = gren_counts(counts, n)
-        scaled_fit, scaled_blocks = gren_counts(m * counts, m * n)
+        fit, blocks = gren_counts(counts)
+        scaled_fit, scaled_blocks = gren_counts(m * counts)
         assert scaled_fit.tobytes() == fit.tobytes() and scaled_blocks.tolist() == blocks.tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(count_stacks())
     def test_estimators_from_counts(self, stack):
         counts, n = stack
-        assert estimate(EstimatorKind.EMPIRICAL, counts, n).tobytes() == (counts / n).tobytes()
-        assert estimate(EstimatorKind.REARRANGEMENT, counts, n).tobytes() == rear(counts / n).tobytes()
-        assert estimate(EstimatorKind.GRENANDER, counts, n).tobytes() == gren_counts(counts, n)[0].tobytes()
+        assert estimate(EstimatorKind.EMPIRICAL, counts).tobytes() == (counts / n).tobytes()
+        assert estimate(EstimatorKind.REARRANGEMENT, counts).tobytes() == rear(counts / n).tobytes()
+        assert estimate(EstimatorKind.GRENANDER, counts).tobytes() == gren_counts(counts)[0].tobytes()
