@@ -3,8 +3,8 @@
 
 Emits three CSVs:
   zero_probability.csv   P(Grenander limit == 0) under uniform truths,
-                         swept over support sizes (the worked value at
-                         y=9 is 0.0999);
+                         swept over support sizes (the exact value is
+                         1/(y+1); the worked value at y=9 is 0.1);
   touchpoints.csv        Monte Carlo mean touchpoint counts vs harmonic
                          sums for a range of walk lengths;
   efficiency.csv         closed-form limit moments for the study truths

@@ -26,8 +26,6 @@ import numpy as np
 from . import __version__
 from .experiments import (
     _SHORT_NAMES,
-    DEFAULT_ESTIMATORS,
-    DEFAULT_METRICS,
     EstimatorKind,
     ExperimentConfig,
     ExperimentSummary,
@@ -70,12 +68,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class _Given(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):  # store, and note the flag in `given`
-        setattr(namespace, self.dest, values)
-        namespace.given = (*namespace.given, self.option_strings[0])
 
 
 def _arg_type(parse):
@@ -179,19 +171,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    given = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__}  # in command-line order
     if args.config is not None:
-        if args.given:
-            raise ValueError(f"{args.given[0]} cannot be combined with --config")
+        if given:
+            raise ValueError(f"--{next(iter(given))} cannot be combined with --config")
         return _load(args.config, "config", lambda text: ExperimentConfig.from_json(json.loads(text)))
-    return ExperimentConfig(
-        truth=args.truth,
-        n=args.n,
-        reps=args.reps,
-        seed=args.seed,
-        estimators=args.estimators,
-        metrics=args.metrics,
-        target=args.target,
-    )
+    return ExperimentConfig(**{"n": 100, "reps": 1000, "seed": 0, **given})
 
 
 _TEXT_WIDTH = 24  # the longest %.17g text of a float64, "-2.2250738585072014e-308"
@@ -500,18 +485,16 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="Monte Carlo comparison of the estimators")
-    p.add_argument("--truth", type=truth, action=_Given, help="uniform:y | geometric:theta | mixture:w:y,...")
-    p.add_argument("--n", type=int, default=100, action=_Given)
-    p.add_argument("--reps", type=int, default=1000, action=_Given)
-    p.add_argument("--seed", type=int, default=0, action=_Given)
-    p.add_argument("--target", default="pmf", choices=["pmf", "mixing"], action=_Given)
-    p.add_argument("--estimators", type=estimators, default=DEFAULT_ESTIMATORS, action=_Given,
-                   help="comma list: empirical,rear,gren")
-    p.add_argument("--metrics", type=metrics, default=DEFAULT_METRICS, action=_Given,
-                   help="comma list: hellinger,l1,l2,linf,l{k}")
+    p.add_argument("--truth", type=truth, default=argparse.SUPPRESS, help="uniform:y | geometric:theta | mixture:w:y,...")
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--reps", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--target", default=argparse.SUPPRESS, choices=["pmf", "mixing"])
+    p.add_argument("--estimators", type=estimators, default=argparse.SUPPRESS, help="comma list: empirical,rear,gren")
+    p.add_argument("--metrics", type=metrics, default=argparse.SUPPRESS, help="comma list: hellinger,l1,l2,linf,l{k}")
     p.add_argument("--config", help="JSON config file carrying the same fields; no other config flag may be given")
     p.add_argument("--out", required=True, help="output prefix for _raw.csv, _summary.csv, _meta.json")
-    p.set_defaults(fn=_cmd_simulate, given=())
+    p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("risk", help="Monte Carlo risk of one estimator")
     p.add_argument("--truth", type=truth, required=True)
@@ -546,7 +529,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and args.config is None and args.truth is None:
+    if args.command == "simulate" and args.config is None and "truth" not in vars(args):
         parser.error("simulate requires --truth or --config")
     if sys.stdout is None:
         sys.stdout = _ClosedStdout()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import constancy_blocks, limit_transform, pava
-from .pmf import Pmf
+from .pmf import Pmf, uniform_pmf
 from .rng import _replicates, as_int, make_generator
 
 
@@ -41,21 +41,28 @@ class AsymptoticReport:
     e_l1_emp: float
 
 
-def draw_limit_batch(p: Pmf, reps: int, seed: int):
-    """Vectorized draws: three (reps, K+1) arrays (y, y_rear, y_gren).
+def _limit_rows(p: Pmf, reps: int, seed: int, stat):
+    """`stat` of the rows of `reps` draws of Y = W - p*sum(W), W = Z*sqrt(p), Z standard normal.
 
     Y is built on the replicate map from the rows of one normal stack, drawn
     block by block in order from the Philox keyed by `seed` (so with the bits
-    of one call); the transforms then run once on all of Y.
+    of one call), and `stat` runs on each block's rows.
+    """
+    probs, root = p.probs, np.sqrt(p.probs)
+    normals = make_generator(seed).standard_normal
+    return _replicates(probs.size, reps, lambda b, rows: normals((rows, probs.size)) * root,
+                       lambda w: stat(w - probs * w.sum(axis=1, keepdims=True)))
+
+
+def draw_limit_batch(p: Pmf, reps: int, seed: int):
+    """Vectorized draws: three (reps, K+1) arrays (y, y_rear, y_gren).
+
+    Y comes from `_limit_rows`; the transforms then run once on all of Y.
     """
     if not p.monotone:
         raise ValueError("limit draws require a monotone truth")
-    probs, root = p.probs, np.sqrt(p.probs)
-    normals = make_generator(seed).standard_normal
-    y = _replicates(probs.size, reps, lambda b, rows: normals((rows, probs.size)) * root,
-                    lambda w: w - probs * w.sum(axis=1, keepdims=True))
-    y_rear, y_gren = limit_transform(y, p)
-    return y, y_rear, y_gren
+    y = _limit_rows(p, reps, seed, lambda y: y)
+    return (y, *limit_transform(y, p))
 
 
 def harmonic(k: int) -> float:
@@ -128,20 +135,14 @@ def gren_zero_probability(y: int, reps: int, seed: int) -> float:
     """Monte Carlo estimate of P(gren(Y) == 0) under uniform truth on {0..y}.
 
     The event is that the discrete Brownian bridge (the cumulative sums of
-    Y) stays at or below zero, in which case its least concave majorant is
-    the zero line.  It is a statistic on the replicate map, drawn block by
-    block from one normal stack as in `draw_limit_batch`; a one-point bridge
-    has no interior point, so at y = 0 every replicate hits.
+    Y) stays at or below zero at its interior points (its endpoint is 0),
+    in which case its least concave majorant is the zero line.  It is a
+    statistic of the rows of `_limit_rows`, those of `draw_limit_batch`; a
+    one-point bridge has no interior point, so at y = 0 every replicate
+    hits.  The exact value is 1/(y+1): the increments of Y on the flat
+    block are exchangeable, continuous and sum to zero, so by the cycle
+    lemma exactly one of their y+1 cyclic shifts keeps every partial sum at
+    or below zero.
     """
-    y = as_int(y, "y")
-    if y < 0:
-        raise ValueError("y must be a non-negative integer")
-    normals = make_generator(seed).standard_normal
-    scale = math.sqrt(1.0 / (y + 1))
-
-    def hits(w):
-        bridge = np.cumsum((w - w.mean(axis=1, keepdims=True))[:, :-1], axis=1)  # interior points; endpoint is 0
-        return np.all(bridge <= 0.0, axis=1)
-
-    hit = _replicates(y + 1, reps, lambda b, rows: normals((rows, y + 1)) * scale, hits)
+    hit = _limit_rows(uniform_pmf(y), reps, seed, lambda rows: np.all(np.cumsum(rows[:, :-1], axis=1) <= 0.0, axis=1))
     return int(np.count_nonzero(hit)) / hit.size

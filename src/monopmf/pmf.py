@@ -74,7 +74,8 @@ class Pmf:
             raise ValueError("pmf entries must be finite")
         if np.any(probs < 0):
             raise ValueError("pmf entries must be non-negative")
-        total = float(probs.sum())
+        with np.errstate(over="ignore"):  # finite entries may sum past the float range, to inf
+            total = float(probs.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"pmf entries must sum to 1, got {total!r}")
         if probs[-1] <= 0:
@@ -151,8 +152,9 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
     y = np.array([as_int(v, "ys") for v in y], dtype=object)  # Python ints until the checks pass
     if np.any(w <= 0):
         raise ValueError("mixture weights must be positive")
-    if abs(float(w.sum()) - 1.0) > SUM_TOL:
-        raise ValueError("mixture weights must sum to 1")
+    with np.errstate(over="ignore"):  # as in Pmf: an inf sum is rejected, without numpy's warning
+        if abs(float(w.sum()) - 1.0) > SUM_TOL:
+            raise ValueError("mixture weights must sum to 1")
     if np.any(y < 0) or np.any(np.diff(y) <= 0):
         raise ValueError("ys must be strictly increasing non-negative integers")
     _check_support(int(y[-1]) + 1)

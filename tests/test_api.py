@@ -137,7 +137,8 @@ def unused_imports(path: Path) -> list[str]:
     return sorted(bound - used)
 
 
-@pytest.mark.parametrize("path", sorted([*(ROOT / "src" / "monopmf").glob("*.py"), *(ROOT / "scripts").glob("*.py")]),
+@pytest.mark.parametrize("path", sorted([*(ROOT / "src" / "monopmf").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                                         *(ROOT / "tests").glob("*.py")]),
                          ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []

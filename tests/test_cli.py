@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from monopmf import cli, experiments, format_pmf, parse_pmf, sample, uniform_pmf
+from monopmf import cli, experiments, format_pmf, parse_pmf, uniform_pmf
 from monopmf.cli import main
 from monopmf.pmf import COUNT_STREAM
 from references import RECORDED, format_counts
@@ -324,6 +324,13 @@ class TestSimulate:
         assert capsys.readouterr().err == f"monopmf: {name} cannot be combined with --config\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("flags,name", [(["--seed", "3", "--n", "5"], "--seed"), (["--n", "5", "--seed", "3"], "--n")])
+    def test_config_conflict_names_the_first_flag_given(self, flags, name, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"truth": "uniform:3", "n": 10, "reps": 5}))
+        assert main(["simulate", *flags, "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"monopmf: {name} cannot be combined with --config\n"
+
     def test_run_too_large_for_memory_exits_1(self, tmp_path, capsys):
         # the distances of 10^17 replicates (6.25 EiB) cannot be allocated anywhere
         config = tmp_path / "run.json"
@@ -570,6 +577,26 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert "empirical" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["estimate", "mixing", "risk", "simulate"])
+    def test_sum_past_the_float_range_is_one_line(self, command, counts_file, tmp_path):
+        # two weights or entries of 1e308 sum to inf: the run fails with its one line, and
+        # numpy's overflow warning, printed once per process, never precedes it
+        pmf, config = tmp_path / "big.pmf", tmp_path / "big.json"
+        pmf.write_text("0\t1e308\n1\t1e308\n")
+        config.write_text(json.dumps({"truth": "mixture:1e308:3,1e308:5", "n": 10, "reps": 5}))
+        pmf_fault = f"monopmf: invalid pmf file {str(pmf)!r}: pmf entries must sum to 1, got inf\n"
+        argv, code, err = {
+            "estimate": (["estimate", "--counts", str(counts_file), "--truth", str(pmf)], 2, pmf_fault),
+            "mixing": (["mixing", "--pmf", str(pmf)], 2, pmf_fault),
+            "risk": (["risk", "--truth", "mixture:1e308:3,1e308:5", "--n", "10", "--reps", "5"], 1,
+                     "monopmf: mixture weights must sum to 1\n"),
+            "simulate": (["simulate", "--config", str(config), "--out", str(tmp_path / "x")], 2,
+                         f"monopmf: invalid config file {str(config)!r}: mixture weights must sum to 1\n"),
+        }[command]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "monopmf", *argv], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (code, err)
 
 
 @pytest.fixture(params=["asymptotics", "mixing"])

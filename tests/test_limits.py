@@ -20,7 +20,6 @@ from monopmf import (
     harmonic,
     limit_transform,
     mixture_of_uniforms,
-    rear,
     rng,
     touch_count,
     uniform_pmf,
@@ -346,6 +345,23 @@ class TestGrenZeroProbability:
         # the chunks of rows are cut from one generator's stream, so the value
         # is that of one (reps, y+1) normal stack drawn in a single call
         assert gren_zero_probability(y, reps, seed=17) == one_stack_zero_probability(y, reps, seed=17)
+
+    @pytest.mark.parametrize("y,reps", [(9, 3 * 10**4), (999, 700)])
+    def test_is_the_bridge_fraction_of_the_limit_draws(self, y, reps):
+        # one formula for Y: the rows it tests are those draw_limit_batch returns
+        y_rows = draw_limit_batch(uniform_pmf(y), reps, seed=17)[0]
+        below = np.all(np.cumsum(y_rows[:, :-1], axis=1) <= 0.0, axis=1)
+        assert gren_zero_probability(y, reps, seed=17) == np.count_nonzero(below) / reps
+
+    def test_support_limit_rejected_before_any_draw(self):
+        with pytest.raises(ValueError, match="^support of 10000001 points exceeds the limit of 10000000$"):
+            gren_zero_probability(10**7, 1, 0)
+
+    @pytest.mark.parametrize("y", range(1, 13))
+    def test_exact_value_is_one_over_y_plus_one(self, y):
+        # 1/(y+1) by the cycle lemma (see the docstring), at the runs of scripts/limit_diagnostics.py
+        reps, p = 2 * 10**5, 1.0 / (y + 1)
+        assert abs(gren_zero_probability(y, reps, seed=y) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / reps)
 
     @pytest.mark.parametrize("y", [0, 9])
     def test_nonpositive_reps_rejected(self, y):
