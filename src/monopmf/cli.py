@@ -241,27 +241,20 @@ def _round_digits(a, e, pow10):
 
 def _exponents_and_digits(a, pow10):
     """(e, d, ok) for float64s `a` in [1e-280, 1e280]: the decimal exponent e and the 17-digit integer d of
-    the %.17g text of each (|v| = d * 10^(e-16) rounded), where ok.  e is log10's, corrected in at most three
-    rounds of exact comparisons with 10^e and 10^(e+1); not ok where that did not settle or a tie is near."""
+    the %.17g text of each (|v| = d * 10^(e-16) rounded), where ok: where two exact comparisons confirm
+    log10's e (10^e <= a < 10^(e+1)), d is below 10^17 (not rounded up to 10^(e+1)) and no tie is near."""
     e = np.floor(np.log10(a)).astype(np.int64)
-    for _ in range(3):
-        step = _at_least(a, e + 1, pow10).astype(np.int64) - ~_at_least(a, e, pow10)
-        if not step.any():
-            break
-        e += step
     d, tie = _round_digits(a, e, pow10)
-    carry = d == 10**17  # rounded up to 10^(e+1)
-    d[carry] = 10**16
-    return e + carry, d, ~tie & (step == 0)
+    return e, d, _at_least(a, e, pow10) & ~_at_least(a, e + 1, pow10) & (d < 10**17) & ~tie
 
 
 def _float_texts(values) -> np.ndarray:
     """The %.17g texts of the 1-D float64 array `values`: row i of the (n, _TEXT_WIDTH) uint8 result is the
-    ASCII text of values[i], then NUL bytes.  Finite values of magnitude in [1e-280, 1e280] take array code
-    (_exponents_and_digits, then the %g layout as bytes); the rest (zeros, subnormals, inf, NaN, larger or
-    smaller magnitudes) and values whose digits lie within 2^-30 of a rounding tie are formatted with %, so
-    every text is the correctly rounded one %.17g gives.  Runs of equal sign and notation, contiguous when `values` is sorted, are laid
-    out with slices."""
+    ASCII text of values[i], then NUL bytes.  Values of magnitude in [1e-280, 1e280] that
+    _exponents_and_digits marks ok take array code (the %g layout as bytes), laid out with slices over runs
+    of equal sign and notation (contiguous when `values` is sorted).  The rest (zeros, subnormals, inf, NaN,
+    larger or smaller magnitudes, exponents not confirmed, digits that round up to the next power of ten or
+    lie within 2^-30 of a tie) take one np.char.mod call; so every text is the one %.17g gives."""
     pow10, quads, trailing_zeros = _digit_tables()
     n = values.size
     a = np.abs(values)
@@ -320,11 +313,8 @@ def _float_texts(values) -> np.ndarray:
         return out
     texts = np.zeros((n, _TEXT_WIDTH), dtype=np.uint8)
     texts[fast] = out
-    slow = np.ones(n, dtype=bool)
-    slow[fast] = False
-    for i in np.flatnonzero(slow).tolist():
-        text = (_MACHINE_FMT % values[i]).encode("ascii")
-        texts[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    slow = texts[:, 0] == 0  # an array-code text starts with a sign or a digit
+    texts.view(f"S{_TEXT_WIDTH}")[slow, 0] = np.char.mod(_MACHINE_FMT.encode(), values[slow])  # NUL-padded
     return texts
 
 
@@ -339,21 +329,18 @@ def _format_floats(a) -> tuple[np.ndarray, np.ndarray]:
 def _write_table(path: str, header: str, mids: list[str], columns) -> None:
     """Write CSV `path`: `header`, then f"{i}{mids[j]}{t_1},...,{t_m}\r\n" for each record i and j < len(mids),
     t_k the %.17g text of columns[k-1][i, j].  No field needs quoting: the bytes equal csv.writer's.  Each
-    piece of about _CSV_CHUNK_ROWS lines takes the texts of its distinct values from array code, but those
-    of zeros, subnormals, inf, NaN, magnitudes outside [1e-280, 1e280] and digits near a rounding tie from %
-    (_float_texts).  It is laid out in one uint8 matrix, a row per line (record number right-aligned, mid,
-    each text in a _TEXT_WIDTH slot, commas, CRLF), and written as one chunk of the bytes a mask keeps: the
-    mid bytes by their lengths, every other byte unless NUL, which no number text or record number holds."""
+    piece of about _CSV_CHUNK_ROWS lines takes the texts of its distinct values from _float_texts.  It is
+    laid out in one uint8 matrix, a row per line (record number right-aligned, mid, each text in a
+    _TEXT_WIDTH slot, commas, CRLF), and written as one chunk of its bytes other than NUL, the padding,
+    which no number text or record number holds; the mids must hold no NUL either."""
     records, m = len(columns[0]), len(columns)
     step = max(1, _CSV_CHUNK_ROWS // len(mids))
     encoded = [mid.encode("utf-8") for mid in mids]
     width = len(str(max(records - 1, 0)))
     first = width + max(map(len, encoded))  # the first field's column
     buf = np.zeros((min(step, records), len(mids), first + m * (_TEXT_WIDTH + 1) + 1), dtype=np.uint8)
-    keep_mids = np.zeros((len(mids), first - width), dtype=bool)
     for j, mid in enumerate(encoded):
         buf[:, j, width : width + len(mid)] = np.frombuffer(mid, dtype=np.uint8)
-        keep_mids[j, : len(mid)] = True
     buf[:, :, first + _TEXT_WIDTH :: _TEXT_WIDTH + 1] = ord(",")
     buf[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
     weights = 10 ** np.arange(width - 1, -1, -1)
@@ -370,9 +357,7 @@ def _write_table(path: str, header: str, mids: list[str], columns) -> None:
                 column = first + k * (_TEXT_WIDTH + 1)
                 piece[:, :, column : column + _TEXT_WIDTH] = texts.take(inverse[:, :, k], axis=0)
             del texts, inverse  # freed before the mask and the kept bytes are made
-            keep = piece != 0
-            keep[:, :, width:first] = keep_mids
-            yield piece[keep]
+            yield piece[piece != 0]
 
     _atomic_write_chunks(path, pieces())
 

@@ -206,8 +206,8 @@ class ExperimentConfig:
     @staticmethod
     def from_json(data) -> "ExperimentConfig":
         """The config of a JSON object in the format of `to_json` (the truth may
-        also be a spec string; other keys are ignored).  The truth is built
-        once, so a bad truth or field is a ValueError raised before any work."""
+        also be a spec string; other keys are ignored).  The truth is built once,
+        so a bad truth, field or sample size is a ValueError raised before any work."""
         if not isinstance(data, dict):
             raise ValueError(f"the config must be a JSON object, got {type(data).__name__}")
         for key, kind in (("estimators", "estimator"), ("metrics", "metric")):
@@ -226,8 +226,8 @@ class ExperimentConfig:
                     if key not in known:
                         raise ValueError(f"unknown truth field {key!r}")
             spec = TruthSpec.parse(truth) if isinstance(truth, str) else TruthSpec(**truth)
-            spec.to_pmf()
-            return ExperimentConfig(
+            support_size = spec.to_pmf().support_size
+            config = ExperimentConfig(
                 truth=spec,
                 n=data["n"],
                 reps=data["reps"],
@@ -236,6 +236,8 @@ class ExperimentConfig:
                 metrics=tuple(MetricKind.parse(m) for m in data.get("metrics", [])) or DEFAULT_METRICS,
                 target=data.get("target", "pmf"),
             )
+            _check_sample_size(config.n, support_size, config.estimators)
+            return config
         except KeyError as exc:
             raise ValueError(f"missing field {exc}") from None
         except (AttributeError, OverflowError, TypeError) as exc:
@@ -313,14 +315,19 @@ def estimate(kind: EstimatorKind, counts) -> np.ndarray:
     raise ValueError(f"unknown estimator {kind!r}")
 
 
+def _check_sample_size(n: int, support_size: int, kinds) -> None:
+    """ValueError unless 1 <= n < 2^63 and, where `kinds` holds the Grenander, n * support_size < 2^63."""
+    if not 1 <= n < 1 << 63:
+        raise ValueError(f"sample size n must lie in [1, 2^63), got {n}")
+    if EstimatorKind.GRENANDER in kinds and n * support_size >= 1 << 63:
+        raise ValueError(f"the Grenander estimator needs n * (K+1) < 2^63, got n = {n} and K+1 = {support_size}")
+
+
 def _count_replicates(truth: Pmf, n: int, seed: int, reps: int, kinds, stat) -> np.ndarray:
-    """`stat` of the count rows of replicates 0..reps-1 on the replicate map, block b's
-    rows being `sample_counts` on the seed mix_seed(seed, b); numpy's rows do not depend
-    on how many follow, so replicate i's counts depend on (seed, i, n, truth, B), not reps.
-    ValueError before any draw if `kinds` holds the Grenander and n*(K+1) >= 2^63, which
-    the exact cross products of `gren_counts` cannot take."""
-    if EstimatorKind.GRENANDER in kinds and n < 1 << 63 <= n * truth.support_size:
-        raise ValueError(f"the Grenander estimator needs n * (K+1) < 2^63, got n = {n} and K+1 = {truth.support_size}")
+    """`stat` of the count rows of replicates 0..reps-1 on the replicate map, block b's rows being
+    `sample_counts` on the seed mix_seed(seed, b); numpy's rows do not depend on how many follow, so
+    replicate i's counts depend on (seed, i, n, truth, B), not reps.  n is checked before any draw."""
+    _check_sample_size(n, truth.support_size, kinds)
     return _replicates(truth.support_size, reps, lambda b, rows: sample_counts(truth, n, mix_seed(seed, b), rows), stat)
 
 

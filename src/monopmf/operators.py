@@ -118,10 +118,10 @@ def pava(v: np.ndarray):
     a 1-D v gives an int count.
 
     The shape rule: a stack whose row blocks of `_SWEEP_VALUES` = 2^15
-    values hold at least max(128, 4L) rows (so L <= 90) is pooled block by
-    block by `column_sweep`, whose work arrays then stay near 2^15 values;
-    a 1-D v or any other stack runs `_pool_row` once per row.  Both paths
-    give the same bits.
+    values hold at least max(128, 4L) rows (so L <= 90) is pooled by
+    `column_sweep` on slices of that many rows (the last maybe shorter), so
+    its work arrays hold at most 2^15 values; a 1-D v or any other stack
+    runs `_pool_row` once per row.  Both paths give the same bits on any stack.
     """
     fit = v.copy()
     if v.ndim == 1:
@@ -132,11 +132,8 @@ def pava(v: np.ndarray):
     block = max(1, _SWEEP_VALUES // length)
     counts = np.empty(r, dtype=np.int64)
     if min(r, block) >= max(128, 4 * length):
-        start = 0
-        for part in np.array_split(rows, r // block or 1):  # blocks of block..2*block-1 rows
-            stop = start + part.shape[0]
-            fit_rows[start:stop], counts[start:stop] = column_sweep(part)
-            start = stop
+        for start in range(0, r, block):
+            fit_rows[start : start + block], counts[start : start + block] = column_sweep(rows[start : start + block])
     else:
         for i in range(r):
             counts[i] = _pool_row(rows[i], fit_rows[i])

@@ -21,7 +21,7 @@ from monopmf import (
     touch_count,
     uniform_pmf,
 )
-from monopmf.operators import column_sweep
+from monopmf.operators import _SWEEP_VALUES, column_sweep, pava
 from references import gren_oracle, gren_oracle_stack
 
 EXAMPLE_EMPIRICAL = np.array([0.20, 0.14, 0.11, 0.22, 0.15, 0.18])
@@ -389,6 +389,16 @@ class TestColumnSweep:
         for i in range(a.shape[0]):
             assert fit[i].tobytes() == gren(a[i]).tobytes()
             assert counts[i] == touch_count(a[i])
+
+    def test_pava_on_a_slice_and_one_row(self):
+        # rows of 10 take slices of 3276 rows, so the last slice holds one row
+        length = 10
+        rows = _SWEEP_VALUES // length + 1
+        a = np.random.default_rng(5).multinomial(40, np.full(length, 0.1), size=rows) / 40
+        fit, counts = pava(a)
+        for i in range(rows):
+            row_fit, row_count = pava(a[i])
+            assert fit[i].tobytes() == row_fit.tobytes() and counts[i] == row_count
 
 
 class TestMixingEstimate:

@@ -33,7 +33,7 @@ def run_script(name, *args, cwd):
         ("mixing_comparison.py", ["--reps", "5", "--sizes", "10,30"], ["mixing_summary.csv"]),
         (
             "limit_diagnostics.py",
-            ["--reps", "50", "--zero-reps", "50"],
+            ["--reps", "50"],
             ["zero_probability.csv", "touchpoints.csv", "efficiency.csv"],
         ),
     ],
