@@ -31,15 +31,15 @@ from .experiments import (
     ExperimentSummary,
     InequalityViolation,
     TruthSpec,
+    _read_config,
     estimate,
     estimate_risk,
     run_experiment,
 )
-from .limits import asymptotics, draw_limit_batch
+from .limits import _PairwiseSum, _draw_limit_blocks, asymptotics
 from .metrics import MetricKind, distance
 from .operators import constancy_blocks, mixing_estimate
-from .pmf import COUNT_STREAM, float_label, format_pmf, parse_counts, parse_pmf
-from .rng import _block_height
+from .pmf import COUNT_STREAM, Pmf, float_label, format_pmf, parse_counts, parse_pmf
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
@@ -170,13 +170,14 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args) -> tuple[ExperimentConfig, Pmf | None]:
+    """The run's config and, when reading a config file built it, its truth's pmf."""
     given = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__}  # in command-line order
     if args.config is not None:
         if given:
             raise ValueError(f"--{next(iter(given))} cannot be combined with --config")
-        return _load(args.config, "config", lambda text: ExperimentConfig.from_json(json.loads(text)))
-    return ExperimentConfig(**{"n": 100, "reps": 1000, "seed": 0, **given})
+        return _load(args.config, "config", lambda text: _read_config(json.loads(text)))
+    return ExperimentConfig(**{"n": 100, "reps": 1000, "seed": 0, **given}), None
 
 
 _TEXT_WIDTH = 24  # the longest %.17g text of a float64, "-2.2250738585072014e-308"
@@ -326,40 +327,59 @@ def _format_floats(a) -> tuple[np.ndarray, np.ndarray]:
     return _float_texts(patterns.view(np.float64)), inverse.reshape(bits.shape)
 
 
-def _write_table(path: str, header: str, mids: list[str], columns) -> None:
-    """Write CSV `path`: `header`, then f"{i}{mids[j]}{t_1},...,{t_m}\r\n" for each record i and j < len(mids),
-    t_k the %.17g text of columns[k-1][i, j].  No field needs quoting: the bytes equal csv.writer's.  Each
-    piece of about _CSV_CHUNK_ROWS lines takes the texts of its distinct values from _float_texts.  It is
-    laid out in one uint8 matrix, a row per line (record number right-aligned, mid, each text in a
-    _TEXT_WIDTH slot, commas, CRLF), and written as one chunk of its bytes other than NUL, the padding,
-    which no number text or record number holds; the mids must hold no NUL either."""
-    records, m = len(columns[0]), len(columns)
-    step = max(1, _CSV_CHUNK_ROWS // len(mids))
+def _write_table(path: str, header: str, mids: list[str], records: int, chunks) -> None:
+    """Write CSV `path`: `header`, then f"{i}{mids[j]}{t_1},...,{t_m}\r\n" for each record i < `records` and
+    j < len(mids), t_k the %.17g text of column k of record i at j.  `chunks` yields the records in order,
+    as tuples of m arrays of shape (rows, len(mids)), column k's rows in the k-th.  No field needs quoting:
+    the bytes equal csv.writer's.  Records are cut into pieces of about _CSV_CHUNK_ROWS lines, across chunk
+    boundaries; each piece takes the texts of its distinct values from _float_texts.  It is laid out in
+    one uint8 matrix, a row per line (record number right-aligned, mid, each text in a _TEXT_WIDTH slot,
+    commas, CRLF), and written as one chunk of its bytes other than NUL, the padding, which no number text
+    or record number holds; the mids must hold no NUL either."""
+    step = min(max(1, _CSV_CHUNK_ROWS // len(mids)), max(records, 1))
     encoded = [mid.encode("utf-8") for mid in mids]
     width = len(str(max(records - 1, 0)))
     first = width + max(map(len, encoded))  # the first field's column
-    buf = np.zeros((min(step, records), len(mids), first + m * (_TEXT_WIDTH + 1) + 1), dtype=np.uint8)
-    for j, mid in enumerate(encoded):
-        buf[:, j, width : width + len(mid)] = np.frombuffer(mid, dtype=np.uint8)
-    buf[:, :, first + _TEXT_WIDTH :: _TEXT_WIDTH + 1] = ord(",")
-    buf[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
     weights = 10 ** np.arange(width - 1, -1, -1)
 
     def pieces():
         yield header.encode("utf-8")
-        for start in range(0, records, step):
-            stop = min(start + step, records)
-            piece = buf[: stop - start]
-            i = np.arange(start, stop)[:, None]
-            piece[:, :, :width] = np.where((i >= weights) | (weights == 1), i // weights % 10 + 48, 0)[:, None, :]
-            texts, inverse = _format_floats(np.stack([c[start:stop] for c in columns], axis=-1))
-            for k in range(m):
-                column = first + k * (_TEXT_WIDTH + 1)
-                piece[:, :, column : column + _TEXT_WIDTH] = texts.take(inverse[:, :, k], axis=0)
-            del texts, inverse  # freed before the mask and the kept bytes are made
-            yield piece[piece != 0]
+        values = buf = None
+        done = filled = 0  # records written, and held in `values`
+        for chunk in chunks:
+            if values is None:
+                values = np.empty((step, len(mids), len(chunk)))
+                buf = np.zeros((step, len(mids), first + len(chunk) * (_TEXT_WIDTH + 1) + 1), dtype=np.uint8)
+                for j, mid in enumerate(encoded):
+                    buf[:, j, width : width + len(mid)] = np.frombuffer(mid, dtype=np.uint8)
+                buf[:, :, first + _TEXT_WIDTH :: _TEXT_WIDTH + 1] = ord(",")
+                buf[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+            taken = 0
+            while taken < len(chunk[0]):
+                k = min(len(chunk[0]) - taken, step - filled)
+                for c, column in enumerate(chunk):
+                    values[filled : filled + k, :, c] = column[taken : taken + k]
+                taken += k
+                filled += k
+                if filled == step or done + filled == records:
+                    yield _piece(buf[:filled], values[:filled], done, width, first, weights)
+                    done += filled
+                    filled = 0
 
     _atomic_write_chunks(path, pieces())
+
+
+def _piece(piece, values, start: int, width: int, first: int, weights) -> bytes:
+    """The bytes of records start.. of a `_write_table` file, laid out in `piece`, its (rows, mids, line)
+    byte matrix, from their (rows, mids, m) `values`."""
+    i = np.arange(start, start + len(piece))[:, None]
+    piece[:, :, :width] = np.where((i >= weights) | (weights == 1), i // weights % 10 + 48, 0)[:, None, :]
+    texts, inverse = _format_floats(values)
+    for k in range(values.shape[2]):
+        column = first + k * (_TEXT_WIDTH + 1)
+        piece[:, :, column : column + _TEXT_WIDTH] = texts.take(inverse[:, :, k], axis=0)
+    del texts, inverse  # freed before the mask and the kept bytes are made
+    return piece[piece != 0]
 
 
 def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
@@ -368,7 +388,7 @@ def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
     cfg = summary.config
     labels = [f",{est.value},{metric.label}," for est in cfg.estimators for metric in cfg.metrics]
     raw = summary.raw.reshape(cfg.reps, len(labels))
-    _write_table(f"{prefix}_raw.csv", "replicate,estimator,metric,value\r\n", labels, (raw,))
+    _write_table(f"{prefix}_raw.csv", "replicate,estimator,metric,value\r\n", labels, cfg.reps, [(raw,)])
 
     text = "estimator,metric,mean,std,min,q1,median,q3,max\r\n"
     for est in cfg.estimators:
@@ -383,9 +403,9 @@ def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, truth = _config_from_args(args)
     _check_writable(f"{args.out}_raw.csv")
-    write_experiment(args.out, run_experiment(cfg))
+    write_experiment(args.out, run_experiment(cfg, truth))
     return 0
 
 
@@ -414,20 +434,30 @@ def _cmd_risk(args) -> int:
 def _cmd_limits(args) -> int:
     truth = args.truth.to_pmf()
     _check_writable(f"{args.out}_draws.csv")
-    columns = draw_limit_batch(truth, args.reps, args.seed)  # y, y_rear, y_gren
+    sums = _PairwiseSum(args.reps)  # of y, y_rear, y_gren and their squares, point by point
+
+    def chunks():
+        # one buffer for every block: with a new array per block, the allocator gave its pages back and
+        # faulted them in again block after block (5037 minor faults per run against 1412 at 2 * 10^4
+        # draws of K = 9)
+        width = 3 * truth.support_size
+        values = None
+        for block in _draw_limit_blocks(truth, args.reps, args.seed):  # y, y_rear, y_gren
+            if values is None:
+                values = np.empty((len(block[0]), 2 * width))
+            rows = values[: len(block[0])]
+            np.square(np.concatenate(block, axis=1, out=rows[:, :width]), out=rows[:, width:])
+            sums.add(rows)
+            yield block
+
     points = [f",{x}," for x in range(truth.support_size)]
-    _write_table(f"{args.out}_draws.csv", "draw,x,y,y_rear,y_gren\r\n", points, columns)
+    _write_table(f"{args.out}_draws.csv", "draw,x,y,y_rear,y_gren\r\n", points, args.reps, chunks())
 
     table = np.empty((len(points), 7))
-    step = _block_height(args.reps)  # points per contiguous copy; a row's mean has its column's bits
-    for start in range(0, len(points), step):
-        for j, c in enumerate(columns):
-            rows = c[:, start : start + step].T.copy()
-            table[start : start + step, j] = rows.mean(axis=1)
-            table[start : start + step, j + 3] = np.square(rows, out=rows).mean(axis=1)
+    table[:, :6] = (sums.total() / args.reps).reshape(6, len(points)).T  # the bits of each column's np.mean
     table[:, 6] = truth.probs * (1.0 - truth.probs)
     header = "x,mean_y,mean_y_rear,mean_y_gren,mean_sq_y,mean_sq_y_rear,mean_sq_y_gren,var_limit\r\n"
-    _write_table(f"{args.out}_aggregate.csv", header, [","], table.T[:, :, None])
+    _write_table(f"{args.out}_aggregate.csv", header, [","], len(points), [tuple(table.T[:, :, None])])
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .operators import constancy_blocks, limit_transform, pava
 from .pmf import Pmf, uniform_pmf
-from .rng import _replicates, as_int, make_generator
+from .rng import _replicate_blocks, as_int, make_generator
 
 
 @dataclass(frozen=True)
@@ -41,28 +41,146 @@ class AsymptoticReport:
     e_l1_emp: float
 
 
-def _limit_rows(p: Pmf, reps: int, seed: int, stat):
-    """`stat` of the rows of `reps` draws of Y = W - p*sum(W), W = Z*sqrt(p), Z standard normal.
+def _limit_blocks(p: Pmf, reps: int, seed: int):
+    """An iterator of the rows of `reps` draws of Y = W - p*sum(W), W = Z*sqrt(p), Z standard normal,
+    one block of the replicate map at a time.
 
-    Y is built on the replicate map from the rows of one normal stack, drawn
-    block by block in order from the Philox keyed by `seed` (so with the bits
-    of one call), and `stat` runs on each block's rows.
+    Each block's normals are the next rows of one Philox keyed by `seed`, so
+    every value has the bits of one (reps, K+1) stack drawn in one call.
     """
     probs, root = p.probs, np.sqrt(p.probs)
     normals = make_generator(seed).standard_normal
-    return _replicates(probs.size, reps, lambda b, rows: normals((rows, probs.size)) * root,
-                       lambda w: stat(w - probs * w.sum(axis=1, keepdims=True)))
+    blocks = _replicate_blocks(probs.size, reps, lambda b, rows: normals((rows, probs.size)) * root)
+    return (w - probs * w.sum(axis=1, keepdims=True) for w in blocks)
+
+
+def _draw_limit_blocks(p: Pmf, reps: int, seed: int):
+    """An iterator of (y, y_rear, y_gren) for each block of `_limit_blocks`: its rows of Y and their
+    `limit_transform`, which fits each row alone, so no value depends on the block height."""
+    if not p.monotone:
+        raise ValueError("limit draws require a monotone truth")
+    return ((y, *limit_transform(y, p)) for y in _limit_blocks(p, reps, seed))
 
 
 def draw_limit_batch(p: Pmf, reps: int, seed: int):
     """Vectorized draws: three (reps, K+1) arrays (y, y_rear, y_gren).
 
-    Y comes from `_limit_rows`; the transforms then run once on all of Y.
+    The blocks of `_draw_limit_blocks` fill the three arrays in turn, so
+    besides them a call holds one block's draws and transforms.
     """
-    if not p.monotone:
-        raise ValueError("limit draws require a monotone truth")
-    y = _limit_rows(p, reps, seed, lambda y: y)
-    return (y, *limit_transform(y, p))
+    out = None
+    start = 0
+    for block in _draw_limit_blocks(p, reps, seed):
+        if out is None:
+            out = tuple(np.empty((as_int(reps, "reps"), p.support_size)) for _ in block)
+        for a, b in zip(out, block):
+            a[start : start + len(b)] = b
+        start += len(block[0])
+    return out
+
+
+#: numpy's PW_BLOCKSIZE: the most values of a leaf of its pairwise sum.
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_ops(n: int):
+    """numpy's pairwise summation tree of n values, in post-order: a leaf as (start, length), the
+    addition of the last two sums (left + right) as None.  A range longer than _PAIRWISE_LEAF splits
+    after its first n // 2 values, rounded down to a multiple of 8."""
+    todo = [(0, n)]
+    while todo:
+        item = todo.pop()
+        if item is None or item[1] <= _PAIRWISE_LEAF:
+            yield item
+        else:
+            start, length = item
+            half = length // 2 - length // 2 % 8
+            todo += [None, (start + half, length - half), (start, half)]
+
+
+def _feed_leaves(acc, res, x, i: int, n: int):
+    """Add x (L, k, W), the values at positions i..i+k-1 of L pairwise leaves of length n, to their
+    state, as numpy's leaf loop does; return the new `res`.
+
+    A leaf of n >= 8 values sums them into eight accumulators, acc (L, 8, W): acc[j] starts at value j
+    and takes values j + 8, j + 16, ... below m = n - n % 8.  At m the accumulators are added as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)) into res (L, W), which then takes the last n % 8 values
+    one at a time.  A leaf of n < 8 values adds them one at a time from -0.0.  res is None before m.
+    """
+    m = n - n % 8 if n >= 8 else 0
+    p, end = i, i + x.shape[1]
+    while p < min(end, m):  # an eighth of the leaf, or what x holds of it, per step
+        q = min(end, m, p // 8 * 8 + 8)
+        part = acc[:, p % 8 : p % 8 + q - p]
+        if p < 8:
+            part[...] = x[:, p - i : q - i]
+        else:
+            part += x[:, p - i : q - i]
+        p = q
+    if res is None and end >= m:
+        a = acc
+        if m:
+            res = ((a[:, 0] + a[:, 1]) + (a[:, 2] + a[:, 3])) + ((a[:, 4] + a[:, 5]) + (a[:, 6] + a[:, 7]))
+        else:
+            res = np.full(x.shape[::2], -0.0)
+    for q in range(max(p, m), end):
+        res += x[:, q - i]
+    return res
+
+
+class _PairwiseSum:
+    """np.add.reduce(a, axis=0) of an (n, W) float64 array `a` fed in blocks of rows, in order: each
+    column has the bits numpy gives it as a contiguous row (so the bits of np.mean's sum).
+
+    numpy 2.4.6 adds a contiguous row of n values as 0.0 + its pairwise sum (`_pairwise_ops`, leaves
+    summed as `_feed_leaves` says); a test compares this with numpy at many lengths, so a numpy whose
+    tree differs fails it.  The leaves that end inside a block are summed together, one gather per
+    leaf length; a leaf that runs past the block keeps its state for the next.  Finished sums wait
+    on a stack until their sibling is done, so memory is O(8 W + W log n), not O(n W).
+    """
+
+    def __init__(self, n: int):
+        self._ops = _pairwise_ops(n)
+        self._stack = []
+        self._rows = 0  # rows fed so far
+        self._open = None  # (start, length, acc, res) of a leaf begun in an earlier block
+
+    def add(self, block) -> None:
+        start, stop = self._rows, self._rows + len(block)
+        self._rows = stop
+        if self._open is not None:
+            begin, n, acc, res = self._open
+            res = _feed_leaves(acc, res, block[None, : min(begin + n, stop) - start], start - begin, n)
+            if begin + n > stop:
+                self._open = begin, n, acc, res
+                return
+            self._open = None
+            self._stack.append(res[0])
+        ops = []
+        for op in self._ops:
+            if op is not None and op[0] + op[1] > stop:  # a leaf that ends in a later block
+                begin, n = op
+                acc = np.empty((1, 8, block.shape[1]))
+                self._open = begin, n, acc, _feed_leaves(acc, None, block[None, begin - start :], 0, n)
+                break
+            ops.append(op)
+        sums = {}
+        leaves = [op for op in ops if op is not None]
+        for n in {n for _, n in leaves}:
+            begins = [b for b, length in leaves if length == n]
+            x = block.take(np.subtract(begins, start)[:, None] + np.arange(n), axis=0)
+            sums.update(zip(begins, _feed_leaves(np.empty((len(begins), 8, block.shape[1])), None, x, 0, n)))
+        for op in ops:
+            if op is None:
+                right = self._stack.pop()
+                self._stack[-1] = self._stack[-1] + right
+            else:
+                self._stack.append(sums[op[0]])
+
+    def total(self) -> np.ndarray:
+        """The sums, once all n rows are fed."""
+        (root,) = self._stack
+        return 0.0 + root
 
 
 def harmonic(k: int) -> float:
@@ -137,12 +255,13 @@ def gren_zero_probability(y: int, reps: int, seed: int) -> float:
     The event is that the discrete Brownian bridge (the cumulative sums of
     Y) stays at or below zero at its interior points (its endpoint is 0),
     in which case its least concave majorant is the zero line.  It is a
-    statistic of the rows of `_limit_rows`, those of `draw_limit_batch`; a
+    statistic of the rows of `_limit_blocks`, those of `draw_limit_batch`; a
     one-point bridge has no interior point, so at y = 0 every replicate
     hits.  The exact value is 1/(y+1): the increments of Y on the flat
     block are exchangeable, continuous and sum to zero, so by the cycle
     lemma exactly one of their y+1 cyclic shifts keeps every partial sum at
     or below zero.
     """
-    hit = _limit_rows(uniform_pmf(y), reps, seed, lambda rows: np.all(np.cumsum(rows[:, :-1], axis=1) <= 0.0, axis=1))
-    return int(np.count_nonzero(hit)) / hit.size
+    blocks = _limit_blocks(uniform_pmf(y), reps, seed)
+    hits = sum(int(np.count_nonzero(np.all(np.cumsum(rows[:, :-1], axis=1) <= 0.0, axis=1))) for rows in blocks)
+    return hits / as_int(reps, "reps")

@@ -259,18 +259,26 @@ def limit_transform(y, p: Pmf) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (y_rear, y_gren).  Singleton blocks are passed through
     unchanged, so for a strictly decreasing p both outputs equal y.  A
-    stack of sequences (shape (..., K+1)) is transformed row by row.
+    stack of sequences (shape (..., K+1)) is transformed row by row: the
+    blocks of each width c > 1 are stacked into one (rows * blocks, c)
+    stack for one `rear` and one `gren` call, whose rows are fitted alone,
+    so a block's values do not depend on what else is in the stack.
     """
-    blocks = constancy_blocks(p)
+    if not p.monotone:
+        raise ValueError("constancy blocks are defined for monotone pmfs")
     v = np.asarray(y, dtype=float)
     if v.ndim == 0 or v.shape[-1] != p.support_size:
         raise ValueError(f"expected sequences of length {p.support_size}, the support size of p")
     y_rear = v.copy()
     y_gren = v.copy()
-    for r, s in blocks:
-        if s > r:
-            y_rear[..., r : s + 1] = rear(v[..., r : s + 1])
-            y_gren[..., r : s + 1] = gren(v[..., r : s + 1])
+    starts, widths = p._runs
+    for c in set(widths[widths > 1].tolist()):
+        first = starts[widths == c]
+        columns = slice(first[0], first[0] + c) if first.size == 1 else (first[:, None] + np.arange(c)).ravel()
+        blocks = v[..., columns].reshape(-1, c)
+        shape = v.shape[:-1] + (first.size * c,)
+        y_rear[..., columns] = rear(blocks).reshape(shape)
+        y_gren[..., columns] = gren(blocks).reshape(shape)
     return y_rear, y_gren
 
 

@@ -165,6 +165,14 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
     return Pmf(probs)
 
 
+def check_sample_size(n) -> int:
+    """`n` as an int in [1, 2^63), the sample sizes the count streams take; anything else is a ValueError."""
+    n = as_int(n, "n")
+    if not 1 <= n < 1 << 63:
+        raise ValueError(f"sample size n must lie in [1, 2^63), got {n}")
+    return n
+
+
 def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
     """Count matrix of `rows` samples of size n, all drawn on one seed.
 
@@ -194,9 +202,7 @@ def sample_counts(p: Pmf, n: int, seed: int, rows: int) -> np.ndarray:
     int64 (rows, K+1) matrix a call takes O(K + _CHUNK_ELEMENTS) memory
     whatever n is.
     """
-    n, rows = as_int(n, "n"), as_int(rows, "rows")
-    if not 1 <= n <= np.iinfo(np.int64).max:
-        raise ValueError(f"sample size n must lie in [1, 2^63), got {n}")
+    n, rows = check_sample_size(n), as_int(rows, "rows")
     if rows < 0:
         raise ValueError(f"rows must be non-negative, got {rows}")
     generator = make_generator(seed)

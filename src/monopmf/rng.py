@@ -5,7 +5,7 @@ generator keyed by an explicit 64-bit seed, so every sampling routine is a
 pure function of its inputs.  Batch drivers derive one seed per block of
 work items with :func:`mix_seed`, which makes results independent of
 execution order.  The block rule (`_block_height`, part of the stream) and
-the replicate map of every Monte Carlo driver (`_replicates`) live here too.
+the replicate map of every Monte Carlo driver (`_replicate_blocks`) live here too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-#: Values per block of the replicate map (`_replicates`): a block holds `_block_height(K+1)` rows
+#: Values per block of the replicate map (`_replicate_blocks`): a block holds `_block_height(K+1)` rows
 #: whatever n is, tall enough for short rows to spread the per-call cost of the sampler and the
 #: kernels, while its estimator arrays stay a few times this size.  Also the least values per
 #: `integers` call of count stream 4 (`pmf.sample_counts`).  The block height and the call size are
@@ -70,21 +70,31 @@ def _block_height(width: int) -> int:
     return max(1, _CHUNK_ELEMENTS // width)
 
 
-def _replicates(width: int, reps: int, draw, stat) -> np.ndarray:
-    """`stat(draw(b, rows))` of every block b, stacked in replicate order.
+def _replicate_blocks(width: int, reps: int, draw):
+    """An iterator of `draw(b, rows)` for every block b of the replicate map, in order.
 
     Replicate i is row i % B of block b = i // B, B = `_block_height(width)`,
-    the last block's rows cut at reps.  `stat` gives one leading entry per
-    row, and the stack takes the first block's dtype.
+    the last block's rows cut at reps.  reps is checked at the call, before
+    any draw.
     """
     reps = as_int(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be positive")
-    rows = _block_height(width)
+    height = _block_height(width)
+    return (draw(b, min(height, reps - start)) for b, start in enumerate(range(0, reps, height)))
+
+
+def _replicates(width: int, reps: int, draw, stat) -> np.ndarray:
+    """`stat` of every block of `_replicate_blocks`, stacked in replicate order.
+
+    `stat` gives one leading entry per row, and the stack takes the first
+    block's dtype.
+    """
     out = None
-    for b, start in enumerate(range(0, reps, rows)):
-        block = stat(draw(b, min(rows, reps - start)))
+    start = 0
+    for block in map(stat, _replicate_blocks(width, reps, draw)):
         if out is None:
-            out = np.empty((reps,) + block.shape[1:], block.dtype)
-        out[start : start + rows] = block
+            out = np.empty((as_int(reps, "reps"),) + block.shape[1:], block.dtype)
+        out[start : start + len(block)] = block
+        start += len(block)
     return out

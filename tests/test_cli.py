@@ -215,6 +215,18 @@ class TestSimulate:
         meta = json.loads((tmp_path / "c_meta.json").read_text())
         assert meta["estimators"] == ["empirical", "grenander"]
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_truth_pmf_is_built_once(self, source, tmp_path, monkeypatch):
+        # checking a config file builds its truth, and the run takes that pmf, not a second one
+        built = []
+        to_pmf = experiments.TruthSpec.to_pmf
+        monkeypatch.setattr(experiments.TruthSpec, "to_pmf", lambda spec: built.append(spec) or to_pmf(spec))
+        (tmp_path / "cfg.json").write_text(json.dumps({"truth": "mixture:0.2:3,0.8:7", "n": 30, "reps": 10}))
+        args = {"flags": ["--truth", "mixture:0.2:3,0.8:7", "--n", "30", "--reps", "10"],
+                "config": ["--config", str(tmp_path / "cfg.json")]}[source]
+        assert main(["simulate", *args, "--out", str(tmp_path / "c")]) == 0
+        assert len(built) == 1
+
     def test_mixing_empirical_hellinger_exits_1_before_any_replicate(self, tmp_path, capsys):
         code = main(["simulate", "--truth", "uniform:5", "--n", "20", "--reps", "50",
                      "--target", "mixing", "--out", str(tmp_path / "x")])
@@ -400,7 +412,7 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,work,first", [
-        (["limits", "--truth", "uniform:3", "--reps", "3"], "draw_limit_batch", "x_draws.csv"),
+        (["limits", "--truth", "uniform:3", "--reps", "3"], "_draw_limit_blocks", "x_draws.csv"),
         (["simulate", "--truth", "uniform:3", "--reps", "3"], "run_experiment", "x_raw.csv"),
     ], ids=["limits", "simulate"])
     def test_unwritable_output_exits_1(self, argv, work, first, tmp_path, capsys, monkeypatch):
@@ -708,6 +720,26 @@ class TestImports:
         assert proc.stdout.splitlines()[-1] == "0 False False False"
 
 
+def test_limits_memory_does_not_grow_with_reps(tmp_path):
+    # limits draws, transforms, writes and aggregates one block at a time; held whole, the
+    # 2 * 10^5 draws of K = 9 peak at about 113 MB.  VmHWM is the peak of the command's own
+    # process image: ru_maxrss would also count the image of the test process before exec.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status for VmHWM")
+    report = (
+        "import sys\nfrom monopmf.cli import main\ncode = main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(code, int(status.split('VmHWM:')[1].split()[0]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = ["limits", "--truth", "uniform:9", "--reps", "200000", "--out", str(tmp_path / "x")]
+    proc = subprocess.run([sys.executable, "-c", report, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < 60 * 1024
+
+
 class TestFileModes:
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_outputs_honour_umask(self, umask, counts_file, tmp_path):
@@ -802,6 +834,9 @@ class TestWriteTable:
         size = records * len(mids)
         columns = [np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)),
                             dtype=np.float64).reshape(records, len(mids)) for _ in range(m)]
+        # the records come in chunks of any sizes, which the pieces cut across
+        cuts = sorted(data.draw(st.lists(st.integers(0, records), max_size=4), label="cuts"))
+        chunks = [tuple(c[a:b] for c in columns) for a, b in zip([0, *cuts], [*cuts, records])]
         expected = "h\r\n" + "".join(
             f"{i}{mid}" + ",".join("%.17g" % c[i, j] for c in columns) + "\r\n"
             for i in range(records) for j, mid in enumerate(mids)
@@ -809,6 +844,6 @@ class TestWriteTable:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_CSV_CHUNK_ROWS", rows)
             path = os.path.join(tmp, "t.csv")
-            cli._write_table(path, "h\r\n", mids, columns)
+            cli._write_table(path, "h\r\n", mids, records, iter(chunks))
             with open(path, "rb") as fh:
                 assert fh.read() == expected.encode("utf-8")

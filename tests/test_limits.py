@@ -1,5 +1,6 @@
 """Tests for the limit-process simulators and closed-form asymptotics."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from monopmf import (
     touch_count,
     uniform_pmf,
 )
+from monopmf.limits import _pairwise_ops, _PairwiseSum
 from references import flat_block_gren_reference, limit_rows
 
 STRICT = Pmf(np.array([0.5, 0.3, 0.2]))
@@ -114,9 +116,8 @@ class TestDrawLimit:
             draw_limit_batch(uniform_pmf(5), 1, seed=2.5)
 
     def test_memory_of_one_output_stack_fewer(self):
-        # Y is built block by block, so no (reps, K+1) array of normals or of
-        # W outlives its block: the peak is Y, y_rear, y_gren and the
-        # transform's temporaries, about 5 output arrays
+        # draws and transforms run block by block into the three output
+        # arrays, so the peak is those arrays plus one block's temporaries
         reps = 2 * 10**5
         tracemalloc.start()
         try:
@@ -124,7 +125,7 @@ class TestDrawLimit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * reps * 10 * 8
+        assert peak < 3.5 * reps * 10 * 8
 
 
 class TestAsymptotics:
@@ -417,3 +418,66 @@ class TestAlreadyMonotoneProbability:
             target = 1 / math.factorial(y + 1)
             se = math.sqrt(target * (1 - target) / reps)
             assert abs(frac - target) < 4 * se
+
+
+#: Lengths at which the streamed sum is compared with numpy: every length up to past the second split,
+#: a leaf's edges, block heights of the replicate map and 40 random lengths up to 3 * 10^5.
+PAIRWISE_LENGTHS = [
+    *range(1, 300), 8192, 8193, 16385, 20000, 200001,
+    *np.random.default_rng(30).integers(300, 3 * 10**5, size=40).tolist(),
+]
+
+
+def streamed_sum(a, heights):
+    """_PairwiseSum of the rows of `a`, fed in blocks whose heights cycle through `heights`."""
+    sums = _PairwiseSum(len(a))
+    start = 0
+    for height in itertools.cycle(heights):
+        if start >= len(a):
+            return sums.total()
+        sums.add(a[start : start + height])
+        start += height
+
+
+class TestPairwiseSum:
+    """The limits aggregate's streamed sum has the bits of numpy's contiguous row sums and means."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 300, 20000, 200001])
+    def test_ops_are_a_post_order_tree_of_short_leaves(self, n):
+        ops = list(_pairwise_ops(n))
+        leaves = [op for op in ops if op is not None]
+        assert [start for start, _ in leaves] == np.cumsum([0] + [k for _, k in leaves])[:-1].tolist()
+        assert sum(k for _, k in leaves) == n
+        assert all(1 <= k <= 128 for _, k in leaves)
+        depth = 0
+        for op in ops:
+            depth += 1 if op is not None else -1
+            assert depth >= 1
+        assert depth == 1
+
+    def test_equals_numpy_at_every_length(self):
+        # a numpy whose summation tree differs fails here instead of moving the aggregate's bytes
+        gen = np.random.default_rng(31)
+        for n in PAIRWISE_LENGTHS:
+            a = gen.normal(0.0, 0.3, size=(n, 4)) * np.exp2(gen.integers(-30, 30, size=(n, 4)))
+            a[:, 1] = -0.0
+            a[gen.integers(0, n, size=2), 2] = np.inf
+            a[gen.integers(0, n), 3] = np.nan
+            a[gen.integers(0, n), 3] = -np.inf
+            rows = np.ascontiguousarray(a.T)
+            heights = [int(gen.choice([1, 5, 7, 64] if n < 3000 else [1638, 4096, n]))]
+            got = streamed_sum(a, heights)
+            assert got.tobytes() == np.add.reduce(rows, axis=1).tobytes(), n
+            assert (got / n).tobytes() == rows.mean(axis=1).tobytes(), n
+
+    @pytest.mark.parametrize("heights", [[1], [3, 11, 2], [1638], [127, 129], [10**6]])
+    def test_does_not_depend_on_the_blocks(self, heights):
+        a = np.random.default_rng(32).normal(size=(5003, 3))
+        a[::7, 0] = -0.0
+        assert streamed_sum(a, heights).tobytes() == np.add.reduce(np.ascontiguousarray(a.T), axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 200])
+    def test_sum_of_negative_zeros(self, n):
+        # numpy adds the tree to 0.0, so the mean of -0.0s is 0.0, as the aggregate prints it
+        got = streamed_sum(np.full((n, 1), -0.0), [2])
+        assert got.tobytes() == np.add.reduce(np.full(n, -0.0)).tobytes() == np.float64(0.0).tobytes()
