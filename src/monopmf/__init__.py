@@ -36,7 +36,6 @@ from .operators import (
 from .pmf import (
     Pmf,
     empirical_pmf,
-    format_pmf,
     geometric_pmf,
     mixture_of_uniforms,
     parse_counts,
@@ -62,7 +61,6 @@ __all__ = [
     "empirical_pmf",
     "estimate_risk",
     "fluctuation_cdf",
-    "format_pmf",
     "geometric_pmf",
     "gren",
     "gren_counts",

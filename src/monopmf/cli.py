@@ -4,9 +4,9 @@ Subcommands: estimate, simulate, risk, limits, asymptotics, mixing.
 Exit codes: 0 success, 1 usage error, unwritable output file or standard
 output, or a run too large for memory, 2 input data error, 3 a simulated replicate failed
 the monotone-estimator inequality check.  All files are written atomically (temp file + rename)
-and machine-readable numbers carry 17 significant digits.  A streamed CSV is written in pieces, each one
-byte matrix whose number texts come from array code (exact decimal digits from double-double products,
-% for the few values it leaves out), one per distinct value; its bytes equal %.17g of every value.
+and machine-readable numbers carry 17 significant digits.  Every table of numbers (CSV, pmf, weights) is
+written in pieces by one writer, each one byte matrix whose number texts come from array code (exact digits
+from double-double products, % for the few values it leaves out); its bytes equal %.17g of every value.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from .experiments import (
 )
 from .limits import _PairwiseSum, _draw_limit_blocks, asymptotics
 from .metrics import MetricKind, distance
-from .operators import constancy_blocks, mixing_estimate
-from .pmf import COUNT_STREAM, Pmf, float_label, format_pmf, parse_counts, parse_pmf
+from .operators import _count_sums, constancy_blocks, mixing_estimate
+from .pmf import COUNT_STREAM, Pmf, float_label, parse_counts, parse_pmf
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
 
-#: Lines per piece of a streamed CSV file.
+#: Lines per piece of a table (`_table_pieces`).
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -128,32 +128,37 @@ def _load(path: str, label: str, parse):
         raise DataError(f"invalid {label} file {path!r}: {exc}") from None
 
 
-def _suffixed(path: str, name: str) -> str:
-    stem, ext = os.path.splitext(path)
-    return f"{stem}.{name}{ext}"
+def _out_path(out: str, name: str, names) -> str:
+    """The --out file of the sequence `name` of `names`: `out`, with the name inserted when there are several."""
+    stem, ext = os.path.splitext(out)
+    return f"{stem}.{name}{ext}" if len(names) > 1 else out
 
 
 def _estimates(args) -> dict:
-    """The estimates of args.estimator ("all" for each) from args.counts; counts
-    the exact Grenander cannot take (n*(K+1) >= 2^63) are invalid data."""
+    """The estimates of args.estimator ("all" for each) from args.counts, made once the counts and then
+    --out are checked: counts the exact Grenander cannot take (n*(K+1) >= 2^63) are invalid data."""
     kinds = {name: kind for kind, name in _SHORT_NAMES.items() if args.estimator in ("all", name)}
 
-    def estimates(text):
+    def checked(text):
         counts = parse_counts(text)
-        return {name: estimate(kind, counts) for name, kind in kinds.items()}
+        if "gren" in kinds:
+            _count_sums(counts)
+        return counts
 
-    return _load(args.counts, "counts", estimates)
+    counts = _load(args.counts, "counts", checked)
+    if args.out is not None:
+        _check_writable(_out_path(args.out, next(iter(kinds)), kinds))
+    return {name: estimate(kind, counts) for name, kind in kinds.items()}
 
 
 def _emit_sequences(sequences: dict, out) -> None:
-    """Write each named sequence to stdout under a '# name' line, or to
-    `out` (with the name inserted when there are several)."""
+    """Write each named sequence, lines "x<TAB>value", to stdout under a '# name' line or to `_out_path`."""
     for name, values in sequences.items():
-        text = format_pmf(values)
+        table = ["\t"], len(values), [(values[:, None],)], "\n"
         if out is None:
-            sys.stdout.write(f"# {name}\n{text}")
+            sys.stdout.writelines(str(piece, "utf-8") for piece in _table_pieces(f"# {name}\n", *table))
         else:
-            _atomic_write(_suffixed(out, name) if len(sequences) > 1 else out, text)
+            _atomic_write_chunks(_out_path(out, name, sequences), _table_pieces("", *table))
 
 
 def _cmd_estimate(args) -> int:
@@ -327,50 +332,47 @@ def _format_floats(a) -> tuple[np.ndarray, np.ndarray]:
     return _float_texts(patterns.view(np.float64)), inverse.reshape(bits.shape)
 
 
-def _write_table(path: str, header: str, mids: list[str], records: int, chunks) -> None:
-    """Write CSV `path`: `header`, then f"{i}{mids[j]}{t_1},...,{t_m}\r\n" for each record i < `records` and
-    j < len(mids), t_k the %.17g text of column k of record i at j.  `chunks` yields the records in order,
-    as tuples of m arrays of shape (rows, len(mids)), column k's rows in the k-th.  No field needs quoting:
-    the bytes equal csv.writer's.  Records are cut into pieces of about _CSV_CHUNK_ROWS lines, across chunk
-    boundaries; each piece takes the texts of its distinct values from _float_texts.  It is laid out in
-    one uint8 matrix, a row per line (record number right-aligned, mid, each text in a _TEXT_WIDTH slot,
-    commas, CRLF), and written as one chunk of its bytes other than NUL, the padding, which no number text
-    or record number holds; the mids must hold no NUL either."""
+def _table_pieces(header: str, mids: list[str], records: int, chunks, end: str):
+    """The bytes of a table, in pieces: `header`, then f"{i}{mids[j]}{t_1},...,{t_m}{end}" for each record
+    i < `records` and j < len(mids), t_k the %.17g text of column k of record i at j.  `chunks` yields the
+    records in order, as tuples of m arrays of shape (rows, len(mids)), column k's rows in the k-th.  With
+    `end` "\r\n" the bytes equal csv.writer's (no field needs quoting).  Records are cut into pieces of
+    about _CSV_CHUNK_ROWS lines, across chunks; each piece takes the texts of its distinct values from
+    _float_texts, is laid out in one uint8 matrix, a row per line (record number right-aligned, mid, each
+    text in a _TEXT_WIDTH slot, commas, `end`), and is yielded as the array of its bytes other than NUL,
+    the padding, which no number text or record number holds, nor may the mids and `end`."""
     step = min(max(1, _CSV_CHUNK_ROWS // len(mids)), max(records, 1))
     encoded = [mid.encode("utf-8") for mid in mids]
+    ending = np.frombuffer(end.encode("utf-8"), dtype=np.uint8)
     width = len(str(max(records - 1, 0)))
     first = width + max(map(len, encoded))  # the first field's column
     weights = 10 ** np.arange(width - 1, -1, -1)
-
-    def pieces():
-        yield header.encode("utf-8")
-        values = buf = None
-        done = filled = 0  # records written, and held in `values`
-        for chunk in chunks:
-            if values is None:
-                values = np.empty((step, len(mids), len(chunk)))
-                buf = np.zeros((step, len(mids), first + len(chunk) * (_TEXT_WIDTH + 1) + 1), dtype=np.uint8)
-                for j, mid in enumerate(encoded):
-                    buf[:, j, width : width + len(mid)] = np.frombuffer(mid, dtype=np.uint8)
-                buf[:, :, first + _TEXT_WIDTH :: _TEXT_WIDTH + 1] = ord(",")
-                buf[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-            taken = 0
-            while taken < len(chunk[0]):
-                k = min(len(chunk[0]) - taken, step - filled)
-                for c, column in enumerate(chunk):
-                    values[filled : filled + k, :, c] = column[taken : taken + k]
-                taken += k
-                filled += k
-                if filled == step or done + filled == records:
-                    yield _piece(buf[:filled], values[:filled], done, width, first, weights)
-                    done += filled
-                    filled = 0
-
-    _atomic_write_chunks(path, pieces())
+    yield header.encode("utf-8")
+    values = buf = None
+    done = filled = 0  # records yielded, and held in `values`
+    for chunk in chunks:
+        if values is None:
+            values = np.empty((step, len(mids), len(chunk)))
+            buf = np.zeros((step, len(mids), first + len(chunk) * (_TEXT_WIDTH + 1) - 1 + ending.size), dtype=np.uint8)
+            for j, mid in enumerate(encoded):
+                buf[:, j, width : width + len(mid)] = np.frombuffer(mid, dtype=np.uint8)
+            buf[:, :, first + _TEXT_WIDTH : -ending.size : _TEXT_WIDTH + 1] = ord(",")
+            buf[:, :, -ending.size :] = ending
+        taken = 0
+        while taken < len(chunk[0]):
+            k = min(len(chunk[0]) - taken, step - filled)
+            for c, column in enumerate(chunk):
+                values[filled : filled + k, :, c] = column[taken : taken + k]
+            taken += k
+            filled += k
+            if filled == step or done + filled == records:
+                yield _piece(buf[:filled], values[:filled], done, width, first, weights)
+                done += filled
+                filled = 0
 
 
-def _piece(piece, values, start: int, width: int, first: int, weights) -> bytes:
-    """The bytes of records start.. of a `_write_table` file, laid out in `piece`, its (rows, mids, line)
+def _piece(piece, values, start: int, width: int, first: int, weights) -> np.ndarray:
+    """The bytes of records start.. of a `_table_pieces` table, laid out in `piece`, its (rows, mids, line)
     byte matrix, from their (rows, mids, m) `values`."""
     i = np.arange(start, start + len(piece))[:, None]
     piece[:, :, :width] = np.where((i >= weights) | (weights == 1), i // weights % 10 + 48, 0)[:, None, :]
@@ -388,7 +390,8 @@ def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
     cfg = summary.config
     labels = [f",{est.value},{metric.label}," for est in cfg.estimators for metric in cfg.metrics]
     raw = summary.raw.reshape(cfg.reps, len(labels))
-    _write_table(f"{prefix}_raw.csv", "replicate,estimator,metric,value\r\n", labels, cfg.reps, [(raw,)])
+    pieces = _table_pieces("replicate,estimator,metric,value\r\n", labels, cfg.reps, [(raw,)], "\r\n")
+    _atomic_write_chunks(f"{prefix}_raw.csv", pieces)
 
     text = "estimator,metric,mean,std,min,q1,median,q3,max\r\n"
     for est in cfg.estimators:
@@ -451,13 +454,15 @@ def _cmd_limits(args) -> int:
             yield block
 
     points = [f",{x}," for x in range(truth.support_size)]
-    _write_table(f"{args.out}_draws.csv", "draw,x,y,y_rear,y_gren\r\n", points, args.reps, chunks())
+    pieces = _table_pieces("draw,x,y,y_rear,y_gren\r\n", points, args.reps, chunks(), "\r\n")
+    _atomic_write_chunks(f"{args.out}_draws.csv", pieces)
 
     table = np.empty((len(points), 7))
     table[:, :6] = (sums.total() / args.reps).reshape(6, len(points)).T  # the bits of each column's np.mean
     table[:, 6] = truth.probs * (1.0 - truth.probs)
     header = "x,mean_y,mean_y_rear,mean_y_gren,mean_sq_y,mean_sq_y_rear,mean_sq_y_gren,var_limit\r\n"
-    _write_table(f"{args.out}_aggregate.csv", header, [","], len(points), [tuple(table.T[:, :, None])])
+    pieces = _table_pieces(header, [","], len(points), [tuple(table.T[:, :, None])], "\r\n")
+    _atomic_write_chunks(f"{args.out}_aggregate.csv", pieces)
     return 0
 
 

@@ -6,9 +6,10 @@ its mixing distribution), and records the requested distances from the
 truth.  Identical configs produce identical output.
 
 Every Monte Carlo driver, here and in `limits`, is one statistic over one
-chunked replicate map (`rng._replicates`), computed on the rows of a block
-of `rng._block_height(width)` replicates at once.  The three drivers here
-enter it through `_count_replicates`: a row is a sample's K+1 counts
+chunked replicate map (`rng._replicate_blocks`), computed on the rows of a
+block of `rng._block_height(width)` replicates at once and stacked by
+`rng._replicates`.  The three drivers here enter it through
+`_count_replicates`: a row is a sample's K+1 counts
 whatever n is, the statistic is built on `estimate` (the one map from an
 estimator kind to its operator), and block b's count matrix is one
 `sample_counts` call on the seed mix_seed(seed, b): one multinomial call
@@ -40,7 +41,7 @@ from .pmf import (
     sample_counts,
     uniform_pmf,
 )
-from .rng import _replicates, as_int, as_real, check_seed, mix_seed
+from .rng import _replicate_blocks, _replicates, as_int, as_real, check_seed, mix_seed
 
 #: Slack for the replicate-wise monotone-estimator inequality check; the
 #: inequality is exact in real arithmetic.
@@ -334,7 +335,8 @@ def _count_replicates(truth: Pmf, n: int, seed: int, reps: int, kinds, stat) -> 
     `sample_counts` on the seed mix_seed(seed, b); numpy's rows do not depend on how many follow, so
     replicate i's counts depend on (seed, i, n, truth, B), not reps.  n is checked before any draw."""
     _check_sample_size(n, truth.support_size, kinds)
-    return _replicates(truth.support_size, reps, lambda b, rows: sample_counts(truth, n, mix_seed(seed, b), rows), stat)
+    blocks = _replicate_blocks(truth.support_size, reps, lambda b, rows: sample_counts(truth, n, mix_seed(seed, b), rows))
+    return _replicates(map(stat, blocks), reps)
 
 
 def replicate_distances(cfg: ExperimentConfig, reference: np.ndarray, counts: np.ndarray) -> np.ndarray:

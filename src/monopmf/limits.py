@@ -19,7 +19,7 @@ import numpy as np
 
 from .operators import constancy_blocks, limit_transform, pava
 from .pmf import Pmf, uniform_pmf
-from .rng import _replicate_blocks, as_int, make_generator
+from .rng import _replicate_blocks, _replicates, as_int, make_generator
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,10 @@ def _draw_limit_blocks(p: Pmf, reps: int, seed: int):
 
 
 def draw_limit_batch(p: Pmf, reps: int, seed: int):
-    """Vectorized draws: three (reps, K+1) arrays (y, y_rear, y_gren).
-
-    The blocks of `_draw_limit_blocks` fill the three arrays in turn, so
-    besides them a call holds one block's draws and transforms.
-    """
-    out = None
-    start = 0
-    for block in _draw_limit_blocks(p, reps, seed):
-        if out is None:
-            out = tuple(np.empty((as_int(reps, "reps"), p.support_size)) for _ in block)
-        for a, b in zip(out, block):
-            a[start : start + len(b)] = b
-        start += len(block[0])
-    return out
+    """Vectorized draws: three (reps, K+1) arrays (y, y_rear, y_gren), the slices of one (reps, 3, K+1)
+    stack that the blocks of `_draw_limit_blocks` fill in turn, so besides it a call holds one block."""
+    out = _replicates((np.stack(block, axis=1) for block in _draw_limit_blocks(p, reps, seed)), reps)
+    return out[:, 0], out[:, 1], out[:, 2]
 
 
 #: numpy's PW_BLOCKSIZE: the most values of a leaf of its pairwise sum.

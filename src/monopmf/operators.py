@@ -172,6 +172,25 @@ def _hull_row(x: list, s: list) -> list[int]:
     return hull
 
 
+def _count_sums(counts) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, s): the int64 (rows, L) stack of integer `counts` that `gren_counts` takes, each row total n in
+    [1, (2^63 - 1) // L] so that its cross products fit in int64, and its running sums, s[:, x+1] = S_x and
+    s[:, 0] = 0; anything else is a ValueError."""
+    c = np.asarray(counts)
+    if c.ndim == 0 or c.shape[-1] == 0 or not np.issubdtype(c.dtype, np.integer):
+        raise ValueError("gren_counts requires a non-empty sequence of integer counts")
+    length = c.shape[-1]
+    top = ((1 << 63) - 1) // length
+    if c.size and (c.min() < 0 or c.max() > top):  # so no running sum of a row wraps past int64
+        raise ValueError(f"gren_counts requires counts in [0, {top}] for L = {length}")
+    rows = c.reshape(-1, length).astype(np.int64, copy=False)
+    s = np.zeros((rows.shape[0], length + 1), dtype=np.int64)
+    np.cumsum(rows, axis=1, out=s[:, 1:])
+    if np.any((s[:, -1] < 1) | (s[:, -1] > top)):
+        raise ValueError(f"gren_counts requires every row total n in [1, {top}] for L = {length}")
+    return rows, s
+
+
 def gren_counts(counts) -> tuple[np.ndarray, np.ndarray]:
     """Exact Grenander of count rows: (fit, blocks) of an integer (..., L) stack.
 
@@ -199,20 +218,11 @@ def gren_counts(counts) -> tuple[np.ndarray, np.ndarray]:
     of no rows gives an empty fit and blocks.
     """
     c = np.asarray(counts)
-    if c.ndim == 0 or c.shape[-1] == 0 or not np.issubdtype(c.dtype, np.integer):
-        raise ValueError("gren_counts requires a non-empty sequence of integer counts")
+    rows, s = _count_sums(c)
     length = c.shape[-1]
-    top = ((1 << 63) - 1) // length  # n * L < 2^63: the cross products fit in int64
-    if c.size and (c.min() < 0 or c.max() > top):  # so no running sum of a row wraps past int64
-        raise ValueError(f"gren_counts requires counts in [0, {top}] for L = {length}")
-    rows = c.reshape(-1, length).astype(np.int64, copy=False)
-    keep = np.ones((rows.shape[0], length + 1), dtype=bool)  # vertices x = -1..L-1
+    keep = np.ones(s.shape, dtype=bool)  # vertices x = -1..L-1
     keep[:, 1:-1] = rows[:, :-1] > rows[:, 1:]
-    s = np.zeros(keep.shape, dtype=np.int64)
-    np.cumsum(rows, axis=1, out=s[:, 1:])
     totals = s[:, -1].copy()  # not a view, so s is freed when the passes compact it
-    if np.any((totals < 1) | (totals > top)):
-        raise ValueError(f"gren_counts requires every row total n in [1, {top}] for L = {length}")
     kept = np.flatnonzero(keep)
     x, s = kept % (length + 1) - 1, s.ravel()[kept]
     for passes in range(_HULL_PASSES + 1):

@@ -28,7 +28,7 @@ MAX_SUPPORT = 10**7
 #: Version of the count stream of the Monte Carlo drivers, which a run's _meta.json records: 4 (0.5.0)
 #: draws the sparse flat stretches of a truth whose blocks hold one row as uniform integers
 #: (`sample_counts`), 3 (0.4.0) a block of replicates per `sample_counts` call on the block's seed
-#: (`rng._replicates`), 2 (0.3.0) one per replicate's seed; up to 0.2.0, stream 1 counted sorted
+#: (`rng._replicate_blocks`), 2 (0.3.0) one per replicate's seed; up to 0.2.0, stream 1 counted sorted
 #: uniforms, unrecorded.
 COUNT_STREAM = 4
 
@@ -250,20 +250,14 @@ def empirical_pmf(counts) -> Pmf:
     return Pmf(counts / float(counts.sum()))
 
 
-# ---------------------------------------------------------------------------
-# Text formats: one support point per line, "x<TAB>value", ascending x, no gaps.
-
-def format_pmf(p) -> str:
-    """Lines "x<TAB>value" of a Pmf or of any sequence (estimates, weights)."""
-    values = p.probs if isinstance(p, Pmf) else p
-    return "".join(f"{x}\t{v:.17g}\n" for x, v in enumerate(values))
-
-
 def float_label(x: float) -> str:
     """The `:g` text of x when it reads back as x, else the shortest that does."""
     text = f"{x:g}"
     return text if float(text) == x else repr(float(x))
 
+
+# ---------------------------------------------------------------------------
+# Readers of the text formats: one support point per line, "x<TAB>value", ascending x, no gaps.
 
 def _parse_table(text: str, label: str):
     rows = []

@@ -5,7 +5,8 @@ generator keyed by an explicit 64-bit seed, so every sampling routine is a
 pure function of its inputs.  Batch drivers derive one seed per block of
 work items with :func:`mix_seed`, which makes results independent of
 execution order.  The block rule (`_block_height`, part of the stream) and
-the replicate map of every Monte Carlo driver (`_replicate_blocks`) live here too.
+the replicate map of every Monte Carlo driver (`_replicate_blocks`, its
+blocks stacked by `_replicates`) live here too.
 """
 
 from __future__ import annotations
@@ -84,15 +85,12 @@ def _replicate_blocks(width: int, reps: int, draw):
     return (draw(b, min(height, reps - start)) for b, start in enumerate(range(0, reps, height)))
 
 
-def _replicates(width: int, reps: int, draw, stat) -> np.ndarray:
-    """`stat` of every block of `_replicate_blocks`, stacked in replicate order.
-
-    `stat` gives one leading entry per row, and the stack takes the first
-    block's dtype.
-    """
+def _replicates(blocks, reps: int) -> np.ndarray:
+    """The arrays of the iterator `blocks`, one leading entry per replicate, stacked in order into one
+    of `reps` entries, which takes the first block's dtype."""
     out = None
     start = 0
-    for block in map(stat, _replicate_blocks(width, reps, draw)):
+    for block in blocks:
         if out is None:
             out = np.empty((as_int(reps, "reps"),) + block.shape[1:], block.dtype)
         out[start : start + len(block)] = block

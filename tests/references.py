@@ -8,8 +8,9 @@ construction, the count rows of the replicate pipeline from numpy's
 multinomial and integers called directly by the block rule of count
 stream 3 and the stretch rule of count stream 4, and the limit draws from
 one normal stack drawn in a single call (`limit_rows`).  It also writes the
-counts files the CLI tests read (`format_counts`) and names the stream
-under which the golden digests of the tests were recorded (`RECORDED`).
+counts and pmf files the CLI tests read (`format_counts`, `format_pmf`,
+whose per-value text the CLI's array writer must reproduce) and names the
+stream under which the golden digests of the tests were recorded (`RECORDED`).
 """
 
 import itertools
@@ -227,3 +228,10 @@ def replicate_rows(truth, n: int, reps: int, seed: int) -> np.ndarray:
 def format_counts(counts) -> str:
     """The text of a counts file: one line "x<TAB>count" per support point."""
     return "".join(f"{x}\t{int(v)}\n" for x, v in enumerate(counts))
+
+
+def format_pmf(p) -> str:
+    """The text of a pmf or weights file: one line "x<TAB>value" per support point, each value's %.17g text,
+    of a Pmf or of any sequence."""
+    values = getattr(p, "probs", p)
+    return "".join(f"{x}\t{v:.17g}\n" for x, v in enumerate(values))

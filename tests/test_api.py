@@ -30,7 +30,6 @@ PUBLIC = [
     "empirical_pmf",
     "estimate_risk",
     "fluctuation_cdf",
-    "format_pmf",
     "geometric_pmf",
     "gren",
     "gren_counts",

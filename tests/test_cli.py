@@ -7,7 +7,6 @@ import os
 import stat
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from monopmf import cli, experiments, format_pmf, parse_pmf, uniform_pmf
+from monopmf import cli, experiments, parse_pmf, uniform_pmf
 from monopmf.cli import main
 from monopmf.pmf import COUNT_STREAM
-from references import RECORDED, format_counts
+from references import RECORDED, format_counts, format_pmf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TABLE_COUNTS = np.array([20, 14, 11, 22, 15, 18])
@@ -145,6 +144,31 @@ class TestEstimate:
         out, err = capsys.readouterr()
         assert "nan" not in out
         assert err == f"monopmf: invalid pmf file {str(pmf)!r}: pmf entries must be finite\n"
+
+    @pytest.mark.parametrize("argv,first", [
+        (["estimate"], "x.empirical.pmf"),
+        (["estimate", "--estimator", "gren"], "x.pmf"),
+        (["mixing"], "x.empirical.pmf"),
+        (["mixing", "--estimator", "rear"], "x.pmf"),
+    ], ids=["estimate-all", "estimate-gren", "mixing-all", "mixing-rear"])
+    def test_unwritable_output_exits_1_before_any_estimate(self, argv, first, counts_file, tmp_path, capsys,
+                                                           monkeypatch):
+        # --out is checked once the counts are read and checked, before any estimate is made
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "estimate", lambda *args: pytest.fail("estimate ran before --out was checked"))
+        code = main([*argv, "--counts", str(counts_file), "--out", str(tmp_path / "missing" / "x.pmf")])
+        assert code == 1
+        path = str(tmp_path / "missing" / first)
+        assert capsys.readouterr().err == f"monopmf: cannot write {path!r}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "mixing"])
+    def test_invalid_counts_with_unwritable_output_exit_2(self, command, tmp_path, capsys):
+        # the counts are checked first, also against the exact Grenander's int64 bound
+        path = tmp_path / "big.counts"
+        path.write_text("".join(f"{x}\t{2**61}\n" for x in range(3)))
+        code = main([command, "--counts", str(path), "--out", str(tmp_path / "missing" / "x.pmf")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"monopmf: invalid counts file {str(path)!r}: gren_counts requires")
 
     def test_bad_flag_exits_1(self):
         with pytest.raises(SystemExit) as err:
@@ -583,6 +607,58 @@ class TestOtherCommands:
         assert json.loads((tmp_path / "v_meta.json").read_text())["count_stream"] == COUNT_STREAM == RECORDED["count_stream"]
 
 
+class TestSequenceFiles:
+    """The pmf and weight lines of estimate and mixing, on stdout and in --out files, have the bytes of
+    the per-value reference format."""
+
+    @staticmethod
+    def expected(command, counts):
+        """{name: the reference text} of each estimator's sequence for `counts`."""
+        out = {}
+        for kind, name in experiments._SHORT_NAMES.items():
+            values = np.trim_zeros(experiments.estimate(kind, counts), "b")
+            out[name] = format_pmf(values if command == "estimate" else cli.mixing_estimate(values))
+        return out
+
+    @staticmethod
+    def lines(text):
+        """The lines of `text`, ends kept: a failed comparison of two lists names the first line that
+        differs at once, where one of two long strings runs a slow character diff."""
+        return text.splitlines(keepends=True)
+
+    @pytest.mark.parametrize("command", ["estimate", "mixing"])
+    def test_wider_than_one_piece(self, command, tmp_path, capsys):
+        counts = np.arange(20000, 0, -1)  # 20000 lines, past one piece of _CSV_CHUNK_ROWS
+        path = tmp_path / "wide.counts"
+        path.write_text(format_counts(counts))
+        expected = self.expected(command, counts)
+        lines = self.lines
+        assert main([command, "--counts", str(path)]) == 0
+        assert lines(capsys.readouterr().out) == lines("".join(f"# {name}\n{text}" for name, text in expected.items()))
+        assert main([command, "--counts", str(path), "--out", str(tmp_path / "w.txt")]) == 0
+        for name, text in expected.items():
+            assert lines((tmp_path / f"w.{name}.txt").read_bytes().decode()) == lines(text)
+        assert main([command, "--counts", str(path), "--estimator", "gren", "--out", str(tmp_path / "g.txt")]) == 0
+        assert lines((tmp_path / "g.txt").read_bytes().decode()) == lines(expected["gren"])
+
+    def test_subnormal_weight_takes_the_fallback(self, tmp_path, capsys):
+        # the weights 1 and 2 * 5e-324 = 1e-323; a subnormal is left to %
+        path = tmp_path / "tiny.pmf"
+        path.write_text("0\t1\n1\t5e-324\n")
+        assert main(["mixing", "--pmf", str(path)]) == 0
+        assert capsys.readouterr().out == "# pmf\n0\t1\n1\t9.8813129168249309e-324\n"
+        assert main(["mixing", "--pmf", str(path), "--out", str(tmp_path / "w.txt")]) == 0
+        expected = format_pmf(cli.mixing_estimate(parse_pmf(path.read_text()).probs))
+        assert (tmp_path / "w.txt").read_bytes().decode() == expected == "0\t1\n1\t9.8813129168249309e-324\n"
+
+    def test_every_estimate_on_stdout_under_its_name(self, counts_file, capsys):
+        assert main(["estimate", "--counts", str(counts_file), "--estimator", "all"]) == 0
+        out = capsys.readouterr().out
+        assert [l for l in out.splitlines() if l.startswith("#")] == ["# empirical", "# rear", "# gren"]
+        expected = self.expected("estimate", TABLE_COUNTS)
+        assert out == "".join(f"# {name}\n{text}" for name, text in expected.items())
+
+
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
         path = tmp_path / "one.counts"
@@ -826,7 +902,7 @@ class TestWriteTable:
     @given(st.data())
     def test_equals_per_line_format(self, data):
         records = data.draw(st.integers(0, 25), label="records")
-        alphabet = st.characters(codec="utf-8", exclude_characters="\0")  # _write_table drops NUL bytes
+        alphabet = st.characters(codec="utf-8", exclude_characters="\0")  # _table_pieces drops NUL bytes
         mids = data.draw(st.lists(st.text(alphabet, max_size=4), min_size=1, max_size=5), label="mids")
         m = data.draw(st.sampled_from([1, 3]), label="fields")
         rows = data.draw(st.sampled_from([1, 7, 40, 10**6]), label="piece")
@@ -837,13 +913,12 @@ class TestWriteTable:
         # the records come in chunks of any sizes, which the pieces cut across
         cuts = sorted(data.draw(st.lists(st.integers(0, records), max_size=4), label="cuts"))
         chunks = [tuple(c[a:b] for c in columns) for a, b in zip([0, *cuts], [*cuts, records])]
+        end = data.draw(st.sampled_from(["\r\n", "\n"]), label="end")
         expected = "h\r\n" + "".join(
-            f"{i}{mid}" + ",".join("%.17g" % c[i, j] for c in columns) + "\r\n"
+            f"{i}{mid}" + ",".join("%.17g" % c[i, j] for c in columns) + end
             for i in range(records) for j, mid in enumerate(mids)
         )
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_CSV_CHUNK_ROWS", rows)
-            path = os.path.join(tmp, "t.csv")
-            cli._write_table(path, "h\r\n", mids, records, iter(chunks))
-            with open(path, "rb") as fh:
-                assert fh.read() == expected.encode("utf-8")
+            got = b"".join(map(bytes, cli._table_pieces("h\r\n", mids, records, iter(chunks), end)))
+        assert got == expected.encode("utf-8")

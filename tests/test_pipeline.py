@@ -36,12 +36,12 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf import cli, experiments, format_pmf, rng
+from monopmf import cli, experiments, rng
 from monopmf.cli import main
 from monopmf.experiments import replicate_distances
 from monopmf.pmf import sample_counts
 from monopmf.rng import make_generator
-from references import block_rows, gren_fraction, recorded_note, replicate_rows
+from references import block_rows, format_pmf, gren_fraction, recorded_note, replicate_rows
 
 EMP = EstimatorKind.EMPIRICAL
 REAR = EstimatorKind.REARRANGEMENT

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from monopmf import (
     Pmf,
     empirical_pmf,
-    format_pmf,
     geometric_pmf,
     mixture_of_uniforms,
     parse_counts,
@@ -18,7 +17,7 @@ from monopmf import (
     uniform_pmf,
 )
 from monopmf.pmf import sample_counts
-from references import block_rows, format_counts
+from references import block_rows, format_counts, format_pmf
 
 
 class TestConstructors:
