@@ -31,7 +31,6 @@ from .experiments import (
     ExperimentSummary,
     InequalityViolation,
     TruthSpec,
-    _read_config,
     estimate,
     estimate_risk,
     run_experiment,
@@ -39,7 +38,7 @@ from .experiments import (
 from .limits import _PairwiseSum, _draw_limit_blocks, asymptotics
 from .metrics import MetricKind, distance
 from .operators import _count_sums, constancy_blocks, mixing_estimate
-from .pmf import COUNT_STREAM, Pmf, float_label, parse_counts, parse_pmf
+from .pmf import COUNT_STREAM, float_label, parse_counts, parse_pmf
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.5g"
@@ -175,14 +174,14 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> tuple[ExperimentConfig, Pmf | None]:
-    """The run's config and, when reading a config file built it, its truth's pmf."""
+def _config_from_args(args) -> ExperimentConfig:
+    """The run's config, from --config or from the flags."""
     given = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__}  # in command-line order
     if args.config is not None:
         if given:
             raise ValueError(f"--{next(iter(given))} cannot be combined with --config")
-        return _load(args.config, "config", lambda text: _read_config(json.loads(text)))
-    return ExperimentConfig(**{"n": 100, "reps": 1000, "seed": 0, **given}), None
+        return _load(args.config, "config", lambda text: ExperimentConfig.from_json(json.loads(text)))
+    return ExperimentConfig(**{"n": 100, "reps": 1000, "seed": 0, **given})
 
 
 _TEXT_WIDTH = 24  # the longest %.17g text of a float64, "-2.2250738585072014e-308"
@@ -406,9 +405,9 @@ def write_experiment(prefix: str, summary: ExperimentSummary) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg, truth = _config_from_args(args)
+    cfg = _config_from_args(args)
     _check_writable(f"{args.out}_raw.csv")
-    write_experiment(args.out, run_experiment(cfg, truth))
+    write_experiment(args.out, run_experiment(cfg))
     return 0
 
 

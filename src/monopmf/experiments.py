@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -205,51 +205,49 @@ class ExperimentConfig:
             "target": self.target,
         }
 
+    @cached_property
+    def pmf(self) -> Pmf:
+        """The truth's pmf, built on first use and then kept."""
+        return self.truth.to_pmf()
+
     @staticmethod
     def from_json(data) -> "ExperimentConfig":
         """The config of a JSON object in the format of `to_json` (the truth may
         also be a spec string; other keys are ignored).  A bad truth, field or
-        sample size is a ValueError raised before any work."""
-        return _read_config(data)[0]
-
-
-def _read_config(data) -> tuple[ExperimentConfig, Pmf]:
-    """(`ExperimentConfig.from_json(data)`, its truth's pmf), which checking the
-    config builds, so that a run of the config need not build it again."""
-    if not isinstance(data, dict):
-        raise ValueError(f"the config must be a JSON object, got {type(data).__name__}")
-    for key, kind in (("estimators", "estimator"), ("metrics", "metric")):
-        names = data.get(key, [])
-        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-            raise ValueError(f"{key} must be a list of {kind} names, got {names!r}")
-    try:
-        truth = data["truth"]
-        if not isinstance(truth, (str, dict)):
-            raise ValueError(f"truth must be a spec string or an object, got {truth!r}")
-        if isinstance(truth, dict):
-            if "family" not in truth:
-                raise ValueError("truth needs a 'family'")
-            known = {f.name for f in fields(TruthSpec)}
-            for key in truth:
-                if key not in known:
-                    raise ValueError(f"unknown truth field {key!r}")
-        spec = TruthSpec.parse(truth) if isinstance(truth, str) else TruthSpec(**truth)
-        pmf = spec.to_pmf()
-        config = ExperimentConfig(
-            truth=spec,
-            n=data["n"],
-            reps=data["reps"],
-            seed=data.get("seed", 0),
-            estimators=tuple(EstimatorKind.parse(e) for e in data.get("estimators", [])) or DEFAULT_ESTIMATORS,
-            metrics=tuple(MetricKind.parse(m) for m in data.get("metrics", [])) or DEFAULT_METRICS,
-            target=data.get("target", "pmf"),
-        )
-        _check_sample_size(config.n, pmf.support_size, config.estimators)
-        return config, pmf
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
-    except (AttributeError, OverflowError, TypeError) as exc:
-        raise ValueError(str(exc)) from None
+        sample size is a ValueError raised before any work; checking the sample
+        size builds the truth's pmf, which the config keeps for its run."""
+        if not isinstance(data, dict):
+            raise ValueError(f"the config must be a JSON object, got {type(data).__name__}")
+        for key, kind in (("estimators", "estimator"), ("metrics", "metric")):
+            names = data.get(key, [])
+            if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+                raise ValueError(f"{key} must be a list of {kind} names, got {names!r}")
+        try:
+            truth = data["truth"]
+            if not isinstance(truth, (str, dict)):
+                raise ValueError(f"truth must be a spec string or an object, got {truth!r}")
+            if isinstance(truth, dict):
+                if "family" not in truth:
+                    raise ValueError("truth needs a 'family'")
+                known = {f.name for f in fields(TruthSpec)}
+                for key in truth:
+                    if key not in known:
+                        raise ValueError(f"unknown truth field {key!r}")
+            config = ExperimentConfig(
+                truth=TruthSpec.parse(truth) if isinstance(truth, str) else TruthSpec(**truth),
+                n=data["n"],
+                reps=data["reps"],
+                seed=data.get("seed", 0),
+                estimators=tuple(EstimatorKind.parse(e) for e in data.get("estimators", [])) or DEFAULT_ESTIMATORS,
+                metrics=tuple(MetricKind.parse(m) for m in data.get("metrics", [])) or DEFAULT_METRICS,
+                target=data.get("target", "pmf"),
+            )
+            _check_sample_size(config.n, config.pmf.support_size, config.estimators)
+            return config
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        except (AttributeError, OverflowError, TypeError) as exc:
+            raise ValueError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -373,19 +371,18 @@ def _check_inequality(cfg: ExperimentConfig, raw: np.ndarray) -> None:
         )
 
 
-def run_experiment(cfg: ExperimentConfig, truth: Pmf | None = None) -> ExperimentSummary:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run all replicates of cfg and aggregate the distances.
 
-    `truth` is cfg.truth's pmf where the caller has built it already (as
-    `_read_config` does), else it is built here.  For target "mixing" the
-    estimators are pushed through the mixing recovery formula and compared
-    against the true mixing weights.  Every spec builds a monotone truth, so
-    for target "pmf" each replicate is checked against the exact guarantee
-    that the rearranged and Grenander estimators are no farther from the
-    truth than the empirical one.
+    The truth's pmf is `cfg.pmf`, built once per config (by
+    `ExperimentConfig.from_json`'s check, or here on first use).  For target
+    "mixing" the estimators are pushed through the mixing recovery formula and
+    compared against the true mixing weights.  Every spec builds a monotone
+    truth, so for target "pmf" each replicate is checked against the exact
+    guarantee that the rearranged and Grenander estimators are no farther from
+    the truth than the empirical one.
     """
-    if truth is None:
-        truth = cfg.truth.to_pmf()
+    truth = cfg.pmf
     reference = mixing_estimate(truth) if cfg.target == "mixing" else truth.probs
     stat = partial(replicate_distances, cfg, reference)
     raw = _count_replicates(truth, cfg.n, cfg.seed, cfg.reps, cfg.estimators, stat)

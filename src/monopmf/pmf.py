@@ -259,8 +259,9 @@ def float_label(x: float) -> str:
 # ---------------------------------------------------------------------------
 # Readers of the text formats: one support point per line, "x<TAB>value", ascending x, no gaps.
 
-def _parse_table(text: str, label: str):
-    rows = []
+def _parse_table(text: str, label: str, convert) -> list:
+    """The values of a `label` file, each converted by `convert` on its own line."""
+    values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -271,23 +272,25 @@ def _parse_table(text: str, label: str):
             x = int(parts[0])
         except ValueError:
             raise ValueError(f"{label} line {lineno}: bad support point {parts[0]!r}") from None
-        if x != len(rows):
+        if x != len(values):
             raise ValueError(f"{label} line {lineno}: support points must be 0,1,... without gaps")
-        rows.append(parts[1])
-    if not rows:
+        try:
+            values.append(convert(parts[1]))
+        except ValueError:
+            raise ValueError(f"{label} line {lineno}: bad value {parts[1]!r}") from None
+    if not values:
         raise ValueError(f"{label}: no data lines")
-    return rows
+    return values
 
 
 def parse_pmf(text: str) -> Pmf:
-    values = [float(v) for v in _parse_table(text, "pmf")]
-    return Pmf(np.array(values))
+    return Pmf(np.array(_parse_table(text, "pmf", float)))
 
 
 def parse_counts(text: str) -> np.ndarray:
     """The int64 count row of a counts file: non-negative counts whose total,
     the sample size n, lies in [1, 2^63), and whose last is positive (K_obs)."""
-    values = [int(v) for v in _parse_table(text, "counts")]
+    values = _parse_table(text, "counts", int)
     if min(values) < 0:  # Python ints until the checks pass
         raise ValueError("counts must be non-negative")
     n = sum(values)

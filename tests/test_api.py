@@ -154,3 +154,11 @@ def test_sample_size_comes_from_the_counts():
     # no n beside the counts: each row's total is its sample size
     assert list(inspect.signature(monopmf.gren_counts).parameters) == ["counts"]
     assert list(inspect.signature(estimate).parameters) == ["kind", "counts"]
+
+
+def test_config_reads_and_keeps_its_truth():
+    # one config reader, from_json, whose config keeps the pmf its check builds; a run takes only the config
+    assert not hasattr(monopmf.experiments, "_read_config")
+    assert list(inspect.signature(monopmf.run_experiment).parameters) == ["cfg"]
+    cfg = monopmf.ExperimentConfig.from_json({"truth": "uniform:3", "n": 10, "reps": 2})
+    assert cfg.pmf is cfg.pmf and cfg.pmf.probs.tolist() == [0.25] * 4

@@ -280,6 +280,13 @@ class TestSimulate:
             main(["simulate", "--truth", "zipf:2", "--out", str(tmp_path / "x")])
         assert err.value.code == 1
 
+    def test_unknown_metric_label_exits_1(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--truth", "uniform:3", "--metrics", "l0.5", "--out", str(tmp_path / "x")])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.endswith("monopmf simulate: error: argument --metrics: unknown metric label 'l0.5'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_truth_and_config_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--out", str(tmp_path / "x")])
@@ -328,6 +335,9 @@ class TestSimulate:
         # fields of another family
         {"truth": {"family": "uniform", "y": 3, "weights": [1.0]}},
         {"truth": {"family": "uniform", "y": 3, "theta": 0.5}},
+        # values the family's constructor rejects
+        {"truth": {"family": "geometric", "theta": 0.5, "tail_tol": 2}},
+        {"truth": {"family": "mixture", "weights": [0, 1], "ys": [3, 7]}},
     ])
     def test_bad_config_content_exits_2(self, content, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -520,6 +530,12 @@ class TestOtherCommands:
     def test_asymptotics_truth_line_reads_back(self, truth, capsys):
         assert main(["asymptotics", "--truth", truth]) == 0
         assert capsys.readouterr().out.startswith(f"truth\t{truth}\n")
+
+    def test_risk_single_replicate_exits_1(self, capsys):
+        assert main(["risk", "--truth", "uniform:3", "--n", "10", "--reps", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "monopmf: risk estimation needs at least two replicates\n"
 
     def test_risk_scale_overflow_exits_1_before_any_replicate(self, capsys, monkeypatch):
         # n^(k/2) = 10^500 is past the largest float, so scaled_risk cannot be printed

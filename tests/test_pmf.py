@@ -326,6 +326,26 @@ class TestTextFormats:
             d = parse_counts(format_counts(row))
             assert d.dtype == np.int64 and d.tobytes() == row.tobytes()
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_pmf, "", "pmf: no data lines"),
+        (parse_counts, "0 5\n", "counts line 1: expected 'x<TAB>value'"),
+        (parse_counts, "0\t1\t2\n", "counts line 1: expected 'x<TAB>value'"),
+        (parse_counts, "a\t1\n", "counts line 1: bad support point 'a'"),
+        (parse_pmf, "0\t.5\n2\t.5\n", "pmf line 2: support points must be 0,1,... without gaps"),
+        (parse_counts, "0\t1\n1\t1.5\n", "counts line 2: bad value '1.5'"),
+        (parse_pmf, "0\tx\n", "pmf line 1: bad value 'x'"),
+        # a blank line is skipped but counted
+        (parse_counts, "0\t1\n\n1\t2.0\n", "counts line 3: bad value '2.0'"),
+        (parse_pmf, "\n0\t1\n\n2\t1\n", "pmf line 4: support points must be 0,1,... without gaps"),
+    ], ids=["empty", "space", "three-fields", "bad-x", "gap", "bad-count", "bad-prob", "blank-bad-value", "blank-gap"])
+    def test_reader_fault_names_its_line(self, parse, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse(text)
+
+    def test_blank_lines_and_crlf_are_accepted(self):
+        counts = parse_counts("0\t1\n\n1\t2\r\n")
+        assert counts.dtype == np.int64 and counts.tolist() == [1, 2]
+
     def test_rejects_gap(self):
         with pytest.raises(ValueError):
             parse_pmf("0\t0.5\n2\t0.5\n")
