@@ -10,11 +10,12 @@ form of the hull is exactly the pool-adjacent-violators fit).  Both, like
 
 Integer counts take `gren_counts`, the estimators of an empirical sample
 in the Monte Carlo drivers and the CLI: the Grenander of the counts, its
-hull found by exact int64 vertex-removal passes over all rows at once,
+hull found by exact int64 vertex-removal passes over all rows at once, the
+first of which also cuts every point on or under a row's end-to-end chord,
 divided once per block by the row's total n, so each value is the exact
 slope correctly rounded when n*(K+1) < 2^53.  Float input takes `gren`
-(limit draws, `touch_count`, public calls on a pmf), which `pava` pools
-row by row (`_pool_row`) or a column at a time for all rows at once
+(limit draws, `touch_count`, public calls on a pmf), which `pava` pools row
+by row (`_pool_row`) or a column at a time for all rows at once
 (`column_sweep`), with the same bits, by the shape rule in its docstring.
 """
 
@@ -29,7 +30,7 @@ _SWEEP_VALUES = 1 << 15
 
 #: Vertex-removal passes of `gren_counts` on all rows at once before the
 #: rows not yet done are finished one at a time (a strictly decreasing run
-#: that ends in a spike loses one vertex per pass).
+#: above the row's end-to-end chord that ends in a spike loses one per pass).
 _HULL_PASSES = 32
 
 
@@ -206,29 +207,33 @@ def gren_counts(counts) -> tuple[np.ndarray, np.ndarray]:
     is a ValueError, raised before any pass.
 
     The hull is found by vertex removal on all rows at once.  The first
-    pass, on the dense grid, drops every vertex where the counts do not
-    strictly decrease.  Each later pass takes the steps dx, ds between the
-    surviving vertices of all rows and drops every vertex inside a row whose
-    left slope is at most its right one (ds[i-1]*dx[i] <= ds[i]*dx[i-1]).
-    Such a vertex lies on or below a chord of its row, so dropping any
-    number of them at once keeps the majorant.  The passes stop at the
-    first that drops nothing; after `_HULL_PASSES` passes the rows that
-    still have such a vertex are finished one at a time by `_hull_row`.
-    Every decision is exact, so the switch point changes no bit.  A stack
-    of no rows gives an empty fit and blocks.
+    pass, on the dense grid, keeps a point x only where the counts strictly
+    decrease and S_x * L > n * (x + 1), above the chord from (-1, 0) to
+    (L-1, n): both ends of it are vertices of the majorant, so no point on
+    or under it is one, and n <= (2^63 - 1) // L keeps both products in
+    int64.  Under a flat truth the chord cuts about half the points on
+    average.  Each later pass takes the steps dx, ds between the surviving
+    vertices of all rows and drops every vertex inside a row whose left
+    slope is at most its right one (ds[i-1]*dx[i] <= ds[i]*dx[i-1]).  Such
+    a vertex lies on or below a chord of its row, so dropping any number of
+    them at once keeps the majorant.  The passes stop at the first that
+    drops nothing; after `_HULL_PASSES` passes the rows that still have
+    such a vertex are finished one at a time by `_hull_row`.  Every
+    decision is exact, so the switch point changes no bit.  A stack of no
+    rows gives an empty fit and blocks.
     """
     c = np.asarray(counts)
     rows, s = _count_sums(c)
     length = c.shape[-1]
-    keep = np.ones(s.shape, dtype=bool)  # vertices x = -1..L-1
-    keep[:, 1:-1] = rows[:, :-1] > rows[:, 1:]
     totals = s[:, -1].copy()  # not a view, so s is freed when the passes compact it
+    keep = np.ones(s.shape, dtype=bool)  # vertices x = -1..L-1
+    keep[:, 1:-1] = (rows[:, :-1] > rows[:, 1:]) & (s[:, 1:-1] * length > totals[:, None] * np.arange(1, length))
     kept = np.flatnonzero(keep)
     x, s = kept % (length + 1) - 1, s.ravel()[kept]
     for passes in range(_HULL_PASSES + 1):
-        dx, ds = np.diff(x), np.diff(s)  # dx < 0 from one row's end to the next row's start
-        keep = np.ones(x.size, dtype=bool)
-        np.logical_not((dx[:-1] > 0) & (dx[1:] > 0) & (ds[:-1] * dx[1:] <= ds[1:] * dx[:-1]), out=keep[1:-1])
+        dx, ds = x[1:] - x[:-1], s[1:] - s[:-1]  # dx < 0 from one row's end to the next row's start
+        # keep each row's ends (a negative step beside them makes the | negative) and every strict bend
+        keep = np.concatenate(([True], ((dx[:-1] | dx[1:]) < 0) | (ds[:-1] * dx[1:] > ds[1:] * dx[:-1]), [True]))
         done = keep.all()
         if done or passes == _HULL_PASSES:
             break
@@ -241,10 +246,10 @@ def gren_counts(counts) -> tuple[np.ndarray, np.ndarray]:
             keep[lo:hi] = False
             keep[lo + np.array(_hull_row(x[lo:hi].tolist(), s[lo:hi].tolist()))] = True
         x, s = x[keep], s[keep]
-        dx, ds = np.diff(x), np.diff(s)
+        dx, ds = x[1:] - x[:-1], s[1:] - s[:-1]
     inner = dx > 0  # consecutive vertices of one row bound a block
     widths = dx[inner]
-    blocks = np.diff(np.append(np.flatnonzero(x == -1), x.size)) - 1
+    blocks = np.flatnonzero(x == length - 1) - np.flatnonzero(x == -1)  # vertices from x = -1 to L-1, less one
     fit = np.repeat(ds[inner] / (np.repeat(totals, blocks) * widths).astype(float), widths)
     return fit.reshape(c.shape), blocks.reshape(c.shape[:-1])
 

@@ -9,6 +9,7 @@ estimator is formed from observed counts and carries no shape guarantee.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -271,13 +272,13 @@ def _parse_table(text: str, label: str, convert) -> list:
         try:
             x = int(parts[0])
         except ValueError:
-            raise ValueError(f"{label} line {lineno}: bad support point {parts[0]!r}") from None
+            raise ValueError(f"{label} line {lineno}: bad support point {reprlib.repr(parts[0])}") from None
         if x != len(values):
             raise ValueError(f"{label} line {lineno}: support points must be 0,1,... without gaps")
         try:
             values.append(convert(parts[1]))
         except ValueError:
-            raise ValueError(f"{label} line {lineno}: bad value {parts[1]!r}") from None
+            raise ValueError(f"{label} line {lineno}: bad value {reprlib.repr(parts[1])}") from None
     if not values:
         raise ValueError(f"{label}: no data lines")
     return values

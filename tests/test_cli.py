@@ -128,6 +128,21 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err == f"monopmf: invalid counts file {str(path)!r}: counts must sum to less than 2^63, got {2**63}\n"
 
+    @pytest.mark.parametrize("line", [
+        "0\t" + "7" * 5000,  # a count past Python's 4300-digit limit for int()
+        "0\t1.5" + "0" * 5000,  # a count that is no integer
+        "x" * 5000 + "\t1",  # a bad support point
+    ], ids=["digits", "value", "point"])
+    def test_long_bad_field_gives_one_short_line(self, line, tmp_path, capsys):
+        # the message quotes the bad field cut to 30 characters around '...'
+        path = tmp_path / "long.counts"
+        path.write_text(line + "\n")
+        assert main(["estimate", "--counts", str(path)]) == 2
+        err = capsys.readouterr().err
+        prefix = f"monopmf: invalid counts file {str(path)!r}: counts line 1: bad "
+        assert err.startswith(prefix) and err.count("\n") == 1 and "..." in err
+        assert len(err) <= len(prefix) + len("support point ") + 31
+
     def test_missing_truth_writes_no_estimate(self, counts_file, tmp_path, capsys):
         missing = tmp_path / "missing.pmf"
         code = main(["estimate", "--counts", str(counts_file), "--truth", str(missing), "--out", str(tmp_path / "fit.pmf")])

@@ -91,10 +91,11 @@ class TestAgainstOracle:
         assert capped_fit.tobytes() == fit.tobytes() and capped_blocks.tolist() == blocks.tolist()
 
     def test_decreasing_run_ending_in_a_spike(self):
-        # each pass drops only the last vertex of the run, so without the
-        # pass cap this row would take about K passes
+        # the first count lifts the run above the end-to-end chord, so the
+        # dense pass keeps it; each later pass drops only the last vertex of
+        # the run, so without the pass cap this row would take about K passes
         k = 10**4
-        row = np.append(np.arange(k, 0, -1), k * (k + 1))
+        row = np.concatenate(([10**11], np.arange(k, 0, -1), [k * (k + 1)]))
         n = int(row.sum())
         fit, blocks = gren_counts(row[None, :])
         expected_fit, expected_blocks = gren_fraction(row, n)
@@ -102,14 +103,14 @@ class TestAgainstOracle:
         assert blocks.tolist() == [expected_blocks]
 
     def test_hull_fallback_leaves_numpy_ma_unloaded(self):
-        # a long decreasing run ending in a spike outlasts the hull passes and reaches
-        # _hull_row; picking its rows must not import numpy.ma (about 15 ms per process)
+        # a long decreasing run above the end-to-end chord, ending in a spike, outlasts the hull
+        # passes and reaches _hull_row; picking its rows must not import numpy.ma (about 15 ms per process)
         code = (
             "import sys\n"
             "from monopmf import operators\n"
             "calls, hull = [], operators._hull_row\n"
             "operators._hull_row = lambda *a: calls.append(a) or hull(*a)\n"
-            "row = list(range(400, 300, -1)) + [10**6]\n"
+            "row = [10**8] + list(range(400, 300, -1)) + [10**6]\n"
             "operators.gren_counts([row])\n"
             "print(len(calls), 'numpy.ma' in sys.modules)\n"
         )
@@ -121,7 +122,7 @@ class TestAgainstOracle:
 
     def test_spike_row_among_ordinary_rows_reaches_the_fallback_once(self, monkeypatch):
         # only the row that outlasts the passes is finished by _hull_row
-        spike = list(range(400, 300, -1)) + [10**6]
+        spike = [10**8] + list(range(400, 300, -1)) + [10**6]
         n = sum(spike)
         counts = np.random.default_rng(11).multinomial(n, np.full(len(spike), 1 / len(spike)), size=5)
         counts[2] = spike
@@ -215,6 +216,60 @@ class TestAgainstOracle:
             expected_fit, expected_blocks = gren_fraction(row, int(row.sum()))
             assert fit_row.tobytes() == alone_fit.tobytes() == expected_fit.tobytes()
             assert b == alone_blocks == expected_blocks
+
+
+class TestChordCut:
+    """The dense pass keeps a point x only where S_x * L > n * (x + 1),
+    strictly above the chord from (-1, 0) to (L-1, n)."""
+
+    @staticmethod
+    def fit_checked(counts, exact=True):
+        # gren_counts of a stack, checked row by row against the oracle at each row's own total; past
+        # n * L = 2^53, float(T) / float(n*c) makes three roundings, so it is held within 2^-51 instead
+        fit, blocks = gren_counts(counts)
+        for row, fit_row, b in zip(counts, fit, blocks):
+            expected_fit, expected_blocks = gren_fraction(row, sum(row))
+            assert b == expected_blocks
+            if exact:
+                assert fit_row.tobytes() == expected_fit.tobytes()
+            else:
+                assert np.all(np.abs(fit_row - expected_fit) <= 2.0**-51 * expected_fit)
+        return fit, blocks
+
+    # every interior point on or under the chord; a strict bend on it, (1, 4) of [1, 3, 1, 3], passes
+    # the counts test and is cut only by the chord's strict >
+    @pytest.mark.parametrize("row", [[5, 5, 5, 5, 5], [2, 2], [1, 3, 1, 3], [0, 4, 0, 4], [2, 4, 0, 6], [1, 2, 3, 4], [0, 0, 7]])
+    def test_rows_on_or_under_the_chord_need_no_pass(self, row, monkeypatch):
+        calls, hull = [], operators._hull_row
+        monkeypatch.setattr(operators, "_hull_row", lambda *a: calls.append(a) or hull(*a))
+        monkeypatch.setattr(operators, "_HULL_PASSES", 0)
+        fit, blocks = self.fit_checked(np.array([row]))
+        assert calls == [] and blocks.tolist() == [1]
+
+    @pytest.mark.parametrize("rows", [
+        [[3, 1, 2, 2], [4, 0, 4, 0], [2, 2, 3, 1], [0, 4, 4, 0]],  # S touches the chord inside the row
+        [[5, 3, 0, 0], [1, 0, 0, 0], [2, 3, 0, 0], [0, 4, 0, 0]],  # trailing zeros
+        [[7], [1], [10**12]],  # one point: no interior point
+        np.zeros((0, 6), dtype=np.int64),  # no rows
+    ], ids=["touching", "trailing-zeros", "one-point", "no-rows"])
+    def test_equals_fraction_oracle(self, rows):
+        fit, blocks = self.fit_checked(np.asarray(rows))
+        assert fit.shape == np.shape(rows) and blocks.shape == np.shape(rows)[:1]
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 7])
+    def test_largest_totals(self, length):
+        # n = (2^63 - 1) // L, nearly all of it in the first count: in the first row every point is a
+        # hull vertex and S_x * L lies within L^3 of 2^63, so a product that wrapped would cut one
+        n = ((1 << 63) - 1) // length
+        rest = list(range(length - 1, 0, -1))
+        row = [n - sum(rest), *rest]
+        assert (1 << 63) - length**3 < row[0] * length < 1 << 63
+        # a first count just above the chord (n < a * L <= n + L), then flat: two blocks
+        a = n // length + 1
+        flat = [(n - a) // (length - 1) + (i < (n - a) % (length - 1)) for i in range(length - 1)][::-1]
+        rows = [row, [a, *flat], [n, *[0] * (length - 1)], [*rest, n - sum(rest)]]
+        fit, blocks = self.fit_checked(np.array(rows), exact=False)
+        assert blocks.tolist() == [length, 2, 2, 1]
 
 
 class TestIdentities:

@@ -342,6 +342,14 @@ class TestTextFormats:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse(text)
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_pmf, "0\t" + "y" * 5000, "pmf line 1: bad value 'yyyyyyyyyyyy...yyyyyyyyyyyyy'"),
+        (parse_counts, "0\t1\n" + "1" * 40 + "x\t2", "counts line 2: bad support point '111111111111...111111111111x'"),
+    ], ids=["pmf-value", "counts-point"])
+    def test_long_bad_field_is_cut(self, parse, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse(text)
+
     def test_blank_lines_and_crlf_are_accepted(self):
         counts = parse_counts("0\t1\n\n1\t2\r\n")
         assert counts.dtype == np.int64 and counts.tolist() == [1, 2]
