@@ -4,9 +4,9 @@ Subcommands: estimate, simulate, risk, limits, asymptotics, mixing.
 Exit codes: 0 success, 1 usage error, unwritable output file or standard
 output, or a run too large for memory, 2 input data error, 3 a simulated replicate failed
 the monotone-estimator inequality check.  All files are written atomically (temp file + rename)
-and machine-readable numbers carry 17 significant digits.  Every table of numbers (CSV, pmf, weights) is
-written in pieces by one writer, each one byte matrix whose number texts come from array code (exact digits
-from double-double products, % for the few values it leaves out); its bytes equal %.17g of every value.
+and machine-readable numbers carry 17 significant digits, the texts of %.17g.  Tables of a line per replicate,
+draw or point (_raw.csv, the limits CSVs, pmf, weights) go through one writer, in byte-matrix pieces whose texts
+come from array code (double-double digits, % for the few it leaves out); _summary.csv and risk's lines use %.
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ from .experiments import (
     ExperimentSummary,
     InequalityViolation,
     TruthSpec,
+    _check_sample_size,
     estimate,
     estimate_risk,
     run_experiment,
 )
 from .limits import _PairwiseSum, _draw_limit_blocks, asymptotics
 from .metrics import MetricKind, distance
-from .operators import _count_sums, constancy_blocks, mixing_estimate
+from .operators import constancy_blocks, mixing_estimate
 from .pmf import COUNT_STREAM, float_label, parse_counts, parse_pmf
 
 _MACHINE_FMT = "%.17g"
@@ -135,13 +136,12 @@ def _out_path(out: str, name: str, names) -> str:
 
 def _estimates(args) -> dict:
     """The estimates of args.estimator ("all" for each) from args.counts, made once the counts and then
-    --out are checked: counts the exact Grenander cannot take (n*(K+1) >= 2^63) are invalid data."""
+    --out are checked: counts `_check_sample_size` rejects for these estimators are invalid data."""
     kinds = {name: kind for kind, name in _SHORT_NAMES.items() if args.estimator in ("all", name)}
 
     def checked(text):
         counts = parse_counts(text)
-        if "gren" in kinds:
-            _count_sums(counts)
+        _check_sample_size(int(counts.sum()), counts.size, kinds.values())
         return counts
 
     counts = _load(args.counts, "counts", checked)

@@ -170,11 +170,11 @@ class ExperimentConfig:
     target: str = "pmf"  # "pmf" or "mixing"
 
     def __post_init__(self):
-        for name in ("n", "reps"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "n", check_sample_size(self.n))
+        object.__setattr__(self, "reps", as_int(self.reps, "reps"))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.n < 1 or self.reps < 1:
-            raise ValueError("n and reps must be positive")
+        if self.reps < 1:
+            raise ValueError("reps must be positive")
         if not self.estimators or not self.metrics:
             raise ValueError("estimator and metric sets must be non-empty")
         labels = {"estimator": [e.value for e in self.estimators], "metric": [m.label for m in self.metrics]}
@@ -322,7 +322,8 @@ def estimate(kind: EstimatorKind, counts) -> np.ndarray:
 
 
 def _check_sample_size(n: int, support_size: int, kinds) -> None:
-    """ValueError unless `check_sample_size` takes n and, where `kinds` holds the Grenander, n * support_size < 2^63."""
+    """ValueError unless `check_sample_size` takes n and, where `kinds` holds the Grenander, n * support_size < 2^63
+    (`gren_counts`' int64 bound); every command checks a truth before any draw, and a counts file as it is read."""
     check_sample_size(n)
     if EstimatorKind.GRENANDER in kinds and n * support_size >= 1 << 63:
         raise ValueError(f"the Grenander estimator needs n * (K+1) < 2^63, got n = {n} and K+1 = {support_size}")

@@ -10,13 +10,13 @@ form of the hull is exactly the pool-adjacent-violators fit).  Both, like
 
 Integer counts take `gren_counts`, the estimators of an empirical sample
 in the Monte Carlo drivers and the CLI: the Grenander of the counts, its
-hull found by exact int64 vertex-removal passes over all rows at once, the
-first of which also cuts every point on or under a row's end-to-end chord,
-divided once per block by the row's total n, so each value is the exact
-slope correctly rounded when n*(K+1) < 2^53.  Float input takes `gren`
-(limit draws, `touch_count`, public calls on a pmf), which `pava` pools row
-by row (`_pool_row`) or a column at a time for all rows at once
-(`column_sweep`), with the same bits, by the shape rule in its docstring.
+hull found by exact int64 vertex-removal passes over all rows at once (so
+n*(K+1) < 2^63, `experiments._check_sample_size`), divided once per block
+by the row's total n, so each value is the exact slope correctly rounded
+when n*(K+1) < 2^53.  Float input takes `gren` (limit draws, `touch_count`,
+public calls on a pmf), which `pava` pools row by row (`_pool_row`) or in
+slices of `rng._block_height(L)` rows a column at a time (`column_sweep`),
+with the same bits, by the shape rule in its docstring.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pmf import SUM_TOL, Pmf
-
-#: Values per row block of `column_sweep`, which bounds its work arrays.
-_SWEEP_VALUES = 1 << 15
+from .rng import _block_height
 
 #: Vertex-removal passes of `gren_counts` on all rows at once before the
 #: rows not yet done are finished one at a time (a strictly decreasing run
@@ -118,11 +116,11 @@ def pava(v: np.ndarray):
     """(fit, segment counts) of every row of a float stack v (shape (..., L));
     a 1-D v gives an int count.
 
-    The shape rule: a stack whose row blocks of `_SWEEP_VALUES` = 2^15
-    values hold at least max(128, 4L) rows (so L <= 90) is pooled by
-    `column_sweep` on slices of that many rows (the last maybe shorter), so
-    its work arrays hold at most 2^15 values; a 1-D v or any other stack
-    runs `_pool_row` once per row.  Both paths give the same bits on any stack.
+    The shape rule: a stack whose row count and slices of `rng._block_height(L)`
+    rows (2^14 values) both reach max(128, 4L) (so L <= 64) is pooled by
+    `column_sweep` slice by slice (the last maybe shorter), so its work
+    arrays hold at most 2^14 values; a 1-D v or any other stack runs
+    `_pool_row` once per row.  Both paths give the same bits on any stack.
     """
     fit = v.copy()
     if v.ndim == 1:
@@ -130,7 +128,7 @@ def pava(v: np.ndarray):
     rows = v.reshape(-1, v.shape[-1])
     fit_rows = fit.reshape(rows.shape)
     r, length = rows.shape
-    block = max(1, _SWEEP_VALUES // length)
+    block = _block_height(length)
     counts = np.empty(r, dtype=np.int64)
     if min(r, block) >= max(128, 4 * length):
         for start in range(0, r, block):
@@ -173,25 +171,6 @@ def _hull_row(x: list, s: list) -> list[int]:
     return hull
 
 
-def _count_sums(counts) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, s): the int64 (rows, L) stack of integer `counts` that `gren_counts` takes, each row total n in
-    [1, (2^63 - 1) // L] so that its cross products fit in int64, and its running sums, s[:, x+1] = S_x and
-    s[:, 0] = 0; anything else is a ValueError."""
-    c = np.asarray(counts)
-    if c.ndim == 0 or c.shape[-1] == 0 or not np.issubdtype(c.dtype, np.integer):
-        raise ValueError("gren_counts requires a non-empty sequence of integer counts")
-    length = c.shape[-1]
-    top = ((1 << 63) - 1) // length
-    if c.size and (c.min() < 0 or c.max() > top):  # so no running sum of a row wraps past int64
-        raise ValueError(f"gren_counts requires counts in [0, {top}] for L = {length}")
-    rows = c.reshape(-1, length).astype(np.int64, copy=False)
-    s = np.zeros((rows.shape[0], length + 1), dtype=np.int64)
-    np.cumsum(rows, axis=1, out=s[:, 1:])
-    if np.any((s[:, -1] < 1) | (s[:, -1] > top)):
-        raise ValueError(f"gren_counts requires every row total n in [1, {top}] for L = {length}")
-    return rows, s
-
-
 def gren_counts(counts) -> tuple[np.ndarray, np.ndarray]:
     """Exact Grenander of count rows: (fit, blocks) of an integer (..., L) stack.
 
@@ -204,7 +183,8 @@ def gren_counts(counts) -> tuple[np.ndarray, np.ndarray]:
     float(n*c).  When n*L < 2^53 that is the exact slope correctly rounded,
     whatever the chunking or scale, and an unpooled entry has the bits of
     count / n.  A negative count or a row total outside [1, (2^63 - 1) // L]
-    is a ValueError, raised before any pass.
+    is a ValueError raised before any pass (`experiments._check_sample_size`
+    states that bound for the commands and drivers).
 
     The hull is found by vertex removal on all rows at once.  The first
     pass, on the dense grid, keeps a point x only where the counts strictly
@@ -223,8 +203,17 @@ def gren_counts(counts) -> tuple[np.ndarray, np.ndarray]:
     rows gives an empty fit and blocks.
     """
     c = np.asarray(counts)
-    rows, s = _count_sums(c)
+    if c.ndim == 0 or c.shape[-1] == 0 or not np.issubdtype(c.dtype, np.integer):
+        raise ValueError("gren_counts requires a non-empty sequence of integer counts")
     length = c.shape[-1]
+    top = ((1 << 63) - 1) // length
+    if c.size and (c.min() < 0 or c.max() > top):  # so no running sum of a row wraps past int64
+        raise ValueError(f"gren_counts requires counts in [0, {top}] for L = {length}")
+    rows = c.reshape(-1, length).astype(np.int64, copy=False)
+    s = np.zeros((rows.shape[0], length + 1), dtype=np.int64)  # s[:, x+1] = S_x, s[:, 0] = 0
+    np.cumsum(rows, axis=1, out=s[:, 1:])
+    if np.any((s[:, -1] < 1) | (s[:, -1] > top)):
+        raise ValueError(f"gren_counts requires every row total n in [1, {top}] for L = {length}")
     totals = s[:, -1].copy()  # not a view, so s is freed when the passes compact it
     keep = np.ones(s.shape, dtype=bool)  # vertices x = -1..L-1
     keep[:, 1:-1] = (rows[:, :-1] > rows[:, 1:]) & (s[:, 1:-1] * length > totals[:, None] * np.arange(1, length))

@@ -167,10 +167,12 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
 
 
 def check_sample_size(n) -> int:
-    """`n` as an int in [1, 2^63), the sample sizes the count streams take; anything else is a ValueError."""
+    """`n` as an int in [1, 2^63), the sample sizes the count streams take; anything else is a ValueError,
+    whose message gives n past 128 bits by its bit length (an int past 4300 digits has no str())."""
     n = as_int(n, "n")
     if not 1 <= n < 1 << 63:
-        raise ValueError(f"sample size n must lie in [1, 2^63), got {n}")
+        shown = n if n.bit_length() <= 128 else f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
+        raise ValueError(f"sample size n must lie in [1, 2^63), got {shown}")
     return n
 
 
@@ -290,15 +292,11 @@ def parse_pmf(text: str) -> Pmf:
 
 def parse_counts(text: str) -> np.ndarray:
     """The int64 count row of a counts file: non-negative counts whose total,
-    the sample size n, lies in [1, 2^63), and whose last is positive (K_obs)."""
+    the sample size n, passes `check_sample_size`, and whose last is positive (K_obs)."""
     values = _parse_table(text, "counts", int)
     if min(values) < 0:  # Python ints until the checks pass
         raise ValueError("counts must be non-negative")
-    n = sum(values)
-    if n < 1:
-        raise ValueError("sample size n must be positive")
-    if n > np.iinfo(np.int64).max:
-        raise ValueError(f"counts must sum to less than 2^63, got {n}")
+    check_sample_size(sum(values))
     if values[-1] == 0:
         raise ValueError("last count must be positive (K_obs is the max observed value)")
     return np.array(values, dtype=np.int64)

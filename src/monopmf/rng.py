@@ -18,10 +18,10 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 #: Values per block of the replicate map (`_replicate_blocks`): a block holds `_block_height(K+1)` rows
-#: whatever n is, tall enough for short rows to spread the per-call cost of the sampler and the
-#: kernels, while its estimator arrays stay a few times this size.  Also the least values per
-#: `integers` call of count stream 4 (`pmf.sample_counts`).  The block height and the call size are
-#: part of the stream, so changing this value changes the samples.
+#: whatever n is, tall enough for short rows to spread the per-call cost of the sampler and the kernels,
+#: while its estimator arrays stay a few times this size.  Also the least values per `integers` call of
+#: count stream 4 (`pmf.sample_counts`) and the values per slice of `operators.pava`'s column sweep.
+#: The block height and the call size are part of the stream, so changing this value changes the samples.
 _CHUNK_ELEMENTS = 1 << 14
 
 

@@ -102,8 +102,10 @@ class TestEstimate:
         path = tmp_path / "big.counts"
         path.write_text("".join(f"{x}\t{2**61}\n" for x in range(3)))  # n = 3 * 2^61, n * 3 >= 2^63
         assert main([command, "--counts", str(path), "--estimator", "gren"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"monopmf: invalid counts file {str(path)!r}: gren_counts requires")
+        assert capsys.readouterr().err == (
+            f"monopmf: invalid counts file {str(path)!r}: "
+            f"the Grenander estimator needs n * (K+1) < 2^63, got n = {3 * 2**61} and K+1 = 3\n"
+        )
 
     def test_counts_at_the_exact_grenander_bound(self, tmp_path, capsys):
         # n = (2^63 - 1) // (K+1) is the largest total the exact Grenander takes
@@ -114,19 +116,22 @@ class TestEstimate:
         path.write_text(f"0\t{top}\n1\t0\n2\t1\n")
         assert main(["estimate", "--counts", str(path), "--estimator", "gren"]) == 2
         assert capsys.readouterr().err == (
-            f"monopmf: invalid counts file {str(path)!r}: gren_counts requires every row total n in [1, {top}] for L = 3\n"
+            f"monopmf: invalid counts file {str(path)!r}: "
+            f"the Grenander estimator needs n * (K+1) < 2^63, got n = {top + 1} and K+1 = 3\n"
         )
 
-    @pytest.mark.parametrize("lines", [
-        f"0\t{2**63}\n",  # past int64 on its own
-        f"0\t{2**62}\n1\t{2**62}\n",  # sums to 2^63, which would wrap to a negative n
-    ], ids=["count", "sum"])
-    def test_counts_past_int64_exit_2(self, lines, tmp_path, capsys):
+    @pytest.mark.parametrize("lines,shown", [
+        (f"0\t{2**63}\n", str(2**63)),  # past int64 on its own
+        (f"0\t{2**62}\n1\t{2**62}\n", str(2**63)),  # sums to 2^63, which would wrap to a negative n
+        ("0\t" + "9" * 4000 + "\n", "a 13288-bit integer"),  # an n past 128 bits is named by its bit length
+        ("0\t" + "9" * 4300 + "\n1\t" + "9" * 4300 + "\n", "a 14286-bit integer"),  # 4301 digits: no str()
+    ], ids=["count", "sum", "4000-digits", "4301-digits"])
+    def test_counts_past_int64_exit_2(self, lines, shown, tmp_path, capsys):
         path = tmp_path / "huge.counts"
         path.write_text(lines)
         assert main(["estimate", "--counts", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err == f"monopmf: invalid counts file {str(path)!r}: counts must sum to less than 2^63, got {2**63}\n"
+        assert err == f"monopmf: invalid counts file {str(path)!r}: sample size n must lie in [1, 2^63), got {shown}\n"
 
     @pytest.mark.parametrize("line", [
         "0\t" + "7" * 5000,  # a count past Python's 4300-digit limit for int()
@@ -183,7 +188,10 @@ class TestEstimate:
         path.write_text("".join(f"{x}\t{2**61}\n" for x in range(3)))
         code = main([command, "--counts", str(path), "--out", str(tmp_path / "missing" / "x.pmf")])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"monopmf: invalid counts file {str(path)!r}: gren_counts requires")
+        assert capsys.readouterr().err == (
+            f"monopmf: invalid counts file {str(path)!r}: "
+            f"the Grenander estimator needs n * (K+1) < 2^63, got n = {3 * 2**61} and K+1 = 3\n"
+        )
 
     def test_bad_flag_exits_1(self):
         with pytest.raises(SystemExit) as err:
@@ -636,6 +644,37 @@ class TestOtherCommands:
     def test_meta_records_count_stream(self, tmp_path):
         assert main(["simulate", "--truth", "uniform:3", "--n", "10", "--reps", "2", "--out", str(tmp_path / "v")]) == 0
         assert json.loads((tmp_path / "v_meta.json").read_text())["count_stream"] == COUNT_STREAM == RECORDED["count_stream"]
+
+
+class TestInputRules:
+    """Each rule on a sample's size is stated once, so every command that meets it prints the same text,
+    after the name of the file that broke it where one did."""
+
+    BOUND = f"the Grenander estimator needs n * (K+1) < 2^63, got n = {2**62} and K+1 = 3"
+    EMPTY = "sample size n must lie in [1, 2^63), got 0"
+    AT_BOUND = f"0\t{2**62 - 1}\n1\t0\n2\t1\n"
+
+    @pytest.mark.parametrize("message,argv,data,code", [
+        (BOUND, ["simulate", "--truth", "uniform:2", "--n", str(2**62), "--out", "{dir}/x"], None, 1),
+        (BOUND, ["simulate", "--config", "{file}", "--out", "{dir}/x"],
+         json.dumps({"truth": "uniform:2", "n": 2**62, "reps": 2}), 2),
+        (BOUND, ["risk", "--truth", "uniform:2", "--n", str(2**62), "--reps", "2"], None, 1),
+        (BOUND, ["estimate", "--counts", "{file}"], AT_BOUND, 2),
+        (BOUND, ["mixing", "--counts", "{file}"], AT_BOUND, 2),
+        (EMPTY, ["simulate", "--truth", "uniform:2", "--n", "0", "--out", "{dir}/x"], None, 1),
+        (EMPTY, ["risk", "--truth", "uniform:2", "--n", "0", "--reps", "2"], None, 1),
+        (EMPTY, ["estimate", "--counts", "{file}"], "0\t0\n", 2),
+    ], ids=["bound-simulate-n", "bound-simulate-config", "bound-risk", "bound-estimate", "bound-mixing",
+            "empty-simulate-n", "empty-risk", "empty-counts"])
+    def test_each_rule_prints_one_line_everywhere(self, message, argv, data, code, tmp_path, capsys):
+        path = tmp_path / "input"
+        if data is not None:
+            path.write_text(data)
+        assert main([arg.format(dir=tmp_path, file=path) for arg in argv]) == code
+        out, err = capsys.readouterr()
+        where = "" if data is None else f"invalid {'config' if argv[0] == 'simulate' else 'counts'} file {str(path)!r}: "
+        assert out == "" and err == f"monopmf: {where}{message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([] if data is None else ["input"])
 
 
 class TestSequenceFiles:

@@ -21,7 +21,9 @@ from monopmf import (
     touch_count,
     uniform_pmf,
 )
-from monopmf.operators import _SWEEP_VALUES, column_sweep, pava
+from monopmf import operators
+from monopmf.operators import column_sweep, pava
+from monopmf.rng import _block_height
 from references import gren_oracle, gren_oracle_stack
 
 EXAMPLE_EMPIRICAL = np.array([0.20, 0.14, 0.11, 0.22, 0.15, 0.18])
@@ -382,7 +384,7 @@ class TestColumnSweep:
             assert counts[i] == len(reference_pool_segments(a[i].tolist())[1])
 
     def test_gren_on_a_stack_of_several_blocks(self):
-        # 9000 rows of 10 take the sweep in blocks of about 2^15 values
+        # 9000 rows of 10 take the sweep in slices of 1638 rows, about 2^14 values
         a = np.random.default_rng(3).multinomial(40, np.full(10, 0.1), size=9000) / 40
         fit = gren(a)
         counts = touch_count(a)
@@ -391,11 +393,27 @@ class TestColumnSweep:
             assert counts[i] == touch_count(a[i])
 
     def test_pava_on_a_slice_and_one_row(self):
-        # rows of 10 take slices of 3276 rows, so the last slice holds one row
+        # rows of 10 take slices of 1638 rows, so the last slice holds one row
         length = 10
-        rows = _SWEEP_VALUES // length + 1
+        rows = _block_height(length) + 1
         a = np.random.default_rng(5).multinomial(40, np.full(length, 0.1), size=rows) / 40
         fit, counts = pava(a)
+        for i in range(rows):
+            row_fit, row_count = pava(a[i])
+            assert fit[i].tobytes() == row_fit.tobytes() and counts[i] == row_count
+
+    @pytest.mark.parametrize("length", [64, 65, 90, 91])
+    def test_tall_stacks_beside_the_shape_bound(self, length, monkeypatch):
+        # slices of _block_height(L) rows reach 4L up to L = 64 (slices of 2^15 values would up to L = 90): a
+        # stack of several slices takes the sweep exactly up to that bound, and the row-by-row bits either way
+        swept = []
+        monkeypatch.setattr(operators, "column_sweep", lambda rows: swept.append(len(rows)) or column_sweep(rows))
+        rows = 2 * _block_height(length) + 7
+        rng = np.random.default_rng(length)
+        a = rng.standard_normal((rows, length))
+        a[::3] = rng.multinomial(50, np.full(length, 1.0 / length), size=len(a[::3])) / 50  # ties
+        fit, counts = pava(a)
+        assert swept == ([_block_height(length)] * 2 + [7] if length <= 64 else [])
         for i in range(rows):
             row_fit, row_count = pava(a[i])
             assert fit[i].tobytes() == row_fit.tobytes() and counts[i] == row_count

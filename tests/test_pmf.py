@@ -16,7 +16,7 @@ from monopmf import (
     sample,
     uniform_pmf,
 )
-from monopmf.pmf import sample_counts
+from monopmf.pmf import check_sample_size, sample_counts
 from references import block_rows, format_counts, format_pmf
 
 
@@ -306,11 +306,25 @@ class TestEmpirical:
     def test_counts_validation(self):
         for text, message in (
             ("0\t1\n1\t0\n", "last count must be positive (K_obs is the max observed value)"),  # trailing zero
-            ("0\t0\n", "sample size n must be positive"),  # empty sample forbidden
+            ("0\t0\n", "sample size n must lie in [1, 2^63), got 0"),  # empty sample forbidden
             ("0\t3\n1\t-1\n", "counts must be non-negative"),
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 parse_counts(text)
+
+    @pytest.mark.parametrize("n,shown", [
+        (0, "0"),
+        (2**63, "9223372036854775808"),
+        (1 - 2**128, str(1 - 2**128)),
+        (2**128, "a 129-bit integer"),
+        (10**5000, "a 16610-bit integer"),
+        (-(10**5000), "a negative 16610-bit integer"),
+    ], ids=["zero", "2^63", "128-bit", "129-bit", "10^5000", "-10^5000"])
+    def test_sample_size_message_is_bounded(self, n, shown):
+        # n past 128 bits is named by its bit length: an int past 4300 digits has no str()
+        with pytest.raises(ValueError) as err:
+            check_sample_size(n)
+        assert str(err.value) == f"sample size n must lie in [1, 2^63), got {shown}"
 
 
 class TestTextFormats:
