@@ -335,11 +335,12 @@ def _table_pieces(header: str, mids: list[str], records: int, chunks, end: str):
     """The bytes of a table, in pieces: `header`, then f"{i}{mids[j]}{t_1},...,{t_m}{end}" for each record
     i < `records` and j < len(mids), t_k the %.17g text of column k of record i at j.  `chunks` yields the
     records in order, as tuples of m arrays of shape (rows, len(mids)), column k's rows in the k-th.  With
-    `end` "\r\n" the bytes equal csv.writer's (no field needs quoting).  Records are cut into pieces of
-    about _CSV_CHUNK_ROWS lines, across chunks; each piece takes the texts of its distinct values from
-    _float_texts, is laid out in one uint8 matrix, a row per line (record number right-aligned, mid, each
-    text in a _TEXT_WIDTH slot, commas, `end`), and is yielded as the array of its bytes other than NUL,
-    the padding, which no number text or record number holds, nor may the mids and `end`."""
+    `end` "\r\n" the bytes equal csv.writer's (no field needs quoting).  Each chunk is cut into pieces of
+    at most _CSV_CHUNK_ROWS lines (or of one record, if it has more); each piece takes the texts of its
+    distinct values from _float_texts, is laid out in one uint8 matrix, a row per line (record number
+    right-aligned, mid, each text in a _TEXT_WIDTH slot, commas, `end`), and is yielded as the array of its
+    bytes other than NUL, the padding, which no number text or record number holds, nor may the mids and
+    `end`."""
     step = min(max(1, _CSV_CHUNK_ROWS // len(mids)), max(records, 1))
     encoded = [mid.encode("utf-8") for mid in mids]
     ending = np.frombuffer(end.encode("utf-8"), dtype=np.uint8)
@@ -347,27 +348,19 @@ def _table_pieces(header: str, mids: list[str], records: int, chunks, end: str):
     first = width + max(map(len, encoded))  # the first field's column
     weights = 10 ** np.arange(width - 1, -1, -1)
     yield header.encode("utf-8")
-    values = buf = None
-    done = filled = 0  # records yielded, and held in `values`
+    buf = None
+    done = 0  # records yielded
     for chunk in chunks:
-        if values is None:
-            values = np.empty((step, len(mids), len(chunk)))
+        if buf is None:
             buf = np.zeros((step, len(mids), first + len(chunk) * (_TEXT_WIDTH + 1) - 1 + ending.size), dtype=np.uint8)
             for j, mid in enumerate(encoded):
                 buf[:, j, width : width + len(mid)] = np.frombuffer(mid, dtype=np.uint8)
             buf[:, :, first + _TEXT_WIDTH : -ending.size : _TEXT_WIDTH + 1] = ord(",")
             buf[:, :, -ending.size :] = ending
-        taken = 0
-        while taken < len(chunk[0]):
-            k = min(len(chunk[0]) - taken, step - filled)
-            for c, column in enumerate(chunk):
-                values[filled : filled + k, :, c] = column[taken : taken + k]
-            taken += k
-            filled += k
-            if filled == step or done + filled == records:
-                yield _piece(buf[:filled], values[:filled], done, width, first, weights)
-                done += filled
-                filled = 0
+        for lo in range(0, len(chunk[0]), step):
+            values = np.stack([column[lo : lo + step] for column in chunk], axis=-1)
+            yield _piece(buf[: len(values)], values, done, width, first, weights)
+            done += len(values)
 
 
 def _piece(piece, values, start: int, width: int, first: int, weights) -> np.ndarray:

@@ -434,7 +434,7 @@ def fluctuation_cdf(
 ) -> np.ndarray:
     """Sorted replicate values of sqrt(n) * (estimate_x - truth_x): the i-th
     (from 0) is where the empirical CDF of the replicates reaches (i+1)/reps."""
-    x, n = as_int(x, "x"), as_int(n, "n")
+    n, x = check_sample_size(n), as_int(x, "x")
     if not 0 <= x <= truth.support_max:
         raise ValueError("x must lie inside the truth support")
     root_n = math.sqrt(n)

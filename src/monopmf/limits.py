@@ -88,33 +88,30 @@ def _pairwise_ops(n: int):
             todo += [None, (start + half, length - half), (start, half)]
 
 
-def _feed_leaves(acc, res, x, i: int, n: int):
-    """Add x (L, k, W), the values at positions i..i+k-1 of L pairwise leaves of length n, to their
-    state, as numpy's leaf loop does; return the new `res`.
+def _feed_leaf(acc, res, x, i: int, n: int):
+    """Add x (k, W), the values at positions i..i+k-1 of a pairwise leaf of length n, to its state, as
+    numpy's leaf loop does; return the new `res`.
 
-    A leaf of n >= 8 values sums them into eight accumulators, acc (L, 8, W): acc[j] starts at value j
-    and takes values j + 8, j + 16, ... below m = n - n % 8.  At m the accumulators are added as
-    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)) into res (L, W), which then takes the last n % 8 values
-    one at a time.  A leaf of n < 8 values adds them one at a time from -0.0.  res is None before m.
+    A leaf of n >= 8 values sums them into eight accumulators, acc (8, W): acc[j] starts at value j and
+    takes values j + 8, j + 16, ... below m = n - n % 8.  At m the accumulators are added as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)) into res (W,), which then takes the last n % 8 values one
+    at a time.  A leaf of n < 8 values adds them one at a time from -0.0.  res is None before m.
     """
     m = n - n % 8 if n >= 8 else 0
-    p, end = i, i + x.shape[1]
+    p, end = i, i + len(x)
     while p < min(end, m):  # an eighth of the leaf, or what x holds of it, per step
         q = min(end, m, p // 8 * 8 + 8)
-        part = acc[:, p % 8 : p % 8 + q - p]
+        part = acc[p % 8 : p % 8 + q - p]
         if p < 8:
-            part[...] = x[:, p - i : q - i]
+            part[...] = x[p - i : q - i]
         else:
-            part += x[:, p - i : q - i]
+            part += x[p - i : q - i]
         p = q
     if res is None and end >= m:
         a = acc
-        if m:
-            res = ((a[:, 0] + a[:, 1]) + (a[:, 2] + a[:, 3])) + ((a[:, 4] + a[:, 5]) + (a[:, 6] + a[:, 7]))
-        else:
-            res = np.full(x.shape[::2], -0.0)
+        res = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])) if m else np.full(x.shape[1:], -0.0)
     for q in range(max(p, m), end):
-        res += x[:, q - i]
+        res += x[q - i]
     return res
 
 
@@ -123,49 +120,39 @@ class _PairwiseSum:
     column has the bits numpy gives it as a contiguous row (so the bits of np.mean's sum).
 
     numpy 2.4.6 adds a contiguous row of n values as 0.0 + its pairwise sum (`_pairwise_ops`, leaves
-    summed as `_feed_leaves` says); a test compares this with numpy at many lengths, so a numpy whose
-    tree differs fails it.  The leaves that end inside a block are summed together, one gather per
-    leaf length; a leaf that runs past the block keeps its state for the next.  Finished sums wait
-    on a stack until their sibling is done, so memory is O(8 W + W log n), not O(n W).
+    summed as `_feed_leaf` says); a test compares this with numpy at many lengths, so a numpy whose
+    tree differs fails it.  Each leaf is fed the rows of a block that it holds as the block arrives; a
+    leaf that runs past the block stays open for the next.  Finished sums wait on a stack until their
+    sibling is done, so memory is O(8 W + W log n), not O(n W).
     """
 
     def __init__(self, n: int):
         self._ops = _pairwise_ops(n)
         self._stack = []
         self._rows = 0  # rows fed so far
-        self._open = None  # (start, length, acc, res) of a leaf begun in an earlier block
+        self._leaf = None  # (start, length, acc, res) of the open leaf, begun and not finished
 
     def add(self, block) -> None:
         start, stop = self._rows, self._rows + len(block)
         self._rows = stop
-        if self._open is not None:
-            begin, n, acc, res = self._open
-            res = _feed_leaves(acc, res, block[None, : min(begin + n, stop) - start], start - begin, n)
+        while self._leaf is not None or self._open_next(block.shape[1]):
+            begin, n, acc, res = self._leaf
+            res = _feed_leaf(acc, res, block[max(begin - start, 0) : begin + n - start], max(start - begin, 0), n)
             if begin + n > stop:
-                self._open = begin, n, acc, res
+                self._leaf = begin, n, acc, res
                 return
-            self._open = None
-            self._stack.append(res[0])
-        ops = []
+            self._leaf = None
+            self._stack.append(res)
+
+    def _open_next(self, width: int) -> bool:
+        """Add the sums the tree adds before its next leaf, and open that leaf; False if none is left."""
         for op in self._ops:
-            if op is not None and op[0] + op[1] > stop:  # a leaf that ends in a later block
-                begin, n = op
-                acc = np.empty((1, 8, block.shape[1]))
-                self._open = begin, n, acc, _feed_leaves(acc, None, block[None, begin - start :], 0, n)
-                break
-            ops.append(op)
-        sums = {}
-        leaves = [op for op in ops if op is not None]
-        for n in {n for _, n in leaves}:
-            begins = [b for b, length in leaves if length == n]
-            x = block.take(np.subtract(begins, start)[:, None] + np.arange(n), axis=0)
-            sums.update(zip(begins, _feed_leaves(np.empty((len(begins), 8, block.shape[1])), None, x, 0, n)))
-        for op in ops:
-            if op is None:
-                right = self._stack.pop()
-                self._stack[-1] = self._stack[-1] + right
-            else:
-                self._stack.append(sums[op[0]])
+            if op is not None:
+                self._leaf = (*op, np.empty((8, width)), None)
+                return True
+            right = self._stack.pop()
+            self._stack[-1] = self._stack[-1] + right
+        return False
 
     def total(self) -> np.ndarray:
         """The sums, once all n rows are fed."""

@@ -301,7 +301,7 @@ def mixing_estimate(p) -> np.ndarray:
     shifted = np.concatenate((probs[..., 1:], np.zeros(probs.shape[:-1] + (1,))), axis=-1)  # p[x+1], p[K+1] = 0
     weights = (np.arange(probs.shape[-1]) + 1.0) * (probs - shifted)
     totals = np.ravel(weights.sum(axis=-1))
-    bad = np.flatnonzero(np.abs(totals - 1.0) > SUM_TOL)
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= SUM_TOL))  # a NaN total is bad too
     if bad.size:
         raise ValueError(f"mixing weights must sum to 1, got {float(totals[bad[0]])!r}")
     return weights

@@ -980,7 +980,7 @@ class TestWriteTable:
         size = records * len(mids)
         columns = [np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)),
                             dtype=np.float64).reshape(records, len(mids)) for _ in range(m)]
-        # the records come in chunks of any sizes, which the pieces cut across
+        # the records come in chunks of any sizes, empty ones too, and the pieces end at each chunk's end
         cuts = sorted(data.draw(st.lists(st.integers(0, records), max_size=4), label="cuts"))
         chunks = [tuple(c[a:b] for c in columns) for a, b in zip([0, *cuts], [*cuts, records])]
         end = data.draw(st.sampled_from(["\r\n", "\n"]), label="end")

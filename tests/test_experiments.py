@@ -540,6 +540,20 @@ def test_grenander_past_2_63_rejected_before_any_block(call, monkeypatch):
         estimate_risk(uniform_pmf(999999), 10**13, 2, REAR, 5, 0)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 2**63, 2**1100], ids=["negative", "zero", "2^63", "2^1100"])
+@pytest.mark.parametrize("call", [
+    lambda n: run_experiment(ExperimentConfig(U3, n=n, reps=5, seed=0)),
+    lambda n: estimate_risk(U3.to_pmf(), n, 2, EMP, 5, 0),
+    lambda n: fluctuation_cdf(U3.to_pmf(), 1, n, 5, 0, EMP),
+], ids=["experiment", "risk", "fluctuation"])
+def test_sample_size_outside_the_range_rejected(call, n):
+    # fluctuation_cdf took sqrt(n) before checking n: a math domain error at n = -1, an OverflowError at 2^1100
+    shown = n if n.bit_length() <= 128 else "a 1101-bit integer"
+    with pytest.raises(ValueError) as err:
+        call(n)
+    assert str(err.value) == f"sample size n must lie in [1, 2^63), got {shown}"
+
+
 def test_grenander_bound_is_the_same_for_draws_and_counts():
     # the check before any draw and gren_counts agree on the largest n for K+1 = 3
     top = (2**63 - 1) // 3

@@ -470,7 +470,7 @@ class TestPairwiseSum:
             assert got.tobytes() == np.add.reduce(rows, axis=1).tobytes(), n
             assert (got / n).tobytes() == rows.mean(axis=1).tobytes(), n
 
-    @pytest.mark.parametrize("heights", [[1], [3, 11, 2], [1638], [127, 129], [10**6]])
+    @pytest.mark.parametrize("heights", [[1], [3, 11, 2], [1638], [127, 129], [10**6], [0, 5], [8, 120]])
     def test_does_not_depend_on_the_blocks(self, heights):
         a = np.random.default_rng(32).normal(size=(5003, 3))
         a[::7, 0] = -0.0

@@ -456,6 +456,16 @@ class TestMixingEstimate:
         with pytest.raises(ValueError, match=r"^mixing weights must sum to 1, got 0\.9$"):
             mixing_estimate(stack)
 
+    def test_nan_total_rejected(self):
+        # NaN passed the test |total - 1| > SUM_TOL, which is False for it
+        with pytest.raises(ValueError, match=r"^mixing weights must sum to 1, got nan$"):
+            mixing_estimate([np.nan, 1.0])
+
+    def test_stack_with_a_nan_row_rejected(self):
+        stack = np.array([[0.4, 0.3, 0.2, 0.1], [0.25, np.nan, 0.25, 0.25], [0.25] * 4])
+        with pytest.raises(ValueError, match=r"^mixing weights must sum to 1, got nan$"):
+            mixing_estimate(stack)
+
     @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4)])
     def test_result_is_a_writable_array_of_the_input_shape(self, shape):
         w = mixing_estimate(np.broadcast_to([0.4, 0.3, 0.2, 0.1], shape))
