@@ -432,28 +432,18 @@ def _cmd_limits(args) -> int:
     sums = _PairwiseSum(args.reps)  # of y, y_rear, y_gren and their squares, point by point
 
     def chunks():
-        # one buffer for every block: with a new array per block, the allocator gave its pages back and
-        # faulted them in again block after block (5037 minor faults per run against 1412 at 2 * 10^4
-        # draws of K = 9)
-        width = 3 * truth.support_size
-        values = None
         for block in _draw_limit_blocks(truth, args.reps, args.seed):  # y, y_rear, y_gren
-            if values is None:
-                values = np.empty((len(block[0]), 2 * width))
-            rows = values[: len(block[0])]
-            np.square(np.concatenate(block, axis=1, out=rows[:, :width]), out=rows[:, width:])
-            sums.add(rows)
+            sums.add(np.concatenate((*block, *(b * b for b in block)), axis=1))
             yield block
 
     points = [f",{x}," for x in range(truth.support_size)]
     pieces = _table_pieces("draw,x,y,y_rear,y_gren\r\n", points, args.reps, chunks(), "\r\n")
     _atomic_write_chunks(f"{args.out}_draws.csv", pieces)
 
-    table = np.empty((len(points), 7))
-    table[:, :6] = (sums.total() / args.reps).reshape(6, len(points)).T  # the bits of each column's np.mean
-    table[:, 6] = truth.probs * (1.0 - truth.probs)
+    means = (sums.total() / args.reps).reshape(6, len(points), 1)  # the bits of each column's np.mean
     header = "x,mean_y,mean_y_rear,mean_y_gren,mean_sq_y,mean_sq_y_rear,mean_sq_y_gren,var_limit\r\n"
-    pieces = _table_pieces(header, [","], len(points), [tuple(table.T[:, :, None])], "\r\n")
+    columns = (*means, (truth.probs * (1.0 - truth.probs))[:, None])
+    pieces = _table_pieces(header, [","], len(points), [columns], "\r\n")
     _atomic_write_chunks(f"{args.out}_aggregate.csv", pieces)
     return 0
 

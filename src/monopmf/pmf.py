@@ -151,10 +151,10 @@ def mixture_of_uniforms(weights, ys) -> Pmf:
     if w.ndim != 1 or y.ndim != 1 or w.size != y.size or w.size == 0:
         raise ValueError("weights and ys must be non-empty sequences of equal length")
     y = np.array([as_int(v, "ys") for v in y], dtype=object)  # Python ints until the checks pass
-    if np.any(w <= 0):
+    if np.any(~(w > 0)):  # a NaN weight is not positive either
         raise ValueError("mixture weights must be positive")
     with np.errstate(over="ignore"):  # as in Pmf: an inf sum is rejected, without numpy's warning
-        if abs(float(w.sum()) - 1.0) > SUM_TOL:
+        if not abs(float(w.sum()) - 1.0) <= SUM_TOL:
             raise ValueError("mixture weights must sum to 1")
     if np.any(y < 0) or np.any(np.diff(y) <= 0):
         raise ValueError("ys must be strictly increasing non-negative integers")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from monopmf import cli, experiments, parse_pmf, uniform_pmf
+from monopmf import cli, experiments, parse_pmf, rng, uniform_pmf
 from monopmf.cli import main
 from monopmf.pmf import COUNT_STREAM
 from references import RECORDED, format_counts, format_pmf
@@ -428,6 +428,8 @@ class TestSimulate:
          "weights must be a list with one value per component, got 3"),
         ({"truth": {"family": "mixture", "weights": [1.0], "ys": 3}, "n": 10, "reps": 5},
          "ys must be a list with one value per component, got 3"),
+        ({"truth": {"family": "mixture", "weights": [float("nan"), 1.0], "ys": [1, 2]}, "n": 10, "reps": 5},
+         "mixture weights must be positive"),  # json.dumps writes the NaN as NaN, which json.loads reads
         ({"truth": "uniform:3", "n": 10, "reps": 5, "estimators": "gren"},
          "estimators must be a list of estimator names, got 'gren'"),
         ({"truth": "uniform:3", "n": 10, "reps": 5, "metrics": "l1"},
@@ -447,9 +449,9 @@ class TestSimulate:
         ({"truth": "uniform:3", "n": 2**63, "reps": 2}, "sample size n must lie in [1, 2^63), got 9223372036854775808"),
         ({"truth": "uniform:3", "n": 2**62, "reps": 2},
          "the Grenander estimator needs n * (K+1) < 2^63, got n = 4611686018427387904 and K+1 = 4"),
-    ], ids=["weights", "ys", "estimators-str", "metrics-str", "estimators-int", "truth-int", "no-n", "list", "str",
-            "truth-no-family", "truth-unknown-field", "estimators-repeated", "metrics-repeated", "n-1e20", "n-2^63",
-            "grenander-bound"])
+    ], ids=["weights", "ys", "weights-nan", "estimators-str", "metrics-str", "estimators-int", "truth-int", "no-n",
+            "list", "str", "truth-no-family", "truth-unknown-field", "estimators-repeated", "metrics-repeated",
+            "n-1e20", "n-2^63", "grenander-bound"])
     def test_config_fault_names_the_field(self, content, message, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(content))
@@ -537,6 +539,10 @@ class TestOtherCommands:
         assert err.count("\n") == 1 and err.startswith("monopmf: ")
         assert "Traceback" not in err
 
+    def test_mixture_nan_weight_exits_1(self, capsys):
+        assert main(["asymptotics", "--truth", "mixture:nan:1,1:2"]) == 1
+        assert capsys.readouterr() == ("", "monopmf: mixture weights must be positive\n")
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_risk_seed_outside_64_bits_exits_1(self, seed, capsys):
         assert main(["risk", "--truth", "uniform:3", "--n", "20", "--reps", "5", "--seed", seed]) == 1
@@ -587,16 +593,27 @@ class TestOtherCommands:
         assert float(table["scaled_risk"]) == pytest.approx(target, rel=0.05)
 
     def test_limits_csv(self, tmp_path):
-        code = main(["limits", "--truth", "mixture:0.2:3,0.8:7", "--reps", "40",
-                     "--seed", "6", "--out", str(tmp_path / "lim")])
-        assert code == 0
+        # 5000 draws of 10 points are three whole blocks and a short fourth, each fed to the aggregate as
+        # it comes; every mean still has the bits of np.mean over the whole column of _draws.csv
+        reps, height = 5000, rng._block_height(10)
+        assert 2 * height < reps and reps % height
+        assert main(["limits", "--truth", "uniform:9", "--reps", str(reps), "--seed", "6",
+                     "--out", str(tmp_path / "lim")]) == 0
         with open(tmp_path / "lim_draws.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 40 * 8
-        assert set(rows[0]) == {"draw", "x", "y", "y_rear", "y_gren"}
+        assert len(rows) == reps * 10
+        assert list(rows[0]) == ["draw", "x", "y", "y_rear", "y_gren"]
         with open(tmp_path / "lim_aggregate.csv") as fh:
             agg = list(csv.DictReader(fh))
-        assert len(agg) == 8
+        assert [row["x"] for row in agg] == [str(x) for x in range(10)]
+        for name in ("y", "y_rear", "y_gren"):
+            draws = np.array([float(row[name]) for row in rows]).reshape(reps, 10)
+            for x, row in enumerate(agg):
+                column = np.ascontiguousarray(draws[:, x])
+                assert float(row[f"mean_{name}"]).hex() == np.mean(column).hex()
+                assert float(row[f"mean_sq_{name}"]).hex() == np.mean(column * column).hex()
+        p = uniform_pmf(9).probs
+        assert [float(row["var_limit"]).hex() for row in agg] == [float(v).hex() for v in p * (1.0 - p)]
 
     def test_mixing_from_pmf_file(self, tmp_path, capsys):
         path = tmp_path / "p.pmf"

@@ -646,8 +646,8 @@ def test_golden_digests_whatever_the_piece_size(command, name, golden, rows, tmp
 @pytest.mark.parametrize("elements", [1, 7, 250])
 @pytest.mark.parametrize("name", ["blocks", "wide"])
 def test_limits_golden_digests_whatever_the_block_size(name, elements, tmp_path, monkeypatch):
-    # the draws are row cuts of one normal stack, and the aggregate copies its
-    # columns a block of points at a time, so no byte may depend on the block height
+    # the draws are row cuts of one normal stack, and the aggregate is a pairwise sum streamed
+    # over the blocks as they come, so no byte may depend on the block height
     monkeypatch.setattr(rng, "_CHUNK_ELEMENTS", elements)
     check_digests("limits", name, LIMITS_GOLDEN, tmp_path, monkeypatch)
 

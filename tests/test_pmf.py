@@ -97,6 +97,12 @@ class TestConstructors:
         with pytest.raises(ValueError):
             mixture_of_uniforms([0.4, 0.4], [3, 7])  # does not sum to 1
 
+    @pytest.mark.parametrize("weights", [[float("nan"), 1.0], [1.0, float("nan")], [float("nan")]])
+    def test_mixture_rejects_nan_weight(self, weights):
+        # NaN compares False both with 0 and with the sum's tolerance, so each check asks for what passes
+        with pytest.raises(ValueError, match="^mixture weights must be positive$"):
+            mixture_of_uniforms(weights, [1, 2][: len(weights)])
+
     @pytest.mark.parametrize("ys", [[1.7, 3.2], [1, 3.5], ["1", 3]])
     def test_mixture_rejects_non_integral_components(self, ys):
         with pytest.raises(ValueError, match="ys must be an integer"):
